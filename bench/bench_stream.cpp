@@ -13,13 +13,18 @@
 //       bit-identical to the per-suspect re-simulation loop and its
 //       simulation pass count stays at 1 regardless of suspect count.
 // It also reports the per-bin ingest cost (the number an ISP-side
-// deployment would size hardware against) and the single-pass vs
-// per-suspect wall time.
+// deployment would size hardware against), the single-pass vs
+// per-suspect wall time, and how the default traceback's time splits
+// between the fused per-flow pass and the simulation fan-out (their
+// bit-identity to the composition is tested in tornet_test).
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "legal/process.h"
@@ -28,6 +33,7 @@
 #include "tornet/traceback.h"
 #include "util/rng.h"
 #include "watermark/correlate.h"
+#include "watermark/dsss.h"
 #include "watermark/pn_code.h"
 
 namespace {
@@ -62,6 +68,64 @@ bool bit_identical(const lexfor::watermark::ScanResult& a,
              std::bit_cast<std::uint64_t>(b.best.correlation) &&
          std::bit_cast<std::uint64_t>(a.best.threshold) ==
              std::bit_cast<std::uint64_t>(b.best.threshold);
+}
+
+// run_streaming_traceback's flows spelled out through the public
+// composition, one flow after another, and despread by the batch
+// kernel: the pipeline the fused per-flow pass replaced, timed as the
+// reference.
+std::vector<lexfor::watermark::DetectionResult> composed_traceback(
+    const lexfor::tornet::TracebackConfig& cfg) {
+  namespace tornet = lexfor::tornet;
+  const auto code = PnCode::m_sequence(cfg.pn_degree).value();
+  const std::size_t n_chips = code.length();
+  const double chip_sec = cfg.chip_ms * 1e-3;
+  const double t_end = chip_sec * static_cast<double>(n_chips) + 2.0;
+  const double shift =
+      static_cast<double>(cfg.network.circuit_length) *
+      (cfg.network.hop_latency_ms + cfg.network.relay_jitter_ms +
+       cfg.network.relay_batch_ms / 2.0) *
+      1e-3;
+  lexfor::watermark::EmbedParams embed;
+  embed.start = lexfor::SimTime::zero();
+  embed.chip_duration = lexfor::SimDuration::from_ms(cfg.chip_ms);
+  embed.depth = cfg.depth;
+  const lexfor::watermark::Embedder embedder(code, embed);
+  const CorrelationKernel kernel(code, cfg.threshold_sigmas);
+  const tornet::AnonymityNetwork net(cfg.network);
+
+  std::vector<lexfor::watermark::DetectionResult> verdicts;
+  for (std::size_t flow = 0; flow < 1 + cfg.num_decoys; ++flow) {
+    Rng rng = Rng::sub_stream(cfg.seed, flow);
+    const auto circuit = net.build_circuit(rng).value();
+    std::function<double(double)> mult;
+    if (flow == 0) {
+      mult = [&embedder](double t_sec) {
+        return embedder.multiplier(lexfor::SimTime::from_sec(t_sec));
+      };
+    }
+    const auto sends = tornet::generate_modulated_poisson(
+        cfg.base_rate_pps, t_end, 1.0 + cfg.depth, mult, rng);
+    const auto counts = tornet::bin_arrivals(
+        net.transit(circuit, sends, rng), shift, chip_sec, n_chips);
+    const std::vector<double> rates(counts.begin(), counts.end());
+    verdicts.push_back(kernel.scan(rates, 0).value().best);
+  }
+  return verdicts;
+}
+
+// Wall time (ms) of one call of fn().
+template <typename Fn>
+double time_ms(const Fn& fn) {
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -250,6 +314,46 @@ int main() {
                   "per-suspect loop\n");
       return 1;
     }
+  }
+
+  // The traceback at the default config (degree 9, suspect + 8
+  // decoys): the composition flow after flow, then the fused per-flow
+  // pass on one thread and fanned across every core.  The split shows
+  // which of the two the gain comes from.  Reported, not gated.
+  {
+    constexpr int kReps = 15;
+    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    const lexfor::tornet::TracebackConfig cfg;
+    auto one = cfg;
+    one.detect_threads = 1;
+    auto all = cfg;
+    all.detect_threads = 0;
+
+    // Interleaved, so a change in host speed hits all three alike.
+    std::vector<double> composed, fused_one, fused_all;
+    for (int r = 0; r < kReps; ++r) {
+      composed.push_back(time_ms([&] { (void)composed_traceback(cfg); }));
+      fused_one.push_back(time_ms(
+          [&] { (void)lexfor::tornet::run_streaming_traceback(one); }));
+      fused_all.push_back(time_ms(
+          [&] { (void)lexfor::tornet::run_streaming_traceback(all); }));
+    }
+    const double composed_ms = median(composed);
+    const double one_ms = median(fused_one);
+    const double all_ms = median(fused_all);
+    std::printf("\ntraceback at the default config, median of %d (%u cores)\n",
+                kReps, cores);
+    std::printf("  composition, flow after flow      %8.2f ms\n", composed_ms);
+    std::printf("  fused pass, detect_threads 1      %8.2f ms  (%.2fx)\n",
+                one_ms, composed_ms / one_ms);
+    std::printf("  fused pass, detect_threads 0 (%u)  %8.2f ms  (%.2fx; "
+                "fan-out %.2fx)\n",
+                cores, all_ms, composed_ms / all_ms, one_ms / all_ms);
+    std::printf("A-STREAM-METRIC traceback_composed_ms %.2f\n", composed_ms);
+    std::printf("A-STREAM-METRIC traceback_fused_1_thread_ms %.2f\n", one_ms);
+    std::printf("A-STREAM-METRIC traceback_fused_all_threads_ms %.2f\n",
+                all_ms);
+    std::printf("A-STREAM-METRIC traceback_cores %u\n", cores);
   }
 
   std::printf("\nA-STREAM OK: bit-identical verdicts, flat memory, "

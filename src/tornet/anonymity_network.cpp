@@ -1,6 +1,7 @@
 #include "tornet/anonymity_network.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 
 namespace lexfor::tornet {
@@ -11,8 +12,10 @@ Result<Circuit> AnonymityNetwork::build_circuit(Rng& rng) const {
         "build_circuit: circuit longer than the relay population");
   }
   Circuit c;
-  static IdGenerator<CircuitId> ids;  // process-wide unique circuit ids
-  c.id = ids.next();
+  // Process-wide unique circuit ids; circuits may be built on several
+  // threads at once.
+  static std::atomic<CircuitId::underlying_type> next_id{0};
+  c.id = CircuitId{next_id.fetch_add(1, std::memory_order_relaxed)};
   // Sample distinct relays.
   std::vector<std::size_t> pool(config_.num_relays);
   for (std::size_t i = 0; i < pool.size(); ++i) pool[i] = i;
@@ -26,14 +29,8 @@ std::vector<double> AnonymityNetwork::transit(
     Rng& rng) const {
   std::vector<double> arrivals;
   arrivals.reserve(send_sec.size());
-  const double hops = static_cast<double>(circuit.relays.size());
   for (const double t : send_sec) {
-    double delay_ms = hops * config_.hop_latency_ms;
-    for (std::size_t r = 0; r < circuit.relays.size(); ++r) {
-      delay_ms += rng.exponential(config_.relay_jitter_ms);
-      delay_ms += rng.uniform01() * config_.relay_batch_ms;
-    }
-    arrivals.push_back(t + delay_ms * 1e-3);
+    arrivals.push_back(t + packet_delay_ms(circuit, rng) * 1e-3);
   }
   std::sort(arrivals.begin(), arrivals.end());
   return arrivals;

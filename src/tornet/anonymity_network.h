@@ -9,7 +9,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "util/ids.h"
@@ -53,6 +55,21 @@ class AnonymityNetwork {
                                             const std::vector<double>& send_sec,
                                             Rng& rng) const;
 
+  // One packet's delay through `circuit` (ms): the base propagation,
+  // then per relay one jitter draw and one batching draw, in that
+  // order.  transit() and simulate_flow_bins() both take their
+  // per-packet draws from here, so the two cannot drift apart.
+  [[nodiscard]] double packet_delay_ms(const Circuit& circuit,
+                                       Rng& rng) const noexcept {
+    double delay_ms =
+        static_cast<double>(circuit.relays.size()) * config_.hop_latency_ms;
+    for (std::size_t r = 0; r < circuit.relays.size(); ++r) {
+      delay_ms += rng.exponential(config_.relay_jitter_ms);
+      delay_ms += rng.uniform01() * config_.relay_batch_ms;
+    }
+    return delay_ms;
+  }
+
  private:
   TorConfig config_;
 };
@@ -71,5 +88,77 @@ std::vector<double> generate_modulated_poisson(
 std::vector<std::uint32_t> bin_arrivals(const std::vector<double>& arrivals_sec,
                                         double start_sec, double window_sec,
                                         std::size_t num_windows);
+
+// The homogeneous process's rate multiplier for simulate_flow_bins (the
+// nullptr of generate_modulated_poisson): base_rate * 1.0 == base_rate.
+struct UnitMultiplier {
+  double operator()(double /*t_sec*/) const noexcept { return 1.0; }
+};
+
+// One flow, end to end, in a single pass:
+//
+//   bin_arrivals(net.transit(circuit,
+//                    generate_modulated_poisson(base_rate, t_end_sec,
+//                        max_multiplier, multiplier, rng), rng),
+//                start_sec, window_sec, bins.size())
+//
+// written into `bins` as doubles (whole counts, so exact), with no heap
+// allocation and no sort.  Every random draw is the one the composition
+// makes, so the bins are bit-identical to it and `rng` ends in the state
+// the composition leaves it in: a caller drawing on afterwards sees the
+// same stream either way.
+//
+// The composition makes all of its generation draws (per Poisson
+// candidate one exponential and one uniform, then the exponential that
+// crosses t_end) before any of transit's (per kept packet and relay,
+// one exponential and one uniform).  So a copy of `rng` first steps over
+// the generation draws — it needs the candidate times to find where
+// generation stops, but not the thinning decisions — and then sits
+// where transit's draws begin.  Generation is replayed on a second
+// copy, and each kept send takes its delay from the first.  Binning
+// only counts, so the arrival order transit sorts for never matters.
+//
+// `multiplier` is any callable double(double); pass UnitMultiplier{}
+// for a homogeneous flow.  The composition's guards hold: a rate or
+// t_end <= 0 draws nothing, a window <= 0 counts nothing (the draws
+// still happen), and arrivals before start_sec or past the last window
+// are dropped.
+template <typename Multiplier>
+void simulate_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
+                        double base_rate, double t_end_sec,
+                        double max_multiplier, const Multiplier& multiplier,
+                        double start_sec, double window_sec,
+                        std::span<double> bins, Rng& rng) {
+  std::fill(bins.begin(), bins.end(), 0.0);
+  if (base_rate <= 0.0 || t_end_sec <= 0.0) return;
+  const double lambda_max = base_rate * std::max(max_multiplier, 1.0);
+
+  // Cursor 1: step over the generation draws.
+  Rng delays = rng;
+  for (double t = 0.0;;) {
+    t += delays.exponential(1.0 / lambda_max);
+    if (t >= t_end_sec) break;
+    (void)delays();  // the thinning uniform: one raw draw, value unused
+  }
+
+  // Cursor 2: replay generation; kept sends draw their delays from
+  // cursor 1 and are counted where they arrive.
+  Rng sends = rng;
+  const bool counting = window_sec > 0.0;
+  const auto windows = static_cast<double>(bins.size());
+  for (double t = 0.0;;) {
+    t += sends.exponential(1.0 / lambda_max);
+    if (t >= t_end_sec) break;
+    const double lam = base_rate * multiplier(t);
+    if (!(sends.uniform01() < lam / lambda_max)) continue;
+    const double arrival = t + net.packet_delay_ms(circuit, delays) * 1e-3;
+    const double rel = arrival - start_sec;
+    if (!counting || rel < 0.0) continue;
+    // bin_arrivals' idx < num_windows test, made before the cast.
+    const double window = rel / window_sec;
+    if (window < windows) bins[static_cast<std::size_t>(window)] += 1.0;
+  }
+  rng = delays;
+}
 
 }  // namespace lexfor::tornet

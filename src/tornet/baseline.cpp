@@ -47,15 +47,19 @@ Result<PassiveResult> run_passive_correlation(const PassiveConfig& config) {
   result.correlations.push_back(watermark::CorrelationKernel::cross_score(
       server_series, rate_series(suspect_arrivals, config.window_sec, windows)));
 
-  // Decoys: independent flows through their own circuits.
+  // Decoys: independent flows through their own circuits.  Only their
+  // client-side counts matter, so each is simulated in one pass; it
+  // leaves `rng` where generate -> transit would, so the next decoy's
+  // draws are unchanged.
+  std::vector<double> decoy_series(windows);
   for (std::size_t i = 0; i < config.num_decoys; ++i) {
     auto circuit = net.build_circuit(rng);
     if (!circuit.ok()) return circuit.status();
-    const auto sends = generate_modulated_poisson(
-        config.base_rate_pps, config.observe_sec, 1.0, nullptr, rng);
-    const auto arrivals = net.transit(circuit.value(), sends, rng);
+    simulate_flow_bins(net, circuit.value(), config.base_rate_pps,
+                       config.observe_sec, 1.0, UnitMultiplier{}, 0.0,
+                       config.window_sec, decoy_series, rng);
     result.correlations.push_back(watermark::CorrelationKernel::cross_score(
-        server_series, rate_series(arrivals, config.window_sec, windows)));
+        server_series, decoy_series));
   }
 
   const auto best = std::max_element(result.correlations.begin(),

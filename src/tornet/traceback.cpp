@@ -1,10 +1,13 @@
 #include "tornet/traceback.h"
 
 #include <algorithm>
-#include <functional>
+#include <atomic>
+#include <span>
+#include <thread>
 
 #include "stream/online_despread.h"
 #include "stream/tap_registry.h"
+#include "util/thread_pool.h"
 #include "watermark/correlate.h"
 #include "watermark/gold_code.h"
 #include "watermark/scan_batch.h"
@@ -26,20 +29,57 @@ legal::Scenario collection_scenario() {
 
 namespace {
 
+// The simulation fan-out's workers, one per hardware thread: created on
+// first use and kept for the life of the process, so a case does not
+// pay for starting threads.  Leaked on purpose, like
+// legal::shared_verdict_cache(): a traceback run from another static
+// object's destructor still finds its workers.
+util::ThreadPool& simulation_pool() {
+  static util::ThreadPool* const pool = new util::ThreadPool(0);
+  return *pool;
+}
+
+// Runs body(i) for every i in [0, n) on up to `threads` threads (0 =
+// hardware concurrency, 1 = inline on the calling thread).  Each task
+// claims indices from one shared counter, so a slow flow never leaves
+// the others waiting behind it in a fixed chunk.  body(i) must touch
+// only state that index i owns.
+template <typename Body>
+void for_each_flow(unsigned threads, std::size_t n, const Body& body) {
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t tasks = std::min<std::size_t>(threads, n);
+  if (tasks <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  simulation_pool().parallel_for(tasks, 1, [&](std::size_t, std::size_t) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  });
+}
+
 // Phase 1 of the experiment: simulate suspect + decoy flows through the
 // anonymity network and bin the ISP-side arrivals into one flat rate
 // buffer (one n_chips slice per flow, suspect first).  Shared between
 // the batch and streaming tracebacks so both detect over IDENTICAL
-// bins.  Flow i draws exclusively from Rng::sub_stream(config.seed, i):
-// a counter-derived stream, so each flow's randomness is independent of
-// every other flow's existence and the loop can later fan out across
-// threads without changing a single bin.
+// bins.
+//
 // Simulates flows [flow_begin, flow_end) and writes each flow's n_chips
-// bins at rates[(flow - flow_begin) * n_chips].  Because flow i draws
-// from Rng::sub_stream(config.seed, i), a flow's bins are the same
-// whether its pass simulates one flow or all of them — that equality is
-// what lets the per-suspect reference loop and the single-pass registry
+// bins at rates[(flow - flow_begin) * n_chips].  Flow i draws
+// exclusively from Rng::sub_stream(config.seed, i), so its bins are the
+// same whether its pass simulates one flow or all of them, and whichever
+// thread runs it — that equality is what lets the per-suspect reference
+// loop, the single-pass registry and every detect_threads setting
 // produce bit-identical series.
+//
+// Circuits are built first, on the calling thread and in flow order, so
+// circuit ids follow flow order and a failure is the first failing
+// flow's.  Each flow then runs simulate_flow_bins (bit-identical to
+// generate_modulated_poisson -> transit -> bin_arrivals) across
+// config.detect_threads threads, writing only its own slice.
 Status simulate_flow_range(const TracebackConfig& config,
                            const watermark::PnCode& code,
                            std::size_t flow_begin, std::size_t flow_end,
@@ -56,9 +96,8 @@ Status simulate_flow_range(const TracebackConfig& config,
   embed_params.depth = config.depth;
   const watermark::Embedder embedder(code, embed_params);
 
-  AnonymityNetwork net(config.network);
+  const AnonymityNetwork net(config.network);
 
-  rates.resize((flow_end - flow_begin) * n_chips);
   const double hops = static_cast<double>(config.network.circuit_length);
   // The mean circuit delay shifts every packet; align the observation
   // window at the expected shift (the investigator calibrates this by
@@ -69,32 +108,41 @@ Status simulate_flow_range(const TracebackConfig& config,
        config.network.relay_batch_ms / 2.0) *
       1e-3;
 
+  struct FlowStart {
+    Circuit circuit;
+    Rng rng;  // the flow's stream, just past its circuit draws
+  };
+  std::vector<FlowStart> starts;
+  starts.reserve(flow_end - flow_begin);
   for (std::size_t flow = flow_begin; flow < flow_end; ++flow) {
-    const bool marked = flow == 0;  // the suspect's flow carries the mark
     Rng flow_rng = Rng::sub_stream(config.seed, flow);
     auto circuit_r = net.build_circuit(flow_rng);
     if (!circuit_r.ok()) return circuit_r.status();
-
-    std::function<double(double)> mult;
-    if (marked) {
-      mult = [&embedder](double t_sec) {
-        return embedder.multiplier(SimTime::from_sec(t_sec));
-      };
-    }
-    const auto sends = generate_modulated_poisson(
-        config.base_rate_pps, t_end, 1.0 + config.depth, mult, flow_rng);
-    const auto arrivals = net.transit(circuit_r.value(), sends, flow_rng);
-    const auto bins =
-        bin_arrivals(arrivals, expected_shift_sec, chip_sec, n_chips);
-    double* out = rates.data() + (flow - flow_begin) * n_chips;
-    for (std::size_t i = 0; i < n_chips; ++i) {
-      out[i] = static_cast<double>(bins[i]);
-    }
+    starts.push_back(FlowStart{std::move(circuit_r).value(), flow_rng});
   }
+
+  rates.resize(starts.size() * n_chips);
+  for_each_flow(config.detect_threads, starts.size(), [&](std::size_t i) {
+    FlowStart& f = starts[i];
+    const std::span<double> out(rates.data() + i * n_chips, n_chips);
+    if (flow_begin + i == 0) {  // the suspect's flow carries the mark
+      simulate_flow_bins(
+          net, f.circuit, config.base_rate_pps, t_end, 1.0 + config.depth,
+          [&embedder](double t_sec) {
+            return embedder.multiplier(SimTime::from_sec(t_sec));
+          },
+          expected_shift_sec, chip_sec, out, f.rng);
+    } else {
+      simulate_flow_bins(net, f.circuit, config.base_rate_pps, t_end,
+                         1.0 + config.depth, UnitMultiplier{},
+                         expected_shift_sec, chip_sec, out, f.rng);
+    }
+  });
   return Status::Ok();
 }
 
-// Phase 1 as the batch traceback uses it: every flow, one pass.
+// Phase 1 over every flow in one pass, as run_traceback and the
+// single-pass streaming traceback use it.
 Status simulate_flow_rates(const TracebackConfig& config,
                            const watermark::PnCode& code,
                            std::vector<double>& rates) {
@@ -275,7 +323,7 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   const double chip_sec = config.chip_ms * 1e-3;
   const double t_end = chip_sec * static_cast<double>(n_chips) + 2.0;
 
-  AnonymityNetwork net(config.network);
+  const AnonymityNetwork net(config.network);
   Rng rng(config.seed);
 
   // The observed client carries the flow marked with the TRUE account's
@@ -292,23 +340,19 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   auto circuit_r = net.build_circuit(rng);
   if (!circuit_r.ok()) return circuit_r.status();
 
-  const auto sends = generate_modulated_poisson(
-      config.base_rate_pps, t_end, 1.0 + config.depth,
-      [&embedder](double t_sec) {
-        return embedder.multiplier(SimTime::from_sec(t_sec));
-      },
-      rng);
-  const auto arrivals = net.transit(circuit_r.value(), sends, rng);
-
   const double hops = static_cast<double>(config.network.circuit_length);
   const double expected_shift_sec =
       hops *
       (config.network.hop_latency_ms + config.network.relay_jitter_ms +
        config.network.relay_batch_ms / 2.0) *
       1e-3;
-  const auto bins =
-      bin_arrivals(arrivals, expected_shift_sec, chip_sec, n_chips);
-  std::vector<double> rates(bins.begin(), bins.end());
+  std::vector<double> rates(n_chips);
+  simulate_flow_bins(
+      net, circuit_r.value(), config.base_rate_pps, t_end, 1.0 + config.depth,
+      [&embedder](double t_sec) {
+        return embedder.multiplier(SimTime::from_sec(t_sec));
+      },
+      expected_shift_sec, chip_sec, rates, rng);
 
   // One tap, every account's code: a kernel per Gold code, all scanning
   // the SAME rate series in one batch.  Account order is preserved by

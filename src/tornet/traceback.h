@@ -28,14 +28,16 @@ struct TracebackConfig {
   std::size_t num_decoys = 8;      // concurrent unmarked client flows
   double threshold_sigmas = 5.0;
   std::uint64_t seed = 7;
-  // Worker threads for the despread fan-out (suspect + decoys go
-  // through one watermark::ScanBatch); 0 = hardware concurrency.  The
-  // result is bit-identical for every thread count.  The simulation
-  // phase gives flow i the counter-derived stream
-  // Rng::sub_stream(seed, i), so a flow's packets do not depend on how
-  // many other flows exist — Phase 1 is parallelizable without output
-  // changes (see EXPERIMENTS.md for the one-time output shift this
-  // re-seeding caused).
+  // Threads for the whole traceback; 0 = hardware concurrency.  Phase
+  // 1, the simulation, fans the flows across a process-wide pool, each
+  // flow in one fused pass (tornet::simulate_flow_bins); at 1 it runs
+  // inline on the calling thread.  run_traceback's despread goes
+  // through one watermark::ScanBatch of this width.  The result is
+  // bit-identical for every thread count: flow i draws only from the
+  // counter-derived stream Rng::sub_stream(seed, i), so its packets do
+  // not depend on how many other flows exist or which thread runs it
+  // (see EXPERIMENTS.md for the one-time output shift this re-seeding
+  // caused).
   unsigned detect_threads = 0;
   // Reference mode for run_streaming_traceback: simulate each candidate
   // flow in its OWN pass (sim_passes == flow count) instead of tapping
@@ -75,7 +77,10 @@ struct TracebackResult {
 
 // Runs the full experiment: builds circuits, generates the marked flow
 // and decoys, carries them through the network, bins arrivals at the
-// "ISP", and despreads each candidate.
+// "ISP", and despreads each candidate.  Circuits are built on the
+// calling thread in flow order; the flows are then simulated in
+// parallel (TracebackConfig::detect_threads).  Safe to call from
+// several threads at once.
 [[nodiscard]] Result<TracebackResult> run_traceback(const TracebackConfig& config);
 
 // The streaming variant: the same simulation (identical flows, bins and

@@ -4,6 +4,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "watermark/dsss.h"
 
 namespace lexfor::tornet {
 namespace {
@@ -212,6 +219,116 @@ TEST(TracebackTest, PerFlowSubStreamsAreIndependentOfFlowCount) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a.flows[i].detection.correlation),
               std::bit_cast<std::uint64_t>(b.flows[i].detection.correlation))
         << "flow " << i;
+  }
+}
+
+// The flows a traceback simulates, spelled out through the public
+// composition (generate_modulated_poisson -> transit -> bin_arrivals,
+// one flow after another) and despread by the batch kernel: the
+// reference every simulation thread count must reproduce bit for bit.
+std::vector<watermark::DetectionResult> composed_verdicts(
+    const TracebackConfig& cfg) {
+  const auto code = watermark::PnCode::m_sequence(cfg.pn_degree).value();
+  const std::size_t n_chips = code.length();
+  const double chip_sec = cfg.chip_ms * 1e-3;
+  const double t_end = chip_sec * static_cast<double>(n_chips) + 2.0;
+  const double shift =
+      static_cast<double>(cfg.network.circuit_length) *
+      (cfg.network.hop_latency_ms + cfg.network.relay_jitter_ms +
+       cfg.network.relay_batch_ms / 2.0) *
+      1e-3;
+  watermark::EmbedParams embed;
+  embed.start = SimTime::zero();
+  embed.chip_duration = SimDuration::from_ms(cfg.chip_ms);
+  embed.depth = cfg.depth;
+  const watermark::Embedder embedder(code, embed);
+  const watermark::CorrelationKernel kernel(code, cfg.threshold_sigmas);
+  const AnonymityNetwork net(cfg.network);
+
+  std::vector<watermark::DetectionResult> verdicts;
+  for (std::size_t flow = 0; flow < 1 + cfg.num_decoys; ++flow) {
+    Rng rng = Rng::sub_stream(cfg.seed, flow);
+    const Circuit circuit = net.build_circuit(rng).value();
+    std::function<double(double)> mult;
+    if (flow == 0) {
+      mult = [&embedder](double t_sec) {
+        return embedder.multiplier(SimTime::from_sec(t_sec));
+      };
+    }
+    const auto sends = generate_modulated_poisson(
+        cfg.base_rate_pps, t_end, 1.0 + cfg.depth, mult, rng);
+    const auto counts = bin_arrivals(net.transit(circuit, sends, rng), shift,
+                                     chip_sec, n_chips);
+    const std::vector<double> rates(counts.begin(), counts.end());
+    verdicts.push_back(kernel.scan(rates, 0).value().best);
+  }
+  return verdicts;
+}
+
+void expect_same_verdicts(const TracebackResult& got,
+                          const std::vector<watermark::DetectionResult>& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.flows.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& d = got.flows[i].detection;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d.correlation),
+              std::bit_cast<std::uint64_t>(want[i].correlation))
+        << where << " flow " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d.threshold),
+              std::bit_cast<std::uint64_t>(want[i].threshold))
+        << where << " flow " << i;
+    EXPECT_EQ(d.detected, want[i].detected) << where << " flow " << i;
+  }
+}
+
+TEST(TracebackTest, VerdictsMatchCompositionAtEveryThreadCount) {
+  // Flows are simulated in one fused pass each and fanned across
+  // detect_threads threads; neither may move a single draw.  A slipped
+  // draw changes that flow's bins and so its correlation's bits.
+  for (const std::uint64_t seed : {101u, 202u, 303u}) {
+    auto cfg = easy_config();
+    cfg.pn_degree = 7;
+    cfg.num_decoys = 8;
+    cfg.seed = seed;
+    const auto want = composed_verdicts(cfg);
+    for (const unsigned threads : {0u, 1u, 2u, 4u}) {
+      cfg.detect_threads = threads;
+      const std::string where =
+          "seed " + std::to_string(seed) + " threads " + std::to_string(threads);
+      expect_same_verdicts(run_traceback(cfg).value(), want,
+                           "run_traceback " + where);
+      expect_same_verdicts(run_streaming_traceback(cfg).value(), want,
+                           "run_streaming_traceback " + where);
+    }
+  }
+}
+
+TEST(TracebackTest, ConcurrentTracebacksMatchSerial) {
+  // Two investigations at once, one streaming and one batch, share the
+  // process-wide circuit-id counter and simulation pool; neither may
+  // disturb the other's flows.
+  auto a = easy_config();
+  a.pn_degree = 7;
+  a.num_decoys = 8;
+  a.seed = 11;
+  a.detect_threads = 2;
+  auto b = a;
+  b.seed = 12;
+  b.detect_threads = 0;
+  const auto want_a = composed_verdicts(a);
+  const auto want_b = composed_verdicts(b);
+
+  for (int round = 0; round < 3; ++round) {
+    std::optional<Result<TracebackResult>> got_a, got_b;
+    std::thread ta([&] { got_a.emplace(run_streaming_traceback(a)); });
+    std::thread tb([&] { got_b.emplace(run_traceback(b)); });
+    ta.join();
+    tb.join();
+    ASSERT_TRUE(got_a->ok()) << got_a->status();
+    ASSERT_TRUE(got_b->ok()) << got_b->status();
+    const std::string where = "round " + std::to_string(round);
+    expect_same_verdicts(got_a->value(), want_a, "a " + where);
+    expect_same_verdicts(got_b->value(), want_b, "b " + where);
   }
 }
 

@@ -139,12 +139,16 @@ tsan_stream() {
   ./build-tsan/tests/stream_test
 }
 tsan_traceback_fanout() {
-  # Thread-fanned detection plus the single-pass TapRegistry path
-  # (which spans netsim, legal admission and the despread fan-out in
-  # one run) across every detect thread count.
+  # The tornet fan-outs: flows simulated in parallel on the process-wide
+  # pool (each flow's fused pass writing only its own slice, circuits
+  # built on the calling thread), then thread-fanned detection and the
+  # single-pass TapRegistry path (which spans legal admission and the
+  # despread fan-out in one run), across every detect thread count and
+  # with two tracebacks running at once.  The composition oracle runs
+  # here too, so a race that moved a draw would also fail bit-identity.
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/tornet_test \
-      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.SinglePassMatchesPerSuspectResimulation:MultiflowTest.DetectThreadCountDoesNotChangeResults'
+      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.SinglePassMatchesPerSuspectResimulation:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:MultiflowTest.DetectThreadCountDoesNotChangeResults:SimulateFlowBinsTest.*'
 }
 tsan_serve() {
   # The verdict server's fan-out path: worker evaluation into disjoint
@@ -163,7 +167,7 @@ stage "calendar queue + packet store under TSan" tsan_calendar_queue
 stage "batch evaluator under TSan" tsan_batch
 stage "watermark scan batch under TSan" tsan_scan_batch
 stage "streaming tap suite under TSan" tsan_stream
-stage "tornet detection fan-out under TSan" tsan_traceback_fanout
+stage "tornet simulation + detection fan-out under TSan" tsan_traceback_fanout
 stage "verdict server + fleet under TSan" tsan_serve
 
 # ------------------------------------------------------ 4. lint regression
