@@ -3,12 +3,19 @@
 // The engine sits on every acquisition path (capture devices, provider
 // disclosure, disk examination), so determinations must be cheap.  This
 // measures evaluations/second over the Table-1 scenes and over
-// randomized scenarios covering the whole input space.
+// randomized scenarios covering the whole input space, and the two
+// scenario identities: the FactKey both verdict caches look up and the
+// SHA-256 audit fingerprint.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "legal/batch.h"
 #include "legal/caselaw.h"
 #include "legal/engine.h"
+#include "legal/fact_key.h"
+#include "legal/scene_table.h"
 #include "legal/table1.h"
 #include "util/rng.h"
 
@@ -69,6 +76,36 @@ void BM_DeterminationReport(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeterminationReport);
+
+// The verdict server's scenario mix: Table-1 rows, then library scenes.
+std::vector<Scenario> fleet_scenes() {
+  std::vector<Scenario> out;
+  for (const auto& scene : table1::all_scenes()) out.push_back(scene.scenario);
+  for (const auto& d : library::scenes()) out.push_back(d.build());
+  return out;
+}
+
+void BM_FactKey(benchmark::State& state) {
+  const std::vector<Scenario> scenes = fleet_scenes();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fact_key(scenes[i]));
+    if (++i == scenes.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FactKey);
+
+void BM_Fingerprint(benchmark::State& state) {
+  const std::vector<Scenario> scenes = fleet_scenes();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fingerprint(scenes[i]));
+    if (++i == scenes.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Fingerprint);
 
 void BM_CaseLawLookup(benchmark::State& state) {
   for (auto _ : state) {

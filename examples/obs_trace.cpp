@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   obs::tracer().set_level(obs::Level::kDebug);
 
   // v2: profile the instrumented hot paths (engine evaluate, batch
-  // fingerprint+lookup, netsim event loop, ...) and arm the flight
+  // fact-key+lookup, netsim event loop, ...) and arm the flight
   // recorder so the run leaves a last-N-events record behind.
   obs::profiler().set_enabled(true);
   obs::FlightRecorderConfig flight_cfg;

@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "check/scenario_gen.h"
+#include "legal/fact_key.h"
+#include "legal/jurisdiction.h"
 #include "legal/scenario_library.h"
 #include "legal/suppression.h"
 #include "lint/linter.h"
@@ -147,6 +149,47 @@ void DifferentialChecker::check_scenario(const legal::Scenario& s,
   }
   compared(1);
 
+  // --- 2b. fact key: stability and soundness ---------------------------
+  // Both verdict caches key on fact_key, which leaves the name out and
+  // gives every unlisted jurisdiction code one value.  A renamed copy
+  // must keep the key, and the engine must give it the same answer
+  // apart from scenario_name; so must a copy moved between two unlisted
+  // codes.  The renamed copy's cached evaluate is a hit on the entry
+  // `s` filled, and must carry the new name.
+  legal::Scenario renamed = s;
+  renamed.name += " (renamed)";
+  const legal::FactKey key = legal::fact_key(s);
+  if (legal::fact_key(copy) != key || legal::fact_key(renamed) != key) {
+    fail("fact-key-stability",
+         "copying or renaming a scenario changed its fact key");
+  }
+  if (const std::string d = diff_determinations(
+          serial, evaluator_.engine().evaluate(renamed));
+      !d.empty()) {
+    fail("fact-key-soundness", "renaming changed the engine's answer: " + d);
+  }
+  const legal::Determination renamed_hit = evaluator_.evaluate(renamed);
+  if (const std::string d = diff_determinations(serial, renamed_hit);
+      !d.empty() || renamed_hit.scenario_name != renamed.name) {
+    fail("fact-key-soundness",
+         "a cache hit for a renamed scenario differs from the engine: " + d +
+             "scenario_name '" + renamed_hit.scenario_name + "'");
+  }
+  compared(3);
+  if (legal::jurisdiction_index(s.jurisdiction) ==
+      legal::kUnlistedJurisdiction) {
+    legal::Scenario moved = s;
+    moved.jurisdiction += "-moved";  // still not a listed code
+    if (const std::string d = diff_determinations(
+            serial, evaluator_.engine().evaluate(moved));
+        !d.empty()) {
+      fail("fact-key-soundness",
+           "moving between unlisted jurisdiction codes changed the engine's "
+           "answer: " + d);
+    }
+    compared(1);
+  }
+
   // --- 3. linter agreement ---------------------------------------------
   // 3a: no planned process.  The linter must demand process exactly when
   // the engine does, and must say nothing else about this trivial plan.
@@ -287,6 +330,9 @@ CheckReport DifferentialChecker::run(const CheckOptions& options) const {
     if (full()) return report;
     for (std::size_t step = 0; step < options.walk_steps; ++step) {
       const legal::ScenarioFingerprint before = legal::fingerprint(s);
+      const legal::FactKey key_before = legal::fact_key(s);
+      const std::size_t juris_before =
+          legal::jurisdiction_index(s.jurisdiction);
       const bool changed = gen.mutate(s);
       if (changed && legal::fingerprint(s) == before) {
         report.violations.push_back(Violation{
@@ -296,7 +342,22 @@ CheckReport DifferentialChecker::run(const CheckOptions& options) const {
             describe_scenario(s), options.seed, trial});
         report_to_flight(report.violations.back());
       }
-      ++report.comparisons;
+      // Every fact change must move the key, except a move between two
+      // unlisted codes: mutate() changes one field, so an unlisted code
+      // before and after means only the code moved.
+      const bool unlisted_move =
+          juris_before == legal::kUnlistedJurisdiction &&
+          legal::jurisdiction_index(s.jurisdiction) ==
+              legal::kUnlistedJurisdiction;
+      if (changed && !unlisted_move && legal::fact_key(s) == key_before) {
+        report.violations.push_back(Violation{
+            "fact-key-sensitivity",
+            "a doctrine-field mutation left the fact key unchanged (fact "
+            "missing from LEXFOR_FACT_LIST?)",
+            describe_scenario(s), options.seed, trial});
+        report_to_flight(report.violations.back());
+      }
+      report.comparisons += 2;
       check_scenario(s, options.seed, trial, report);
       if (full()) return report;
     }

@@ -19,6 +19,11 @@
 //     cached evaluate, field for field),
 //   - canonical fingerprint stability (copies collide, doctrine-field
 //     mutations don't),
+//   - fact-key stability, soundness and sensitivity (legal/fact_key.h):
+//     copies and renamed copies keep the key; a renamed copy, or one
+//     moved between two unlisted jurisdiction codes, gets the same
+//     Determination apart from scenario_name, from the engine and from
+//     a cache hit; every other doctrine-field mutation moves the key,
 //   - lint agreement: a single-step plan with no planned process is
 //     flagged missing-process iff the engine demands process, and a plan
 //     holding exactly the required instrument is never flagged,

@@ -16,8 +16,7 @@ namespace {
 // across platforms and runs (no struct padding, no endianness
 // surprises, no unordered iteration).  The fixed-size portion of a
 // scenario is assembled on the stack and streamed straight into the
-// hasher: fingerprinting runs on every engine query once the verdict
-// cache is in front, so it must not allocate.
+// hasher, so fingerprinting never allocates.
 class CanonicalHasher {
  public:
   void put_u8(std::uint8_t v) { buf_[len_++] = v; }
@@ -54,12 +53,12 @@ class CanonicalHasher {
   std::size_t len_ = 0;
 };
 
-// One field per line, in Scenario declaration order; the booleans are
-// packed into one little-endian u32 bitmask, one fixed bit each.
-// Every field of the struct MUST appear here: a missed field makes two
-// legally distinct scenarios collide in the verdict cache.  Covered by
-// the FingerprintDistinguishesEveryField test, which flips each field
-// and asserts the digest moves.
+// The magic and version, the name, the enum facts as one byte each and
+// the flag facts as one little-endian u32 word (both in
+// LEXFOR_FACT_LIST order), then the jurisdiction.  The list covers
+// every enum and flag field of the struct; the
+// DistinguishesEveryField test flips each field and asserts the
+// digest moves.
 ScenarioFingerprint hash_canonical(const Scenario& s) {
   CanonicalHasher out;
   for (const char c : {'l', 'e', 'x', 'f', 'o', 'r', '.', 's', 'c', 'e', 'n',
@@ -68,41 +67,11 @@ ScenarioFingerprint hash_canonical(const Scenario& s) {
   }
   out.put_u8(kFingerprintVersion);
   out.put_string(s.name);
-  out.put_u8(static_cast<std::uint8_t>(s.actor));
-  out.put_u8(static_cast<std::uint8_t>(s.data));
-  out.put_u8(static_cast<std::uint8_t>(s.state));
-  out.put_u8(static_cast<std::uint8_t>(s.timing));
-  out.put_u8(static_cast<std::uint8_t>(s.provider));
-  out.put_u8(static_cast<std::uint8_t>(s.consent));
-  std::uint32_t bits = 0;
-  int bit = 0;
-  const auto pack = [&bits, &bit](bool v) {
-    bits |= (v ? 1u : 0u) << bit++;
-  };
-  pack(s.acting_under_color_of_law);
-  pack(s.knowingly_exposed_to_public);
-  pack(s.shared_with_third_party);
-  pack(s.delivered_to_recipient);
-  pack(s.inside_home);
-  pack(s.via_sense_enhancing_tech);
-  pack(s.tech_in_general_public_use);
-  pack(s.readily_accessible_to_public);
-  pack(s.encrypted);
-  pack(s.message_opened_by_recipient);
-  pack(s.consent_revoked);
-  pack(s.target_area_password_protected);
-  pack(s.is_victim_system);
-  pack(s.targets_attacker_system);
-  pack(s.exigent_circumstances);
-  pack(s.in_plain_view);
-  pack(s.target_on_probation);
-  pack(s.emergency_pen_trap);
-  pack(s.provider_self_protection);
-  pack(s.device_lawfully_in_custody);
-  pack(s.contents_previously_lawfully_acquired);
-  pack(s.credentials_lawfully_obtained);
-  pack(s.target_arrested);
-  out.put_u32(bits);
+#define LEXFOR_PUT_ENUM(member, Type, last) \
+  out.put_u8(static_cast<std::uint8_t>(s.member));
+  LEXFOR_FACT_LIST(LEXFOR_PUT_ENUM, LEXFOR_FACT_SKIP)
+#undef LEXFOR_PUT_ENUM
+  out.put_u32(flag_word(s));
   out.put_string(s.jurisdiction);
   return out.finish();
 }
@@ -153,15 +122,18 @@ util::ThreadPool& BatchEvaluator::pool() const {
 }
 
 Determination BatchEvaluator::evaluate(const Scenario& s) const {
-  ScenarioFingerprint fp;
+  FactKey key;
   std::optional<Determination> hit;
   {
     LEXFOR_OBS_PROFILE("legal.batch.lookup");
-    fp = fingerprint(s);
-    hit = cache_->get(fp);
+    key = fact_key(s);
+    hit = cache_->get(key);
   }
   if (hit) {
     LEXFOR_OBS_COUNTER_ADD("legal.batch.cache_hits", 1);
+    // The entry may have been derived under another name; the engine
+    // would have copied this caller's.
+    hit->scenario_name = s.name;
     return std::move(*hit);
   }
   LEXFOR_OBS_COUNTER_ADD("legal.batch.cache_misses", 1);
@@ -170,7 +142,7 @@ Determination BatchEvaluator::evaluate(const Scenario& s) const {
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - start);
   LEXFOR_OBS_HISTOGRAM_RECORD("legal.batch.eval_latency_us", elapsed.count());
-  cache_->put(fp, d);
+  cache_->put(key, d);
   return d;
 }
 

@@ -4,19 +4,24 @@
 // Scenario, which makes verdicts ideal cache and fan-out material: a
 // service answering Table-1-style questions for millions of users keeps
 // re-deriving the same few thousand distinct determinations.  This
-// module adds the three pieces the serial engine lacks:
+// module adds the pieces the serial engine lacks:
 //
-//   1. fingerprint(): a canonical, versioned serialization of every
-//      Scenario fact hashed with crypto::Sha256 — two scenarios share a
-//      fingerprint iff the engine is guaranteed to produce the same
-//      Determination for both.
-//   2. VerdictCache: a sharded, mutex-striped LRU keyed on the
-//      fingerprint (util::ShardedLruCache).  A process-wide instance
-//      (shared_verdict_cache()) is reused by Investigation and the plan
-//      linter so repeated lint/eval cycles stop re-deriving verdicts.
-//   3. BatchEvaluator: fans a batch of scenario queries across a
+//   1. VerdictCache: a sharded, mutex-striped LRU keyed on the
+//      scenario's FactKey (legal/fact_key.h, util::ShardedLruCache).
+//      The key leaves the name out, so scenarios that differ only in
+//      name share one entry; a hit hands back the stored Determination
+//      with scenario_name set to the caller's name, which makes it
+//      identical to ComplianceEngine::evaluate.  A process-wide
+//      instance (shared_verdict_cache()) is reused by Investigation
+//      and the plan linter so repeated lint/eval cycles stop
+//      re-deriving verdicts.
+//   2. BatchEvaluator: fans a batch of scenario queries across a
 //      util::ThreadPool and merges Determinations in input order,
 //      bit-identical to evaluating serially.
+//   3. fingerprint(): the audit digest, SHA-256 over a canonical,
+//      versioned serialization of every Scenario field, name included.
+//      No cache looks it up; it names a scenario exactly in logs,
+//      exports and replays.
 //
 // Obs wiring: legal.batch.cache_hits / legal.batch.cache_misses
 // counters, legal.batch.eval_latency_us histogram (miss path), and the
@@ -33,14 +38,15 @@
 
 #include "crypto/sha256.h"
 #include "legal/engine.h"
+#include "legal/fact_key.h"
 #include "legal/scenario.h"
 #include "util/lru_cache.h"
 #include "util/thread_pool.h"
 
 namespace lexfor::legal {
 
-// A scenario's identity under the doctrine: SHA-256 over the canonical
-// field serialization (see canonical_serialization in batch.cpp; bump
+// A scenario's audit digest: SHA-256 over the canonical serialization
+// of every field, name included (see hash_canonical in batch.cpp; bump
 // kFingerprintVersion whenever a field is added or re-encoded).
 using ScenarioFingerprint = crypto::Sha256::Digest;
 
@@ -49,20 +55,7 @@ inline constexpr std::uint8_t kFingerprintVersion = 1;
 [[nodiscard]] ScenarioFingerprint fingerprint(const Scenario& s);
 [[nodiscard]] std::string fingerprint_hex(const Scenario& s);
 
-struct FingerprintHash {
-  [[nodiscard]] std::size_t operator()(
-      const ScenarioFingerprint& fp) const noexcept {
-    // The digest is already uniform; its first 8 bytes are the hash.
-    std::size_t h = 0;
-    for (std::size_t i = 0; i < sizeof(h); ++i) {
-      h |= static_cast<std::size_t>(fp[i]) << (8 * i);
-    }
-    return h;
-  }
-};
-
-using VerdictCache =
-    util::ShardedLruCache<ScenarioFingerprint, Determination, FingerprintHash>;
+using VerdictCache = util::ShardedLruCache<FactKey, Determination, FactKeyHash>;
 
 // The process-wide verdict cache (leaked on purpose, like
 // obs::metrics()): every BatchEvaluator constructed with

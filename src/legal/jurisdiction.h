@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +31,15 @@ struct Jurisdiction {
 // Federal baseline plus the classic all-party states and a sample of
 // one-party states.
 [[nodiscard]] const std::vector<Jurisdiction>& jurisdictions();
+
+inline constexpr std::size_t kJurisdictionCount = 16;
+// jurisdiction_index's one answer for every code the table does not
+// list.
+inline constexpr std::size_t kUnlistedJurisdiction = kJurisdictionCount;
+
+// The code's position in jurisdictions(), or kUnlistedJurisdiction.
+// Codes are matched exactly ("ca" is unlisted).  Never allocates.
+[[nodiscard]] std::size_t jurisdiction_index(std::string_view code) noexcept;
 
 // Lookup by code; nullopt when unknown.
 [[nodiscard]] std::optional<Jurisdiction> find_jurisdiction(

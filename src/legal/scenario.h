@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "legal/types.h"
@@ -111,5 +112,78 @@ struct Scenario {
            acting_under_color_of_law;
   }
 };
+
+// Every enum and flag fact of a Scenario, once, in declaration order:
+//
+//   ENUM(member, Type, kLastEnumerator)   an enum fact and its last value
+//   FLAG(member)                          a bool fact
+//
+// Expanded with only ENUM it gives the enum byte order, and with only
+// FLAG the flag bit order, of both the canonical fingerprint
+// (legal/batch.cpp) and the wire payload (serve/wire.cpp); fact_key
+// (legal/fact_key.h) packs the same list.  The two strings, name and
+// jurisdiction, are not in it: each of those codecs handles them by
+// hand.  Reordering the list changes the fingerprint and the wire
+// bytes (WireTest.FleetFramesAndFingerprintsArePinned).
+#define LEXFOR_FACT_LIST(ENUM, FLAG)            \
+  ENUM(actor, ActorKind, kPrivateParty)         \
+  FLAG(acting_under_color_of_law)               \
+  ENUM(data, DataKind, kTransactionalRecords)   \
+  ENUM(state, DataState, kPublicVenue)          \
+  ENUM(timing, Timing, kStored)                 \
+  FLAG(knowingly_exposed_to_public)             \
+  FLAG(shared_with_third_party)                 \
+  FLAG(delivered_to_recipient)                  \
+  FLAG(inside_home)                             \
+  FLAG(via_sense_enhancing_tech)                \
+  FLAG(tech_in_general_public_use)              \
+  FLAG(readily_accessible_to_public)            \
+  FLAG(encrypted)                               \
+  ENUM(provider, ProviderClass, kNonPublic)     \
+  FLAG(message_opened_by_recipient)             \
+  ENUM(consent, ConsentKind, kPolicyBanner)     \
+  FLAG(consent_revoked)                         \
+  FLAG(target_area_password_protected)          \
+  FLAG(is_victim_system)                        \
+  FLAG(targets_attacker_system)                 \
+  FLAG(exigent_circumstances)                   \
+  FLAG(in_plain_view)                           \
+  FLAG(target_on_probation)                     \
+  FLAG(emergency_pen_trap)                      \
+  FLAG(provider_self_protection)                \
+  FLAG(device_lawfully_in_custody)              \
+  FLAG(contents_previously_lawfully_acquired)   \
+  FLAG(credentials_lawfully_obtained)           \
+  FLAG(target_arrested)
+
+// Expansion helpers: drop an entry, or count it.
+#define LEXFOR_FACT_SKIP(...)
+#define LEXFOR_FACT_PLUS_ONE(...) +1
+
+inline constexpr unsigned kEnumFactCount =
+    0 LEXFOR_FACT_LIST(LEXFOR_FACT_PLUS_ONE, LEXFOR_FACT_SKIP);
+inline constexpr unsigned kFlagFactCount =
+    0 LEXFOR_FACT_LIST(LEXFOR_FACT_SKIP, LEXFOR_FACT_PLUS_ONE);
+static_assert(kFlagFactCount <= 32, "the flag facts must fit one u32 word");
+
+// The flag facts as one word: bit i holds the i-th FLAG of the list.
+[[nodiscard]] inline std::uint32_t flag_word(const Scenario& s) noexcept {
+  std::uint32_t bits = 0;
+  unsigned bit = 0;
+#define LEXFOR_FLAG_BIT(member) \
+  bits |= static_cast<std::uint32_t>(s.member) << bit++;
+  LEXFOR_FACT_LIST(LEXFOR_FACT_SKIP, LEXFOR_FLAG_BIT)
+#undef LEXFOR_FLAG_BIT
+  return bits;
+}
+
+// The inverse of flag_word; bits at kFlagFactCount and above are
+// ignored.
+inline void set_flag_word(std::uint32_t bits, Scenario& s) noexcept {
+  unsigned bit = 0;
+#define LEXFOR_FLAG_SET(member) s.member = ((bits >> bit++) & 1u) != 0;
+  LEXFOR_FACT_LIST(LEXFOR_FACT_SKIP, LEXFOR_FLAG_SET)
+#undef LEXFOR_FLAG_SET
+}
 
 }  // namespace lexfor::legal

@@ -52,9 +52,9 @@ void VerdictServer::evaluate_range(Connection& conn, Pending* pending,
   for (std::size_t i = begin; i < end; ++i) {
     const auto t0 = Clock::now();
     const wire::Request& req = conn.slots_[i];
-    const legal::ScenarioFingerprint fp = legal::fingerprint(req.scenario);
+    const legal::FactKey key = legal::fact_key(req.scenario);
     Pending& p = pending[i];
-    if (const auto hit = table_.get(fp)) {
+    if (const auto hit = table_.get(key)) {
       p.verdict = *hit;
       p.cache_hit = 1;
     } else {
@@ -66,7 +66,7 @@ void VerdictServer::evaluate_range(Connection& conn, Pending* pending,
           static_cast<std::uint8_t>(d.required_process);
       p.verdict.required_proof = static_cast<std::uint8_t>(d.required_proof);
       p.cache_hit = 0;
-      table_.put(fp, p.verdict);
+      table_.put(key, p.verdict);
     }
     p.server_ns = clamp_ns(Clock::now() - t0);
     LEXFOR_OBS_HISTOGRAM_RECORD("serve.request_latency_ns", p.server_ns);

@@ -33,10 +33,12 @@
 // traffic at all on the single-worker inline path, and only the
 // constant per-chunk dispatch closures otherwise (gated by A-SERVE).
 //
-// The compact verdict table is the serving layer's own cache: a
-// fingerprint-keyed LRU of 3-byte verdicts in front of the shared
+// The compact verdict table is the serving layer's own cache: an LRU
+// of 3-byte verdicts keyed by legal::FactKey, in front of the shared
 // Determination cache, so a steady-state hit never copies the
-// Determination's rationale/citation vectors.  Misses go through
+// Determination's rationale/citation vectors.  The key is packed from
+// the decoded facts in under 20 ns; it leaves the name out, so requests
+// that differ only in name share one entry.  Misses go through
 // BatchEvaluator::evaluate, which keeps the shared cache coherent for
 // the linter and Investigation::acquire.
 //
@@ -107,8 +109,9 @@ struct ServerOptions {
   std::size_t pool_queue_depth = 256;
   // Requests per worker chunk.
   std::size_t grain = 256;
-  // Entry budget for the compact verdict table.  66 distinct scenarios
-  // serve a million subscribers; 1<<16 leaves room for real mixes.
+  // Entry budget for the compact verdict table.  The fleet's 66
+  // scenarios hold 54 distinct fact keys and serve a million
+  // subscribers; 1<<16 leaves room for real mixes.
   std::size_t verdict_table_capacity = 1 << 16;
   std::size_t verdict_table_shards = 16;
   // Passed through to the BatchEvaluator (shared cache by default).
@@ -196,10 +199,10 @@ class VerdictServer {
 
   ServerOptions options_;
   legal::BatchEvaluator batch_;
-  // Fingerprint -> compact verdict; the Determination stays in the
+  // Fact key -> compact verdict; the Determination stays in the
   // shared cache, this table answers the wire without copying it.
-  mutable util::ShardedLruCache<legal::ScenarioFingerprint, CompactVerdict,
-                                legal::FingerprintHash>
+  mutable util::ShardedLruCache<legal::FactKey, CompactVerdict,
+                                legal::FactKeyHash>
       table_;
   mutable util::ThreadPool pool_;
 

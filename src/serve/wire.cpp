@@ -39,91 +39,11 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   std::memcpy(out.data() + at, &v, sizeof(v));
 }
 
-// The bit-packed boolean block, in the EXACT order of the PR-3
-// canonical fingerprint (legal/batch.cpp hash_canonical): two legally
-// distinct scenarios must differ on the wire wherever they differ in
-// the cache key.  WireCoversEveryScenarioField cross-checks this
-// against the fingerprint per field.
-std::uint32_t pack_bools(const legal::Scenario& s) noexcept {
-  std::uint32_t bits = 0;
-  unsigned bit = 0;
-  const auto pack = [&bits, &bit](bool v) {
-    bits |= (v ? 1u : 0u) << bit++;
-  };
-  pack(s.acting_under_color_of_law);
-  pack(s.knowingly_exposed_to_public);
-  pack(s.shared_with_third_party);
-  pack(s.delivered_to_recipient);
-  pack(s.inside_home);
-  pack(s.via_sense_enhancing_tech);
-  pack(s.tech_in_general_public_use);
-  pack(s.readily_accessible_to_public);
-  pack(s.encrypted);
-  pack(s.message_opened_by_recipient);
-  pack(s.consent_revoked);
-  pack(s.target_area_password_protected);
-  pack(s.is_victim_system);
-  pack(s.targets_attacker_system);
-  pack(s.exigent_circumstances);
-  pack(s.in_plain_view);
-  pack(s.target_on_probation);
-  pack(s.emergency_pen_trap);
-  pack(s.provider_self_protection);
-  pack(s.device_lawfully_in_custody);
-  pack(s.contents_previously_lawfully_acquired);
-  pack(s.credentials_lawfully_obtained);
-  pack(s.target_arrested);
-  static_assert(kScenarioBoolCount == 23,
-                "pack_bools and kScenarioBoolCount out of sync");
-  return bits;
-}
-
-void unpack_bools(std::uint32_t bits, legal::Scenario& s) noexcept {
-  unsigned bit = 0;
-  const auto unpack = [&bits, &bit](bool& v) {
-    v = ((bits >> bit++) & 1u) != 0;
-  };
-  unpack(s.acting_under_color_of_law);
-  unpack(s.knowingly_exposed_to_public);
-  unpack(s.shared_with_third_party);
-  unpack(s.delivered_to_recipient);
-  unpack(s.inside_home);
-  unpack(s.via_sense_enhancing_tech);
-  unpack(s.tech_in_general_public_use);
-  unpack(s.readily_accessible_to_public);
-  unpack(s.encrypted);
-  unpack(s.message_opened_by_recipient);
-  unpack(s.consent_revoked);
-  unpack(s.target_area_password_protected);
-  unpack(s.is_victim_system);
-  unpack(s.targets_attacker_system);
-  unpack(s.exigent_circumstances);
-  unpack(s.in_plain_view);
-  unpack(s.target_on_probation);
-  unpack(s.emergency_pen_trap);
-  unpack(s.provider_self_protection);
-  unpack(s.device_lawfully_in_custody);
-  unpack(s.contents_previously_lawfully_acquired);
-  unpack(s.credentials_lawfully_obtained);
-  unpack(s.target_arrested);
-}
-
-// Inclusive upper bounds of the enum ranges the decoder accepts.  A
-// byte outside the range cannot name a doctrine posture, so the frame
-// is malformed — accepting it would round-trip but hand the engine an
-// impossible scenario.
-constexpr std::uint8_t kMaxActor =
-    static_cast<std::uint8_t>(legal::ActorKind::kPrivateParty);
-constexpr std::uint8_t kMaxData =
-    static_cast<std::uint8_t>(legal::DataKind::kTransactionalRecords);
-constexpr std::uint8_t kMaxState =
-    static_cast<std::uint8_t>(legal::DataState::kPublicVenue);
-constexpr std::uint8_t kMaxTiming =
-    static_cast<std::uint8_t>(legal::Timing::kStored);
-constexpr std::uint8_t kMaxProvider =
-    static_cast<std::uint8_t>(legal::ProviderClass::kNonPublic);
-constexpr std::uint8_t kMaxConsent =
-    static_cast<std::uint8_t>(legal::ConsentKind::kPolicyBanner);
+// Inclusive upper bounds of the enum ranges the decoder accepts: the
+// request's enum facts take theirs from LEXFOR_FACT_LIST, the response
+// enums from these.  A byte outside the range cannot name a doctrine
+// posture, so the frame is malformed; accepting it would round-trip
+// but hand the engine an impossible scenario.
 constexpr std::uint8_t kMaxProcess =
     static_cast<std::uint8_t>(legal::ProcessKind::kWiretapOrder);
 constexpr std::uint8_t kMaxProof =
@@ -171,14 +91,15 @@ Status validate_request_impl(std::span<const std::uint8_t> frame,
   *name_len = nlen;
   at += nlen;
 
-  if (remaining() < 6 + 4 + 4) return Malformed("truncated");
-  if (p[at + 0] > kMaxActor) return Malformed("bad actor");
-  if (p[at + 1] > kMaxData) return Malformed("bad data kind");
-  if (p[at + 2] > kMaxState) return Malformed("bad state");
-  if (p[at + 3] > kMaxTiming) return Malformed("bad timing");
-  if (p[at + 4] > kMaxProvider) return Malformed("bad provider");
-  if (p[at + 5] > kMaxConsent) return Malformed("bad consent");
-  at += 6;
+  if (remaining() < kRequestFixedPayloadBytes - 4) {
+    return Malformed("truncated");
+  }
+#define LEXFOR_CHECK_ENUM(member, Type, last)                    \
+  if (p[at++] > static_cast<std::uint8_t>(legal::Type::last)) { \
+    return Malformed("bad " #member);                           \
+  }
+  LEXFOR_FACT_LIST(LEXFOR_CHECK_ENUM, LEXFOR_FACT_SKIP)
+#undef LEXFOR_CHECK_ENUM
   const std::uint32_t bits = get_u32(p + at);
   at += 4;
   if ((bits >> kScenarioBoolCount) != 0) return Malformed("bad flags");
@@ -229,17 +150,14 @@ void encode_request(const legal::Scenario& s, std::uint64_t request_id,
       std::min(s.jurisdiction.size(), kMaxStringBytes);
   const std::size_t frame_len =
       kHeaderBytes + kRequestFixedPayloadBytes + name_len + juris_len;
-  out.reserve(out.size() + frame_len);
   encode_header(FrameKind::kRequest, request_id, frame_len, out);
   put_u32(out, static_cast<std::uint32_t>(name_len));
   out.insert(out.end(), s.name.data(), s.name.data() + name_len);
-  out.push_back(static_cast<std::uint8_t>(s.actor));
-  out.push_back(static_cast<std::uint8_t>(s.data));
-  out.push_back(static_cast<std::uint8_t>(s.state));
-  out.push_back(static_cast<std::uint8_t>(s.timing));
-  out.push_back(static_cast<std::uint8_t>(s.provider));
-  out.push_back(static_cast<std::uint8_t>(s.consent));
-  put_u32(out, pack_bools(s));
+#define LEXFOR_PUT_ENUM(member, Type, last) \
+  out.push_back(static_cast<std::uint8_t>(s.member));
+  LEXFOR_FACT_LIST(LEXFOR_PUT_ENUM, LEXFOR_FACT_SKIP)
+#undef LEXFOR_PUT_ENUM
+  put_u32(out, legal::flag_word(s));
   put_u32(out, static_cast<std::uint32_t>(juris_len));
   out.insert(out.end(), s.jurisdiction.data(),
              s.jurisdiction.data() + juris_len);
@@ -265,21 +183,18 @@ Status decode_request(std::span<const std::uint8_t> frame, Request& out) {
   out.request_id = get_u64(p + kRequestIdOffset);
   legal::Scenario& s = out.scenario;
   s.name.assign(reinterpret_cast<const char*>(p + name_at), name_len);
-  const std::size_t e = name_at + name_len;
-  s.actor = static_cast<legal::ActorKind>(p[e + 0]);
-  s.data = static_cast<legal::DataKind>(p[e + 1]);
-  s.state = static_cast<legal::DataState>(p[e + 2]);
-  s.timing = static_cast<legal::Timing>(p[e + 3]);
-  s.provider = static_cast<legal::ProviderClass>(p[e + 4]);
-  s.consent = static_cast<legal::ConsentKind>(p[e + 5]);
-  unpack_bools(get_u32(p + e + 6), s);
+  std::size_t at = name_at + name_len;
+#define LEXFOR_GET_ENUM(member, Type, last) \
+  s.member = static_cast<legal::Type>(p[at++]);
+  LEXFOR_FACT_LIST(LEXFOR_GET_ENUM, LEXFOR_FACT_SKIP)
+#undef LEXFOR_GET_ENUM
+  legal::set_flag_word(get_u32(p + at), s);
   s.jurisdiction.assign(reinterpret_cast<const char*>(p + juris_at),
                         juris_len);
   return Status::Ok();
 }
 
 void encode_response(const Response& r, std::vector<std::uint8_t>& out) {
-  out.reserve(out.size() + kResponseFrameBytes);
   encode_header(FrameKind::kResponse, r.request_id, kResponseFrameBytes, out);
   out.push_back(static_cast<std::uint8_t>(r.status));
   out.push_back(static_cast<std::uint8_t>((r.needs_process ? 1u : 0u) |

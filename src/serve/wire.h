@@ -2,15 +2,18 @@
 // service.
 //
 // A verdict server answering compliance queries at ISP traffic rates
-// cannot parse text: the wire format is the PR-3 canonical fingerprint
-// field schema (legal/batch.cpp hash_canonical) lifted into a framed
-// request/response encoding — every field fixed-width little-endian,
-// strings length-prefixed, booleans bit-packed into one u32 in the
-// exact fingerprint pack order, all under a versioned header carrying a
-// request id.  Because the payload field order IS the fingerprint
-// order, a decoded request fingerprints identically to the scenario the
-// client encoded, which is what routes it through the shared verdict
-// cache (WireRoundTripPreservesFingerprint pins this).
+// cannot parse text: the wire format is a framed request/response
+// encoding under a versioned header carrying a request id.  Every field
+// is fixed-width little-endian and strings are length-prefixed.  The
+// request payload is the name, the enum facts one byte each, the flag
+// facts bit-packed into one u32, then the jurisdiction.  The enum bytes,
+// their range checks and the flag word are generated from
+// LEXFOR_FACT_LIST (legal/scenario.h), the same list the canonical
+// fingerprint (legal/batch.cpp) and legal::fact_key expand, so a
+// decoded request carries exactly the facts the client encoded and
+// lands on the same verdict-cache key.  The wire tests
+// RoundTripPreservesFingerprint and FleetFramesAndFingerprintsArePinned
+// hold both to that.
 //
 // The decoder is STRICT and CANONICAL: magic, version, kind, the
 // zeroed reserved word, the exact frame length, string-length bounds,
@@ -64,13 +67,15 @@ inline constexpr std::size_t kRequestIdOffset = 12;
 // into a giant allocation before the frame-length cross-check runs.
 inline constexpr std::size_t kMaxStringBytes = 4096;
 
-// Number of Scenario booleans bit-packed into the flags word, in the
-// canonical fingerprint pack order.  Bits >= this count must be zero.
-inline constexpr unsigned kScenarioBoolCount = 23;
+// Number of Scenario booleans bit-packed into the flags word, in
+// LEXFOR_FACT_LIST order (legal::flag_word).  Bits >= this count must
+// be zero.
+inline constexpr unsigned kScenarioBoolCount = legal::kFlagFactCount;
 
-// Fixed-size portion of a request payload: six enum bytes + flags u32
-// + two string length prefixes.
-inline constexpr std::size_t kRequestFixedPayloadBytes = 6 + 4 + 4 + 4;
+// Fixed-size portion of a request payload: one byte per enum fact +
+// flags u32 + two string length prefixes.
+inline constexpr std::size_t kRequestFixedPayloadBytes =
+    legal::kEnumFactCount + 4 + 4 + 4;
 
 // Response payload: status u8 | flags u8 (bit0 needs_process, bit1
 // cache_hit) | required_process u8 | required_proof u8 | server_ns u64.
@@ -114,8 +119,10 @@ struct FrameInfo {
 // means framing is lost and the rest of the buffer is garbage.
 [[nodiscard]] Result<FrameInfo> peek_frame(std::span<const std::uint8_t> buf);
 
-// Appends one encoded request frame to `out`.  The encoding is
-// canonical: there is exactly one byte sequence for any scenario.
+// Appends one encoded request frame to `out`, which grows
+// geometrically, so appending n frames to one buffer is linear in n.
+// The encoding is canonical: there is exactly one byte sequence for
+// any scenario.
 // Strings longer than kMaxStringBytes are truncated at encode time so
 // an encoded frame always decodes (the library/Table-1 names are tens
 // of bytes; the cap is a wire invariant, not a working limit).

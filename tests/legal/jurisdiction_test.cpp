@@ -44,6 +44,17 @@ TEST(JurisdictionTest, CodesAreUnique) {
   }
 }
 
+TEST(JurisdictionTest, IndexIsThePositionInTheTable) {
+  const auto& db = jurisdictions();
+  ASSERT_EQ(db.size(), kJurisdictionCount);
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(jurisdiction_index(db[i].code), i) << db[i].code;
+  }
+  for (const char* code : {"ZZ", "XX", "", "ca", "USA"}) {
+    EXPECT_EQ(jurisdiction_index(code), kUnlistedJurisdiction) << code;
+  }
+}
+
 // The doctrinal consequence: an undercover one-party-consent recording
 // is process-free federally but not in an all-party state.
 TEST(JurisdictionEngineTest, OnePartyConsentWorksFederally) {

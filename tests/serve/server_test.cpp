@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "legal/scene_table.h"
@@ -22,6 +23,20 @@ namespace {
   std::uint64_t id = 1;
   for (const auto& s : scenarios) wire::encode_request(s, id++, buf);
   return buf;
+}
+
+// Distinct fact sets among `scenarios`, counted without legal::FactKey:
+// distinct request frames once the name is stripped.
+[[nodiscard]] std::size_t distinct_fact_sets(
+    const std::vector<legal::Scenario>& scenarios) {
+  std::set<std::vector<std::uint8_t>> frames;
+  for (legal::Scenario s : scenarios) {
+    s.name.clear();
+    std::vector<std::uint8_t> frame;
+    wire::encode_request(s, 0, frame);
+    frames.insert(std::move(frame));
+  }
+  return frames.size();
 }
 
 [[nodiscard]] std::vector<wire::Response> decode_all(
@@ -256,11 +271,43 @@ TEST(VerdictServerTest, SecondWaveHitsTheCompactVerdictTable) {
   for (const auto& d : legal::library::scenes()) scenarios.push_back(d.build());
   const auto buf = frames_for(scenarios);
 
+  // The table keys on facts, not names: scenes that ask the same
+  // question under different names miss once between them.
   const ServeStats cold = server.serve(conn, buf);
-  EXPECT_EQ(cold.cache_misses, scenarios.size());
+  EXPECT_EQ(cold.cache_misses, distinct_fact_sets(scenarios));
   const ServeStats warm = server.serve(conn, buf);
   EXPECT_EQ(warm.cache_hits, scenarios.size());
   EXPECT_EQ(warm.cache_misses, 0u);
+}
+
+TEST(VerdictServerTest, RenamedScenarioIsATableHitWithTheSameVerdict) {
+  ServerOptions opts;
+  opts.batch.use_shared_cache = false;
+  VerdictServer server(opts);
+  Connection conn = server.connect();
+
+  std::vector<legal::Scenario> scenarios;
+  for (const auto& scene : legal::table1::all_scenes()) {
+    scenarios.push_back(scene.scenario);
+  }
+  for (const auto& d : legal::library::scenes()) scenarios.push_back(d.build());
+  (void)server.serve(conn, frames_for(scenarios));
+  const auto first = decode_all(conn.responses());
+
+  std::vector<legal::Scenario> renamed = scenarios;
+  for (auto& s : renamed) s.name = "relabelled: " + s.name;
+  const ServeStats again = server.serve(conn, frames_for(renamed));
+  EXPECT_EQ(again.cache_hits, renamed.size());
+  EXPECT_EQ(again.cache_misses, 0u);
+  const auto second = decode_all(conn.responses());
+  ASSERT_EQ(first.size(), scenarios.size());
+  ASSERT_EQ(second.size(), scenarios.size());
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    EXPECT_TRUE(second[i].cache_hit) << i;
+    EXPECT_EQ(second[i].needs_process, first[i].needs_process) << i;
+    EXPECT_EQ(second[i].required_process, first[i].required_process) << i;
+    EXPECT_EQ(second[i].required_proof, first[i].required_proof) << i;
+  }
 }
 
 TEST(VerdictServerTest, CumulativeStatsSumBatches) {

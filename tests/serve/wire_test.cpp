@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "legal/batch.h"
 #include "legal/scene_table.h"
 #include "legal/table1.h"
@@ -67,6 +68,32 @@ TEST(WireTest, RoundTripPreservesFingerprint) {
     EXPECT_EQ(legal::fingerprint(req.scenario), legal::fingerprint(s))
         << d.id;
   }
+}
+
+// Both the request payload and the canonical fingerprint are generated
+// from LEXFOR_FACT_LIST.  These digests were recorded from the
+// hand-written codecs that list replaced: the 66 fleet template frames
+// (Table-1 rows, then library scenes, request id 0) concatenated, and
+// the 66 fingerprint_hex strings concatenated.  A reordered or
+// re-encoded fact moves one of them.
+TEST(WireTest, FleetFramesAndFingerprintsArePinned) {
+  std::vector<Scenario> mix;
+  for (const auto& scene : legal::table1::all_scenes()) {
+    mix.push_back(scene.scenario);
+  }
+  for (const auto& d : legal::library::scenes()) mix.push_back(d.build());
+  ASSERT_EQ(mix.size(), 66u);
+
+  std::vector<std::uint8_t> frames;
+  std::string prints;
+  for (const auto& s : mix) {
+    encode_request(s, 0, frames);
+    prints += legal::fingerprint_hex(s);
+  }
+  EXPECT_EQ(crypto::Sha256::hex(frames),
+            "43f8bed1e168ce869a1f9fdfce56451f83634880c56c2968e61a8b09b3a187c2");
+  EXPECT_EQ(crypto::Sha256::hex(prints),
+            "90d389c942327c5ee0e2144fadb927771200645d63ac1650cf148904277d81ac");
 }
 
 TEST(WireTest, PeekReportsHeaderFields) {
@@ -224,6 +251,35 @@ TEST(WireTest, ResponseDecodeIsStrict) {
   f = buf;
   f[kHeaderBytes + 2] = 0xEE;  // process out of range
   EXPECT_EQ(decode_response(f, back).code(), StatusCode::kInvalidArgument);
+}
+
+// Appending frames one by one must grow the buffer geometrically: a
+// reserve of exactly one more frame per call reallocates on every
+// append, and n appends then copy O(n^2) bytes.
+TEST(WireTest, AppendingFramesGrowsTheBufferGeometrically) {
+  constexpr int kFrames = 10'000;
+  constexpr int kMaxCapacityChanges = 64;
+  const Scenario s = sample_scenario();
+  std::vector<std::uint8_t> requests;
+  int request_growths = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    const std::size_t before = requests.capacity();
+    encode_request(s, static_cast<std::uint64_t>(i), requests);
+    if (requests.capacity() != before) ++request_growths;
+  }
+  EXPECT_LT(request_growths, kMaxCapacityChanges);
+
+  std::vector<std::uint8_t> responses;
+  int response_growths = 0;
+  Response r;
+  for (int i = 0; i < kFrames; ++i) {
+    const std::size_t before = responses.capacity();
+    r.request_id = static_cast<std::uint64_t>(i);
+    encode_response(r, responses);
+    if (responses.capacity() != before) ++response_growths;
+  }
+  EXPECT_LT(response_growths, kMaxCapacityChanges);
+  EXPECT_EQ(responses.size(), kFrames * kResponseFrameBytes);
 }
 
 TEST(WireTest, MakeResponseCarriesTheDetermination) {
