@@ -12,9 +12,10 @@
 //   (3) the steady state is arena-flat: after a warm-up batch, the
 //       connection's arena never grows a chunk, slot/response
 //       capacities never move, and — on the workers==1 inline path —
-//       a batch performs ZERO heap allocations (a global operator new
-//       override counts them); fan-out batches stay bounded by the
-//       constant per-chunk dispatch cost,
+//       a batch performs ZERO heap allocations on the serving thread (a
+//       global operator new override counts them per thread and
+//       process-wide); fan-out batches stay bounded by the constant
+//       per-chunk dispatch cost, counted process-wide,
 //   (4) the serve.request_latency_ns histogram carries the samples the
 //       throughput run produced (count == verdicts served).
 // It reports verdicts/s and p50/p95/p99 per worker count, as
@@ -37,18 +38,22 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+thread_local std::uint64_t t_allocs = 0;
 
 }  // namespace
 
 // Counting overrides: every heap allocation in the process ticks
-// g_allocs.  The steady-state gate reads the counter around a batch.
+// g_allocs, and t_allocs of the thread that made it.  The steady-state
+// gate reads the counters around a batch.
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocs;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocs;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -226,13 +231,20 @@ int main() {
       const std::size_t slot_cap = conn.slot_capacity();
       const std::size_t resp_cap = conn.response_capacity();
 
+      // The inline path is gated on the serving thread's own count:
+      // the server's idle pool worker registers its obs ring shard
+      // (3 allocations) whenever the scheduler first runs it, which can
+      // fall inside a measured batch.  Fan-out batches allocate on the
+      // workers too, so they are counted process-wide.
+      const auto allocs = [workers] {
+        return workers == 1 ? t_allocs
+                            : g_allocs.load(std::memory_order_relaxed);
+      };
       std::uint64_t max_batch_allocs = 0;
       for (int i = 0; i < 8; ++i) {
-        const std::uint64_t before =
-            g_allocs.load(std::memory_order_relaxed);
+        const std::uint64_t before = allocs();
         server.serve(conn, wave);
-        const std::uint64_t batch_allocs =
-            g_allocs.load(std::memory_order_relaxed) - before;
+        const std::uint64_t batch_allocs = allocs() - before;
         max_batch_allocs =
             batch_allocs > max_batch_allocs ? batch_allocs : max_batch_allocs;
       }
@@ -257,7 +269,7 @@ int main() {
                 static_cast<unsigned long long>(inline_allocs));
     if (inline_allocs != 0) {
       std::printf("A-SERVE FAILED: workers==1 steady-state batch "
-                  "allocated on the heap\n");
+                  "allocated on the serving thread\n");
       return 1;
     }
     if (!flat) {
@@ -265,7 +277,8 @@ int main() {
                   "warm-up\n");
       return 1;
     }
-    std::printf("steady state: zero allocs inline, footprint flat\n");
+    std::printf("steady state: zero allocs on the serving thread inline, "
+                "footprint flat\n");
   }
 
   // Throughput + latency: a million subscribers served in bounded

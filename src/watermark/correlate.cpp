@@ -1,11 +1,10 @@
 #include "watermark/correlate.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include "obs/obs.h"
+#include "watermark/despread_block.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -100,6 +99,10 @@ inline void seq_cross(const double* a, const double* b, std::size_t n,
   vb_out = vb;
 }
 
+// Offsets per call of the baseline-ISA (SSE2) blocked despread: two
+// offsets per 128-bit lane, four accumulators.
+constexpr std::size_t kBaselineBlockOffsets = 8;
+
 }  // namespace
 
 CorrelationKernel::CorrelationKernel(PnCode code, double threshold_sigmas)
@@ -108,43 +111,6 @@ CorrelationKernel::CorrelationKernel(PnCode code, double threshold_sigmas)
   for (const auto chip : code_.chips()) {
     chips_f64_.push_back(static_cast<double>(chip));
   }
-  build_aligned_lane();
-}
-
-CorrelationKernel::CorrelationKernel(const CorrelationKernel& other)
-    : code_(other.code_),
-      chips_f64_(other.chips_f64_),
-      threshold_sigmas_(other.threshold_sigmas_) {
-  build_aligned_lane();
-}
-
-CorrelationKernel& CorrelationKernel::operator=(const CorrelationKernel& other) {
-  if (this == &other) return *this;
-  code_ = other.code_;
-  chips_f64_ = other.chips_f64_;
-  threshold_sigmas_ = other.threshold_sigmas_;
-  lane_arena_.reset();
-  build_aligned_lane();
-  return *this;
-}
-
-void CorrelationKernel::build_aligned_lane() {
-  chips_aligned_ = lane_arena_.alloc_array_aligned<double>(
-      chips_f64_.size(), /*align=*/64);
-  std::copy(chips_f64_.begin(), chips_f64_.end(), chips_aligned_);
-}
-
-std::uint64_t ulp_distance(double a, double b) noexcept {
-  // Map doubles onto a monotone integer line (sign-magnitude → offset
-  // binary), then the ULP distance is plain integer distance.  ±0
-  // coincide; NaN/inf inputs are the caller's bug.
-  const auto key = [](double v) {
-    auto bits = std::bit_cast<std::uint64_t>(v);
-    const std::uint64_t sign = std::uint64_t{1} << 63;
-    return (bits & sign) ? sign - (bits & ~sign) : sign + bits;
-  };
-  const std::uint64_t ka = key(a), kb = key(b);
-  return ka > kb ? ka - kb : kb - ka;
 }
 
 double CorrelationKernel::despread(const double* x, std::size_t code_begin,
@@ -228,13 +194,31 @@ Result<ScanResult> CorrelationKernel::scan(std::span<const double> rates,
   ScanResult best;
   best.best.correlation = -2.0;  // below any achievable value
   best.best.threshold = threshold;
-  const double* x = rates.data();
-  for (std::size_t off = 0; off <= last_offset; ++off) {
-    const double corr = despread(x + off, code_begin, n);
-    if (corr > best.best.correlation) {
+  const auto consider = [&best](double corr, std::size_t off) {
+    if (corr > best.best.correlation) {  // strict >: earliest offset wins
       best.best.correlation = corr;
       best.offset = off;
     }
+  };
+  const double* x = rates.data();
+  const double* chips = chips_f64_.data() + code_begin;
+  // A full block starting at `off` reads up to x[off + block - 1 + n - 1],
+  // in bounds because off + block - 1 <= last_offset <= rates.size() - n.
+  const detail::BlockScorer avx2 = detail::avx2_block_scorer();
+  const std::size_t block = avx2 != nullptr ? detail::kAvx2BlockOffsets
+                                            : kBaselineBlockOffsets;
+  double scores[detail::kAvx2BlockOffsets];
+  std::size_t off = 0;
+  for (; off + block <= last_offset + 1; off += block) {
+    if (avx2 != nullptr) {
+      avx2(x + off, chips, n, scores);
+    } else {
+      detail::despread_block<2, 4>(x + off, chips, n, scores);
+    }
+    for (std::size_t k = 0; k < block; ++k) consider(scores[k], off + k);
+  }
+  for (; off <= last_offset; ++off) {
+    consider(despread(x + off, code_begin, n), off);
   }
   best.best.detected = best.best.correlation > threshold;
   return best;

@@ -22,40 +22,29 @@
 // Bit-identity contract: score(), scan() and despread() perform the
 // SAME floating-point operations in the SAME order as the naive
 // per-offset reference (Detector::detect_with_scan_reference) and the
-// historic multibit decoder loop.  The unrolling below keeps a single
-// accumulator chain per statistic, so it reorders nothing.  We
-// deliberately rejected a prefix-sum O(1)-per-offset formulation for
-// the mean/denominator: differencing running sums reassociates the
-// additions and breaks the bit-for-bit oracle test (and loses digits to
-// cancellation on long series).  The measured win is in killing the
-// per-offset copy/allocation, not the flops — see A-SCAN in
-// EXPERIMENTS.md.
+// historic multibit decoder loop.  Within one window the unrolling
+// below keeps a single accumulator chain per statistic, so it reorders
+// nothing.  We deliberately rejected a prefix-sum O(1)-per-offset
+// formulation for the mean/denominator: differencing running sums
+// reassociates the additions and breaks the bit-for-bit oracle test
+// (and loses digits to cancellation on long series).
 //
-// The SIMD lane (scan_simd / despread_simd, correlate_simd.cpp) is the
-// one deliberate exception to that contract, and it is opt-in, never
-// default.  It runs 4–8 independent accumulator chains per statistic
-// (AVX2 4-lane registers × 4-deep unroll, multi-offset lane blocking in
-// scan) over a 64-byte-aligned copy of the chip buffer, which
-// REASSOCIATES the FP additions: scores differ from the scalar lane in
-// the last bits.  Where PR 4 rejected prefix sums outright, the SIMD
-// lane is instead gated the way reassociation can be gated — the scalar
-// path stays the oracle, and the lane ships only under (1) verdict
-// identity (same best offset, same detected flag, bit-identical
-// threshold) and (2) a measured max-ULP distance on the correlation,
-// bounded by kSimdMaxUlp (rationale in DESIGN §15; measured values in
-// EXPERIMENTS A-SIMD, orders of magnitude under the bound).  Callers
-// that need courtroom-reproducible bits — everything that feeds an
-// evidentiary record — use the scalar lane; the SIMD lane exists for
-// wire-speed triage over thousands of candidate flows.
+// scan() gets its speed across offsets instead of within one sum: it
+// scores blocks of consecutive offsets at once, one offset per vector
+// lane (despread_block.h), each lane repeating the scalar despread's
+// operations in the scalar despread's order.  A block is 16 offsets
+// with AVX2 (correlate_simd.cpp, when simd_lane_available()) and 8 at
+// the baseline ISA; the offsets left over after the last full block go
+// through despread().  Every path is bit-identical, so every caller,
+// evidentiary records included, gets the same bits from the one scan
+// path — see A-SCAN and A-SIMD in EXPERIMENTS.md.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/status.h"
 #include "watermark/pn_code.h"
 
@@ -72,24 +61,11 @@ struct ScanResult {
   std::size_t offset = 0;  // bin offset where the best despread occurred
 };
 
-// ULP distance between two finite doubles: how many representable
-// values lie between them (0 = bit-identical).  The unit the SIMD
-// lane's divergence from the scalar oracle is measured and gated in.
-[[nodiscard]] std::uint64_t ulp_distance(double a, double b) noexcept;
-
 class CorrelationKernel {
  public:
   // `threshold_sigmas`: decision threshold in units of the null-model
   // standard deviation 1/sqrt(N); see Detector.
   explicit CorrelationKernel(PnCode code, double threshold_sigmas = 5.0);
-
-  // Copies rebuild the arena-backed aligned chip lane; moves are cheap
-  // (the arena's chunks are pointer-stable, so chips_aligned_ survives).
-  CorrelationKernel(const CorrelationKernel& other);
-  CorrelationKernel& operator=(const CorrelationKernel& other);
-  CorrelationKernel(CorrelationKernel&&) noexcept = default;
-  CorrelationKernel& operator=(CorrelationKernel&&) noexcept = default;
-  ~CorrelationKernel() = default;
 
   // Aligned detection over the full code: mean-removed matched filter
   // on rates[0..length).  Short series are an error; extra bins are
@@ -110,40 +86,11 @@ class CorrelationKernel {
                                         std::size_t code_begin = 0,
                                         std::size_t code_length = 0) const;
 
-  // The vectorized multi-accumulator scan lane: same arguments, same
-  // threshold formula (scan_threshold through the same code path, so
-  // the threshold is bit-identical), same earliest-offset tie-breaking
-  // over ITS scores — but correlations are computed with 4–8
-  // independent accumulator chains per offset and 4-offset lane
-  // blocking, so they may differ from scan() by up to kSimdMaxUlp ULPs.
-  // Falls back to the scalar scan when the lane is unavailable
-  // (LEXFOR_SIMD=OFF build, or no AVX2/FMA at runtime), so callers may
-  // call it unconditionally.  Opt-in only: see the header comment.
-  [[nodiscard]] Result<ScanResult> scan_simd(std::span<const double> rates,
-                                             std::size_t max_offset,
-                                             std::size_t code_begin = 0,
-                                             std::size_t code_length = 0) const;
-
-  // Single-window SIMD despread (the scan_simd building block for tail
-  // offsets and aligned detection).  Same caller contract as despread().
-  [[nodiscard]] double despread_simd(const double* x, std::size_t code_begin,
-                                     std::size_t len) const noexcept;
-
-  // True when scan_simd actually runs vectorized on this build + host
-  // (compile-time LEXFOR_SIMD option AND runtime CPU support); false
-  // means scan_simd forwards to the scalar lane.
+  // True when scan() runs the AVX2 instantiation of the blocked
+  // despread on this build + host (compile-time LEXFOR_SIMD option AND
+  // runtime CPU support); false means it runs the baseline-ISA one.
+  // Both give the same bits.
   [[nodiscard]] static bool simd_lane_available() noexcept;
-
-  // Documented ceiling on the ULP distance between the SIMD and scalar
-  // correlation for any single window.  Reassociating k chains over n
-  // terms perturbs the despread numerator by O(eps·Σ|dᵢcᵢ|); divided by
-  // the normalizer that is ~eps·√n/|corr| RELATIVE to the score, so the
-  // ULP distance scales with 1/|corr| and √n — small scores cost ULPs
-  // even though the absolute error stays ~1e-14.  2^26 (~1.5e-8
-  // relative) covers degree-12 codes with scores down to ~1e-4 with two
-  // orders of magnitude to spare; A-SIMD measures and reports the
-  // actual maximum (typically < 2^20) and gates it against this bound.
-  static constexpr std::uint64_t kSimdMaxUlp = std::uint64_t{1} << 26;
 
   // Segment despread primitive: the normalized, segment-mean-removed
   // correlation of x[0..len) against code chips
@@ -190,17 +137,9 @@ class CorrelationKernel {
   }
 
  private:
-  void build_aligned_lane();
-
   PnCode code_;
   std::vector<double> chips_f64_;  // code chips pre-converted to ±1.0
   double threshold_sigmas_;
-  // 64-byte-aligned copy of chips_f64_ for the SIMD lane, carved from
-  // the kernel's own arena via allocate_aligned so vector loads never
-  // straddle a cache line.  The scalar lane keeps reading chips_f64_ —
-  // its memory layout (and therefore its codegen) is untouched.
-  util::Arena lane_arena_;
-  double* chips_aligned_ = nullptr;
 };
 
 }  // namespace lexfor::watermark

@@ -43,16 +43,6 @@ Result<Detector::ScanResult> Detector::detect_with_scan(
   return kernel_.scan(rates, max_offset);
 }
 
-Result<Detector::ScanResult> Detector::detect_with_scan(
-    std::span<const double> rates, const DetectConfig& config) const {
-  if (!config.use_simd) return detect_with_scan(rates, config.max_offset);
-  LEXFOR_OBS_SPAN(obs::Level::kInfo, "watermark", "detect_with_scan_simd",
-                  "chips=" + std::to_string(code().length()) +
-                      ",max_offset=" + std::to_string(config.max_offset),
-                  obs::no_sim_time());
-  return kernel_.scan_simd(rates, config.max_offset);
-}
-
 Result<Detector::ScanResult> Detector::detect_with_scan_reference(
     std::span<const double> rates, std::size_t max_offset) const {
   const std::size_t n = code().length();

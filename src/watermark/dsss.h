@@ -97,20 +97,6 @@ class Detector {
   [[nodiscard]] Result<ScanResult> detect_with_scan(
       std::span<const double> rates, std::size_t max_offset) const;
 
-  // Structured scan configuration, for callers that opt into the
-  // vectorized lane explicitly.  use_simd = false reproduces
-  // detect_with_scan(rates, max_offset) exactly; use_simd = true runs
-  // CorrelationKernel::scan_simd (reassociated scores, verdict-
-  // identical and ULP-bounded against the scalar lane; see correlate.h)
-  // and silently degrades to the scalar lane when the vector lane is
-  // unavailable on this build/host.
-  struct DetectConfig {
-    std::size_t max_offset = 0;
-    bool use_simd = false;
-  };
-  [[nodiscard]] Result<ScanResult> detect_with_scan(
-      std::span<const double> rates, const DetectConfig& config) const;
-
   // The retained naive per-offset scan: copies each window and
   // recomputes every statistic from scratch through independent plain
   // loops.  Test-only oracle for the kernel's bit-identity contract

@@ -10,13 +10,9 @@
 namespace lexfor::watermark {
 namespace {
 
-Result<ScanResult> run_job(const ScanJob& job, bool batch_simd) {
+Result<ScanResult> run_job(const ScanJob& job) {
   if (job.kernel == nullptr) {
     return InvalidArgument("scan batch: job has no kernel");
-  }
-  if (batch_simd || job.use_simd) {
-    return job.kernel->scan_simd(job.rates, job.max_offset, job.code_begin,
-                                 job.code_length);
   }
   return job.kernel->scan(job.rates, job.max_offset, job.code_begin,
                           job.code_length);
@@ -69,7 +65,7 @@ std::vector<Result<ScanResult>> ScanBatch::run(
 #if LEXFOR_OBS
       const auto start = std::chrono::steady_clock::now();
 #endif
-      out[i] = run_job(jobs[i], options_.use_simd);
+      out[i] = run_job(jobs[i]);
 #if LEXFOR_OBS
       const auto elapsed =
           std::chrono::duration_cast<std::chrono::microseconds>(

@@ -38,11 +38,6 @@ struct ScanJob {
   // segments).
   std::size_t code_begin = 0;
   std::size_t code_length = 0;
-  // Opt this job into the vectorized lane (CorrelationKernel::scan_simd
-  // — reassociated scores, verdict-identical and ULP-bounded; see
-  // correlate.h).  Defaults to the scalar oracle lane.  Ignored (scalar
-  // runs) when the lane is unavailable on this build/host.
-  bool use_simd = false;
 };
 
 struct ScanBatchOptions {
@@ -50,10 +45,6 @@ struct ScanBatchOptions {
   // lazily on the first run() call, so single-flow users never pay for
   // worker threads.
   unsigned threads = 0;
-  // Batch-wide SIMD opt-in: every job runs the vectorized lane as if
-  // its own use_simd flag were set.  Per-job ScanJob::use_simd still
-  // opts individual jobs in when this is false.
-  bool use_simd = false;
 };
 
 class ScanBatch {

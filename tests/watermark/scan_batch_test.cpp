@@ -16,6 +16,7 @@
 
 #include "obs/obs.h"
 #include "util/rng.h"
+#include "watermark/dsss.h"
 #include "watermark/multibit.h"
 
 namespace lexfor::watermark {
@@ -79,6 +80,44 @@ TEST(ScanBatchTest, DeterministicOrderingAcrossPoolSizes) {
                 std::bit_cast<std::uint64_t>(expected[i].best.correlation))
           << "threads=" << threads << " job " << i;
       EXPECT_EQ(got.best.detected, expected[i].best.detected);
+    }
+  }
+}
+
+TEST(ScanBatchTest, EachSlotMatchesTheReferenceForItsOwnFlow) {
+  // Slot i against the naive reference scan of flow i, bit for bit.
+  // The max_offset clamp leaves flow i 11·i + 12 offsets: full blocks
+  // of either width plus tails of several lengths.
+  Rng rng{83};
+  const auto code = PnCode::m_sequence(9).value();
+  const Detector detector(code);
+  std::vector<Flow> flows;
+  for (std::size_t i = 0; i < 6; ++i) {
+    flows.push_back(marked_flow(code, 11 * i + 1, 12.0, rng));
+  }
+  std::vector<ScanJob> jobs(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    jobs[i].kernel = &detector.kernel();
+    jobs[i].rates = std::span<const double>(flows[i].rates);
+    jobs[i].max_offset = 64;
+  }
+  for (const unsigned threads : {1u, 2u}) {
+    const ScanBatch batch(ScanBatchOptions{threads});
+    const auto results = batch.run(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << "threads=" << threads << " job " << i;
+      const auto& got = results[i].value();
+      const auto want =
+          detector.detect_with_scan_reference(flows[i].rates, 64).value();
+      EXPECT_EQ(got.offset, flows[i].true_offset);
+      EXPECT_EQ(got.offset, want.offset);
+      EXPECT_EQ(got.best.detected, want.best.detected);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.best.correlation),
+                std::bit_cast<std::uint64_t>(want.best.correlation))
+          << "threads=" << threads << " job " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.best.threshold),
+                std::bit_cast<std::uint64_t>(want.best.threshold));
     }
   }
 }

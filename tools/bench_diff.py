@@ -25,7 +25,8 @@ self-gating series embed machine-readable lines of the form
 
     A-<SERIES>-METRIC <name> <value>
 
-(e.g. bench_watermark's A-SIMD scalar/simd ns-per-offset pair,
+(e.g. bench_watermark's A-SIMD despread-loop/blocked-scan
+ns-per-offset pair,
 bench_stream's single-pass vs per-suspect wall times, or bench_serve's
 A-SERVE verdicts/s, p99 and allocs-per-batch).  Those are parsed into
 cases too — values carry whatever unit the bench printed, which is

@@ -15,9 +15,9 @@
 # bench_watermark + bench_multiflow (A-SCAN: the correlation kernel and
 # the ScanBatch fan-out must score bit-identically to the naive
 # reference scan, and the kernel must beat its per-offset cost; A-SIMD:
-# the vectorized despread lane must stay verdict-identical to the
-# scalar oracle within its documented ULP bound and run >= 2x faster
-# per offset — skipped with a note when the lane is unavailable),
+# the offset-blocked scan must stay bit-identical to the reference
+# over 300 randomized trials and run >= 2x faster per offset than a
+# loop of single-window despreads, on every build and host),
 # bench_stream (A-STREAM: the online despreader must match the batch
 # scan bit for bit in O(ring) memory, the tap admission gate must
 # hold, and the single-pass TapRegistry traceback must be bit-identical
