@@ -143,16 +143,20 @@ int main() {
   }
 
   // Series 5 / experiment A-SCAN (parallel side): the whole Gold family
-  // scanning one tap through watermark::ScanBatch, against the serial
-  // per-account loop.  Self-verifying: the fanned-out correlations must
-  // be bit-identical to the serial ones, or the bench exits non-zero.
-  std::printf("\nSeries 5 (A-SCAN): serial vs ScanBatch multi-code offset "
-              "scan (degree-9 Gold family, 65 codes, max_offset 128)\n");
-  std::printf("%10s %14s %10s\n", "threads", "scan ms", "speedup");
+  // scanning one tap through watermark::ScanBatch, which runs it as one
+  // family scan split into a code range per worker, against the serial
+  // per-account loop of kernel.scan() calls.  Self-verifying: the batch
+  // correlations must be bit-identical to the serial ones, or the bench
+  // exits non-zero.  A-SCAN-METRIC lines carry the serial time and the
+  // batch time at each thread count for tools/bench_diff.py.
   {
     using namespace lexfor;
     using clock = std::chrono::steady_clock;
     const auto family = watermark::GoldCodeFamily::create(9).value();
+    std::printf("\nSeries 5 (A-SCAN): serial vs ScanBatch multi-code offset "
+                "scan (degree-9 Gold family, %zu codes, max_offset 128)\n",
+                family.size());
+    std::printf("%10s %14s %10s\n", "threads", "scan ms", "speedup");
     const std::size_t n_chips = family.code_length();
     const std::size_t max_offset = 128;
     Rng rng{7777};
@@ -187,6 +191,7 @@ int main() {
     const double serial_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count() / kReps;
     std::printf("%10s %14.3f %10s\n", "serial", serial_ms, "1.00x");
+    std::printf("A-SCAN-METRIC serial_per_code_scan_ms %.3f\n", serial_ms);
 
     bool all_identical = true;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
@@ -206,6 +211,8 @@ int main() {
           std::chrono::duration<double, std::milli>(b1 - b0).count() / kReps;
       std::printf("%10u %14.3f %9.2fx%s\n", threads, batch_ms,
                   serial_ms / batch_ms, all_identical ? "" : "  MISMATCH");
+      std::printf("A-SCAN-METRIC batch_scan_ms_threads_%u %.3f\n", threads,
+                  batch_ms);
     }
     if (!all_identical) {
       std::printf("A-SCAN FAILED: ScanBatch correlations differ from the "

@@ -19,9 +19,22 @@ std::uint64_t next_ring_id() {
 struct ShardCacheEntry {
   std::uint64_t ring_id;
   EventRing* shard;
+  std::shared_ptr<std::atomic<bool>> held;
 };
 
-thread_local std::vector<ShardCacheEntry> t_shard_cache;
+// At thread exit, hands every shard this thread holds back to its ring.
+// Only the shared flag is touched, so a ring that is already gone is
+// never dereferenced.
+struct ShardCache {
+  std::vector<ShardCacheEntry> entries;
+  ~ShardCache() {
+    for (const ShardCacheEntry& e : entries) {
+      e.held->store(false, std::memory_order_release);
+    }
+  }
+};
+
+thread_local ShardCache t_shard_cache;
 
 }  // namespace
 
@@ -30,16 +43,26 @@ ShardedEventRing::ShardedEventRing(std::size_t shard_capacity)
       shard_capacity_(shard_capacity == 0 ? 1 : shard_capacity) {}
 
 EventRing& ShardedEventRing::shard_for_this_thread() {
-  for (const ShardCacheEntry& entry : t_shard_cache) {
+  for (const ShardCacheEntry& entry : t_shard_cache.entries) {
     if (entry.ring_id == id_) return *entry.shard;
   }
-  EventRing* shard = nullptr;
+  Shard* shard = nullptr;
   {
     const std::scoped_lock lock(register_mu_);
-    shard = &shards_.emplace_back(shard_capacity_);
+    for (Shard& s : shards_) {
+      // An exited thread's shard, unless full (see sharded_ring.h).
+      if (!s.held->load(std::memory_order_acquire) &&
+          s.ring.size() < s.ring.capacity()) {
+        s.held->store(true, std::memory_order_relaxed);
+        shard = &s;
+        break;
+      }
+    }
+    if (shard == nullptr) shard = &shards_.emplace_back(shard_capacity_);
   }
-  t_shard_cache.push_back(ShardCacheEntry{id_, shard});
-  return *shard;
+  t_shard_cache.entries.push_back(
+      ShardCacheEntry{id_, &shard->ring, shard->held});
+  return shard->ring;
 }
 
 void ShardedEventRing::register_this_thread() {
@@ -72,7 +95,7 @@ std::vector<TraceEvent> ShardedEventRing::drain() {
   std::vector<TraceEvent> out;
   {
     const std::scoped_lock lock(register_mu_);
-    for (EventRing& s : shards_) (void)s.drain(out);
+    for (Shard& s : shards_) (void)s.ring.drain(out);
   }
   sort_time_ordered(out);
   return out;
@@ -109,12 +132,12 @@ std::size_t ShardedEventRing::shard_count() const {
 
 const EventRing& ShardedEventRing::shard(std::size_t i) const {
   const std::scoped_lock lock(register_mu_);
-  return shards_[i];
+  return shards_[i].ring;
 }
 
 void ShardedEventRing::clear() {
   const std::scoped_lock lock(register_mu_);
-  for (EventRing& s : shards_) s.clear();
+  for (Shard& s : shards_) s.ring.clear();
 }
 
 }  // namespace lexfor::obs

@@ -20,9 +20,17 @@
 //
 //   pushed() == drained() + dropped() + size()
 //
-// Shards belong to threads for the ring's lifetime; a thread that
-// exits leaves its shard (and any undrained events) in place, so
-// nothing an exited worker traced is lost before the next drain.
+// A thread that exits leaves its shard (and any undrained events) in
+// place, so what an exited worker traced stays visible to snapshot()
+// and drain().  The next thread to register takes that shard over
+// instead of adding one, unless the shard is full: then its next push
+// would overwrite an event the exited thread left undrained, so it
+// waits until a drain empties it.  Pools that come and go (a ScanBatch
+// per call, each worker warm-registered) therefore keep the shard
+// count at the peak number of live threads, not at the number of
+// threads ever started.  A thread's cache entry shares a
+// release flag with its shard, so a ring destroyed before the thread
+// exits leaves the thread nothing dangling to write.
 
 #pragma once
 
@@ -30,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -48,7 +57,8 @@ class ShardedEventRing {
   ShardedEventRing& operator=(const ShardedEventRing&) = delete;
 
   // Stamps ev.seq and pushes into the calling thread's shard
-  // (registering the shard on this thread's first push).
+  // (registering the shard on this thread's first push).  Allocates
+  // nothing once the thread is registered.
   void push(TraceEvent ev);
 
   // Pre-registers the calling thread's shard so the first traced event
@@ -86,17 +96,26 @@ class ShardedEventRing {
  private:
   [[nodiscard]] EventRing& shard_for_this_thread();
 
+  // One shard and whether a live thread holds it.  The holding thread's
+  // cache shares `held` and clears it when the thread exits.
+  struct Shard {
+    explicit Shard(std::size_t capacity)
+        : ring(capacity), held(std::make_shared<std::atomic<bool>>(true)) {}
+    EventRing ring;
+    std::shared_ptr<std::atomic<bool>> held;
+  };
+
   template <typename PerShard>
   void for_each_shard(PerShard&& fn) const {
     const std::scoped_lock lock(register_mu_);
-    for (const EventRing& s : shards_) fn(s);
+    for (const Shard& s : shards_) fn(s.ring);
   }
 
   const std::uint64_t id_;  // process-unique; keys the thread cache
   const std::size_t shard_capacity_;
   std::atomic<std::uint64_t> next_seq_{0};
-  mutable std::mutex register_mu_;  // guards shards_ growth only
-  std::deque<EventRing> shards_;    // stable references
+  mutable std::mutex register_mu_;  // guards shards_ and shard hand-over
+  std::deque<Shard> shards_;        // stable references
 };
 
 // Sorts `events` into the global (wall_ns, seq) stream order in place.

@@ -198,23 +198,16 @@ Result<TracebackResult> run_traceback(const TracebackConfig& config) {
   result.sim_passes = 1;
   result.flows_simulated = num_flows;
 
-  // Phase 2 — detection, fanned out: one kernel (one code), one scan
-  // job per flow, merged back in input order.  max_offset 0 keeps the
-  // aligned-detection semantics (the investigator controls the embed
-  // start) and a Bonferroni factor of k=1, i.e. the plain threshold.
+  // Phase 2 — detection: one kernel (one code), one aligned despread
+  // per flow, in flow order.  max_offset 0 keeps the aligned-detection
+  // semantics (the investigator controls the embed start) and a
+  // Bonferroni factor of k=1, i.e. the plain threshold.  A flow's
+  // despread takes microseconds, so a worker pool would cost more than
+  // it saves.
   const watermark::CorrelationKernel kernel(code, config.threshold_sigmas);
-  std::vector<watermark::ScanJob> jobs(num_flows);
   for (std::size_t flow = 0; flow < num_flows; ++flow) {
-    jobs[flow].kernel = &kernel;
-    jobs[flow].rates =
-        std::span<const double>(rates.data() + flow * n_chips, n_chips);
-  }
-  const watermark::ScanBatch batch(
-      watermark::ScanBatchOptions{config.detect_threads});
-  const auto detections = batch.run(jobs);
-
-  for (std::size_t flow = 0; flow < num_flows; ++flow) {
-    const auto& det_r = detections[flow];
+    const auto det_r = kernel.scan(
+        std::span<const double>(rates.data() + flow * n_chips, n_chips), 0);
     if (!det_r.ok()) return det_r.status();
     accumulate_flow_verdict(result, flow, det_r.value().best);
   }

@@ -28,16 +28,16 @@ struct TracebackConfig {
   std::size_t num_decoys = 8;      // concurrent unmarked client flows
   double threshold_sigmas = 5.0;
   std::uint64_t seed = 7;
-  // Threads for the whole traceback; 0 = hardware concurrency.  Phase
-  // 1, the simulation, fans the flows across a process-wide pool, each
-  // flow in one fused pass (tornet::simulate_flow_bins); at 1 it runs
-  // inline on the calling thread.  run_traceback's despread goes
-  // through one watermark::ScanBatch of this width.  The result is
-  // bit-identical for every thread count: flow i draws only from the
-  // counter-derived stream Rng::sub_stream(seed, i), so its packets do
-  // not depend on how many other flows exist or which thread runs it
-  // (see EXPERIMENTS.md for the one-time output shift this re-seeding
-  // caused).
+  // Threads for the flow simulation; 0 = hardware concurrency.  The
+  // simulation fans the flows across a process-wide pool, each flow in
+  // one fused pass (tornet::simulate_flow_bins); at 1 it runs inline on
+  // the calling thread.  Detection always runs serially on the calling
+  // thread: one aligned despread per flow takes microseconds.  The
+  // result is bit-identical for every thread count: flow i draws only
+  // from the counter-derived stream Rng::sub_stream(seed, i), so its
+  // packets do not depend on how many other flows exist or which thread
+  // runs it (see EXPERIMENTS.md for the one-time output shift this
+  // re-seeding caused).
   unsigned detect_threads = 0;
   // Reference mode for run_streaming_traceback: simulate each candidate
   // flow in its OWN pass (sim_passes == flow count) instead of tapping

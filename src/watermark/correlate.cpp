@@ -99,11 +99,76 @@ inline void seq_cross(const double* a, const double* b, std::size_t n,
   vb_out = vb;
 }
 
+// The scalar despread of one window against chips c[0..n), given its
+// sum in index order.
+inline double score_window(const double* x, const double* c, std::size_t n,
+                           double sum) noexcept {
+  const double mean = sum / static_cast<double>(n);
+  double num = 0.0, denom = 0.0;
+  seq_correlate(x, c, n, mean, num, denom);
+  if (denom <= 0.0) return 0.0;  // a flat window carries no mark
+  return num / std::sqrt(denom * static_cast<double>(n));
+}
+
 // Offsets per call of the baseline-ISA (SSE2) blocked despread: two
-// offsets per 128-bit lane, four accumulators.
+// offsets per 128-bit lane, four accumulators (two a pass in a family).
 constexpr std::size_t kBaselineBlockOffsets = 8;
 
+// Codes per run of scan_family's block loop: the scores of one block
+// for this many codes fit a 4 KiB stack buffer, and their chips stay in
+// L2 while the block loop walks the offsets.
+constexpr std::size_t kFamilyChunk = 32;
+
 }  // namespace
+
+namespace detail {
+
+void scan_family(const double* x, std::size_t last_offset, std::size_t n,
+                 const double* const* chips, std::size_t count,
+                 ScanResult* best) {
+  LEXFOR_OBS_PROFILE("watermark.kernel.scan");
+  const auto consider = [](ScanResult& b, double corr, std::size_t off) {
+    if (corr > b.best.correlation) {  // strict >: earliest offset wins
+      b.best.correlation = corr;
+      b.offset = off;
+    }
+  };
+  for (std::size_t j = 0; j < count; ++j) {
+    best[j] = ScanResult{};
+    best[j].best.correlation = -2.0;  // below any achievable value
+  }
+  // A full block starting at `off` reads up to x[off + block - 1 + n - 1],
+  // in bounds because off + block - 1 <= last_offset and the caller's
+  // series holds x[last_offset + n - 1].
+  const FamilyScorer avx2 = avx2_family_scorer();
+  const std::size_t block =
+      avx2 != nullptr ? kAvx2BlockOffsets : kBaselineBlockOffsets;
+  double scores[kFamilyChunk * kAvx2BlockOffsets];
+  for (std::size_t j0 = 0; j0 < count; j0 += kFamilyChunk) {
+    const std::size_t m = std::min(kFamilyChunk, count - j0);
+    std::size_t off = 0;
+    for (; off + block <= last_offset + 1; off += block) {
+      if (avx2 != nullptr) {
+        avx2(x + off, chips + j0, m, n, scores);
+      } else {
+        despread_family_block<2, 4, 2, 4>(x + off, chips + j0, m, n, scores);
+      }
+      for (std::size_t j = 0; j < m; ++j) {
+        for (std::size_t k = 0; k < block; ++k) {
+          consider(best[j0 + j], scores[j * block + k], off + k);
+        }
+      }
+    }
+    for (; off <= last_offset; ++off) {
+      const double sum = seq_sum(x + off, n);
+      for (std::size_t j = j0; j < j0 + m; ++j) {
+        consider(best[j], score_window(x + off, chips[j], n, sum), off);
+      }
+    }
+  }
+}
+
+}  // namespace detail
 
 CorrelationKernel::CorrelationKernel(PnCode code, double threshold_sigmas)
     : code_(std::move(code)), threshold_sigmas_(threshold_sigmas) {
@@ -122,11 +187,7 @@ double CorrelationKernel::despread_presummed(const double* x,
                                              std::size_t code_begin,
                                              std::size_t len,
                                              double sum) const noexcept {
-  const double mean = sum / static_cast<double>(len);
-  double num = 0.0, denom = 0.0;
-  seq_correlate(x, chips_f64_.data() + code_begin, len, mean, num, denom);
-  if (denom <= 0.0) return 0.0;  // a flat window carries no mark
-  return num / std::sqrt(denom * static_cast<double>(len));
+  return score_window(x, chips_f64_.data() + code_begin, len, sum);
 }
 
 double CorrelationKernel::scan_threshold(std::size_t k,
@@ -167,10 +228,9 @@ Result<DetectionResult> CorrelationKernel::detect(
   return r;
 }
 
-Result<ScanResult> CorrelationKernel::scan(std::span<const double> rates,
-                                           std::size_t max_offset,
-                                           std::size_t code_begin,
-                                           std::size_t code_length) const {
+Result<CorrelationKernel::Window> CorrelationKernel::window(
+    std::span<const double> rates, std::size_t max_offset,
+    std::size_t code_begin, std::size_t code_length) const {
   const std::size_t n = code_length == 0 ? chips_f64_.size() : code_length;
   if (code_begin + n > chips_f64_.size()) {
     return InvalidArgument("scan: code segment [" +
@@ -182,46 +242,30 @@ Result<ScanResult> CorrelationKernel::scan(std::span<const double> rates,
   if (rates.size() < n) {
     return InvalidArgument("detect_with_scan: series shorter than the code");
   }
-  const std::size_t last_offset = std::min(max_offset, rates.size() - n);
+  return Window{chips_f64_.data() + code_begin, n,
+                std::min(max_offset, rates.size() - n)};
+}
 
-  LEXFOR_OBS_PROFILE("watermark.kernel.scan");
-
+ScanResult CorrelationKernel::decide(ScanResult best,
+                                     const Window& window) const noexcept {
   // Bonferroni correction, identical to the naive reference: scanning k
   // offsets multiplies the null false-positive probability by ~k, so
   // inflate the threshold by sqrt(2 ln k) sigma.
-  const double threshold = scan_threshold(last_offset + 1, n);
-
-  ScanResult best;
-  best.best.correlation = -2.0;  // below any achievable value
-  best.best.threshold = threshold;
-  const auto consider = [&best](double corr, std::size_t off) {
-    if (corr > best.best.correlation) {  // strict >: earliest offset wins
-      best.best.correlation = corr;
-      best.offset = off;
-    }
-  };
-  const double* x = rates.data();
-  const double* chips = chips_f64_.data() + code_begin;
-  // A full block starting at `off` reads up to x[off + block - 1 + n - 1],
-  // in bounds because off + block - 1 <= last_offset <= rates.size() - n.
-  const detail::BlockScorer avx2 = detail::avx2_block_scorer();
-  const std::size_t block = avx2 != nullptr ? detail::kAvx2BlockOffsets
-                                            : kBaselineBlockOffsets;
-  double scores[detail::kAvx2BlockOffsets];
-  std::size_t off = 0;
-  for (; off + block <= last_offset + 1; off += block) {
-    if (avx2 != nullptr) {
-      avx2(x + off, chips, n, scores);
-    } else {
-      detail::despread_block<2, 4>(x + off, chips, n, scores);
-    }
-    for (std::size_t k = 0; k < block; ++k) consider(scores[k], off + k);
-  }
-  for (; off <= last_offset; ++off) {
-    consider(despread(x + off, code_begin, n), off);
-  }
-  best.best.detected = best.best.correlation > threshold;
+  best.best.threshold = scan_threshold(window.last_offset + 1, window.n);
+  best.best.detected = best.best.correlation > best.best.threshold;
   return best;
+}
+
+Result<ScanResult> CorrelationKernel::scan(std::span<const double> rates,
+                                           std::size_t max_offset,
+                                           std::size_t code_begin,
+                                           std::size_t code_length) const {
+  const auto w = window(rates, max_offset, code_begin, code_length);
+  if (!w.ok()) return w.status();
+  ScanResult best;
+  detail::scan_family(rates.data(), w.value().last_offset, w.value().n,
+                      &w.value().chips, 1, &best);
+  return decide(best, w.value());
 }
 
 }  // namespace lexfor::watermark

@@ -35,9 +35,13 @@
 // operations in the scalar despread's order.  A block is 16 offsets
 // with AVX2 (correlate_simd.cpp, when simd_lane_available()) and 8 at
 // the baseline ISA; the offsets left over after the last full block go
-// through despread().  Every path is bit-identical, so every caller,
-// evidentiary records included, gets the same bits from the one scan
-// path — see A-SCAN and A-SIMD in EXPERIMENTS.md.
+// through despread().  scan() is the one-code case of the family scan
+// ScanBatch runs when several code windows scan one series: the window
+// sum, mean and den do not depend on the code, so a family block
+// computes them once and each code adds only its num = Σ d·c.  Every
+// path is bit-identical, so every caller, evidentiary records included,
+// gets the same bits from the one scan body — see A-SCAN and A-SIMD in
+// EXPERIMENTS.md.
 
 #pragma once
 
@@ -60,6 +64,8 @@ struct ScanResult {
   DetectionResult best;
   std::size_t offset = 0;  // bin offset where the best despread occurred
 };
+
+class ScanBatch;
 
 class CorrelationKernel {
  public:
@@ -137,6 +143,25 @@ class CorrelationKernel {
   }
 
  private:
+  // ScanBatch runs a family of jobs through window() and decide(), the
+  // same checks and verdict scan() applies to one.
+  friend class ScanBatch;
+
+  // A code window that passed scan()'s checks: its chips, its length
+  // and the last offset the scan scores.
+  struct Window {
+    const double* chips;
+    std::size_t n;
+    std::size_t last_offset;
+  };
+  [[nodiscard]] Result<Window> window(std::span<const double> rates,
+                                      std::size_t max_offset,
+                                      std::size_t code_begin,
+                                      std::size_t code_length) const;
+  // Sets best's Bonferroni threshold and verdict for a scan of `window`.
+  [[nodiscard]] ScanResult decide(ScanResult best,
+                                  const Window& window) const noexcept;
+
   PnCode code_;
   std::vector<double> chips_f64_;  // code chips pre-converted to ±1.0
   double threshold_sigmas_;

@@ -1,17 +1,20 @@
-// The AVX2 instantiation of the offset-blocked despread
-// (despread_block.h): four offsets per 256-bit register, four accumulators,
-// sixteen offsets per call.  It is bit-identical to the baseline-width
-// instantiation in correlate.cpp and to the scalar despread, so which
-// one CorrelationKernel::scan runs never changes a score.
+// The AVX2 instantiations of the offset-blocked despread
+// (despread_block.h): four offsets per 256-bit register, sixteen offsets
+// per call.  One code runs four accumulators; a family runs two offset
+// registers under four codes, eight accumulators a pass.  They are
+// bit-identical to the baseline-width instantiations in correlate.cpp
+// and to the scalar despread, so which one a scan runs never changes a
+// score.
 //
 // Compile-time gate: the file is always built, but the AVX2 body is
 // compiled only when the build sets LEXFOR_SIMD (CMake option) AND this
 // translation unit has AVX2 (CMake adds -mavx2 -mfma -ffp-contract=off
 // to this file alone when the compiler supports them; the rest of the
 // codebase keeps the portable baseline ISA).  -ffp-contract=off is part
-// of the bit-identity contract: contracting d·c + num into an FMA
-// rounds once where the scalar path rounds twice.  Runtime gate:
-// __builtin_cpu_supports, checked once.
+// of the bit-identity contract: contracting den + d·d into an FMA
+// rounds once where the scalar path rounds twice.  (num + d·c would
+// survive contraction, since d·c is exact for ±1 chips, but no body
+// relies on that.)  Runtime gate: __builtin_cpu_supports, checked once.
 
 #include "watermark/correlate.h"
 #include "watermark/despread_block.h"
@@ -29,6 +32,15 @@ namespace detail {
 BlockScorer avx2_block_scorer() noexcept {
 #if LEXFOR_SIMD_AVX2
   if (CorrelationKernel::simd_lane_available()) return despread_block<4, 4>;
+#endif
+  return nullptr;
+}
+
+FamilyScorer avx2_family_scorer() noexcept {
+#if LEXFOR_SIMD_AVX2
+  if (CorrelationKernel::simd_lane_available()) {
+    return despread_family_block<4, 4, 2, 4>;
+  }
 #endif
   return nullptr;
 }

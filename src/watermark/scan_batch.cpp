@@ -2,33 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 
 #include "obs/obs.h"
+#include "watermark/despread_block.h"
 
 namespace lexfor::watermark {
-namespace {
-
-Result<ScanResult> run_job(const ScanJob& job) {
-  if (job.kernel == nullptr) {
-    return InvalidArgument("scan batch: job has no kernel");
-  }
-  return job.kernel->scan(job.rates, job.max_offset, job.code_begin,
-                          job.code_length);
-}
-
-// Offsets the scan for `job` will evaluate; 0 when the job errors out
-// before scanning.
-[[maybe_unused]] std::size_t offsets_evaluated(const ScanJob& job) {
-  if (job.kernel == nullptr) return 0;
-  const std::size_t n = job.code_length == 0 ? job.kernel->length()
-                                             : job.code_length;
-  if (n == 0 || job.rates.size() < n) return 0;
-  return std::min(job.max_offset, job.rates.size() - n) + 1;
-}
-
-}  // namespace
 
 ScanBatch::ScanBatch(ScanBatchOptions options) : options_(options) {}
 
@@ -56,27 +39,104 @@ std::vector<Result<ScanResult>> ScanBatch::run(
   LEXFOR_OBS_COUNTER_ADD("watermark.scan.batches", 1);
   LEXFOR_OBS_COUNTER_ADD("watermark.scan.flows", jobs.size());
 
-  util::ThreadPool& workers = pool();
-  // Jobs are coarse (a whole offset scan each), so fan out one job per
-  // chunk; the pool's FIFO keeps stragglers rebalanced.
-  workers.parallel_for(jobs.size(), 1, [&](std::size_t begin,
-                                           std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
+  // A job that passed scan()'s checks.  The rest fill their error slots
+  // here and record a zero-latency sample.
+  struct Member {
+    std::size_t job;
+    CorrelationKernel::Window window;
+  };
+  std::vector<Member> members;
+  members.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const ScanJob& job = jobs[i];
+    const auto w =
+        job.kernel == nullptr
+            ? Result<CorrelationKernel::Window>(
+                  InvalidArgument("scan batch: job has no kernel"))
+            : job.kernel->window(job.rates, job.max_offset, job.code_begin,
+                                 job.code_length);
+    if (w.ok()) {
+      members.push_back(Member{i, w.value()});
+    } else {
+      out[i] = w.status();
+      LEXFOR_OBS_HISTOGRAM_RECORD("watermark.scan.latency_us", 0);
+    }
+  }
+
+  // A family is every member that scans the same series with the same
+  // window length over the same offsets; sorting by that key (stably, so
+  // a family keeps input order) makes each family one contiguous run.
+  const auto key = [&jobs](const Member& m) {
+    const std::span<const double> rates = jobs[m.job].rates;
+    return std::tuple(reinterpret_cast<std::uintptr_t>(rates.data()),
+                      rates.size(), m.window.n, m.window.last_offset);
+  };
+  std::stable_sort(members.begin(), members.end(),
+                   [&key](const Member& a, const Member& b) {
+                     return key(a) < key(b);
+                   });
+
+  // One task per contiguous code range: a family splits into as many
+  // near-equal ranges as there are workers (fewer if it has fewer codes).
+  const std::size_t width =
+      options_.threads != 0
+          ? options_.threads
+          : std::max(1u, std::thread::hardware_concurrency());
+  std::vector<std::pair<std::size_t, std::size_t>> tasks;
+  for (std::size_t begin = 0; begin < members.size();) {
+    std::size_t end = begin + 1;
+    while (end < members.size() && key(members[end]) == key(members[begin])) {
+      ++end;
+    }
+    const std::size_t size = end - begin;
+    const std::size_t parts = std::min(width, size);
+    for (std::size_t p = 0; p < parts; ++p) {
+      tasks.emplace_back(begin + size * p / parts,
+                         begin + size * (p + 1) / parts);
+    }
+    begin = end;
+  }
+
+  const auto run_task = [&](std::size_t t) {
 #if LEXFOR_OBS
-      const auto start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
 #endif
-      out[i] = run_job(jobs[i]);
+    const auto [begin, end] = tasks[t];
+    std::vector<const double*> chips;
+    chips.reserve(end - begin);
+    for (std::size_t m = begin; m < end; ++m) {
+      chips.push_back(members[m].window.chips);
+    }
+    std::vector<ScanResult> best(end - begin);
+    const CorrelationKernel::Window& w = members[begin].window;
+    detail::scan_family(jobs[members[begin].job].rates.data(), w.last_offset,
+                        w.n, chips.data(), chips.size(), best.data());
+    for (std::size_t m = begin; m < end; ++m) {
+      const Member& member = members[m];
+      out[member.job] =
+          jobs[member.job].kernel->decide(best[m - begin], member.window);
+    }
 #if LEXFOR_OBS
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start);
+    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - start);
+    for (std::size_t m = begin; m < end; ++m) {
       LEXFOR_OBS_HISTOGRAM_RECORD("watermark.scan.latency_us",
                                   elapsed.count());
-      LEXFOR_OBS_COUNTER_ADD("watermark.scan.offsets",
-                             offsets_evaluated(jobs[i]));
-#endif
     }
-  });
+    LEXFOR_OBS_COUNTER_ADD("watermark.scan.offsets",
+                           (end - begin) * (w.last_offset + 1));
+#endif
+  };
+  if (tasks.size() > 1) {
+    pool().parallel_for(tasks.size(), 1,
+                        [&run_task](std::size_t begin, std::size_t end) {
+                          for (std::size_t t = begin; t < end; ++t) {
+                            run_task(t);
+                          }
+                        });
+  } else if (!tasks.empty()) {
+    run_task(0);  // one task: no worker to hand it to
+  }
   return out;
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -225,6 +227,103 @@ TEST(ObsShardedRingTest, TracerDrainMergesAndEmptiesRing) {
   EXPECT_TRUE(is_time_ordered(events));
   EXPECT_EQ(t.ring().size(), 0u);
   EXPECT_EQ(t.ring().pushed(), t.ring().drained() + t.ring().dropped());
+}
+
+TEST(ObsShardedRingTest, ThreadsExitingOneAfterAnotherShareOneShard) {
+  // 1,000 threads, one live at a time, each pushing one event: every
+  // thread takes over the shard the previous one left, and every event
+  // an exited thread pushed still drains, in order.
+  constexpr std::uint64_t kThreads = 1'000;
+  ShardedEventRing ring(4096);
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    std::thread([&ring, t] {
+      TraceEvent ev = make_event(t);
+      ev.value = static_cast<std::int64_t>(t);
+      ring.push(std::move(ev));
+    }).join();
+  }
+  EXPECT_LE(ring.shard_count(), 1u);
+  EXPECT_EQ(ring.pushed(), kThreads);
+  EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped() + ring.size());
+  const auto events = ring.drain();
+  ASSERT_EQ(events.size(), kThreads);
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(events[t].value, static_cast<std::int64_t>(t));
+  }
+  EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped());
+}
+
+TEST(ObsShardedRingTest, WavesOfThreadsKeepTheShardCountAtThePeak) {
+  // 250 waves of four concurrent threads (1,000 in all): never more
+  // shards than threads alive at once, and nothing lost.
+  constexpr std::size_t kWaves = 250;
+  constexpr std::size_t kWidth = 4;
+  ShardedEventRing ring(4096);
+  for (std::size_t w = 0; w < kWaves; ++w) {
+    std::vector<std::thread> wave;
+    for (std::size_t t = 0; t < kWidth; ++t) {
+      wave.emplace_back([&ring, w] { ring.push(make_event(w)); });
+    }
+    for (auto& th : wave) th.join();
+  }
+  EXPECT_LE(ring.shard_count(), kWidth);
+  EXPECT_EQ(ring.pushed(), kWaves * kWidth);
+  const auto events = ring.drain();
+  EXPECT_EQ(events.size(), kWaves * kWidth);
+  EXPECT_TRUE(is_time_ordered(events));
+  EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped());
+}
+
+TEST(ObsShardedRingTest, FullShardOfAnExitedThreadWaitsForADrain) {
+  // Taking over a full shard would overwrite an event its exited thread
+  // left undrained, so the next thread gets a new shard; once a drain
+  // has emptied it, the old shard is taken over again.
+  ShardedEventRing ring(4);
+  const auto push_from_new_thread = [&ring](std::uint64_t first,
+                                            std::uint64_t count) {
+    std::thread([&ring, first, count] {
+      for (std::uint64_t i = 0; i < count; ++i) {
+        ring.push(make_event(first + i));
+      }
+    }).join();
+  };
+  push_from_new_thread(0, 4);  // fills its shard, exits
+  push_from_new_thread(10, 1);
+  EXPECT_EQ(ring.shard_count(), 2u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  EXPECT_EQ(ring.drain().size(), 5u);
+  push_from_new_thread(20, 1);
+  push_from_new_thread(30, 1);
+  EXPECT_EQ(ring.shard_count(), 2u);
+  const auto events = ring.drain();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].wall_ns, 20u);
+  EXPECT_EQ(events[1].wall_ns, 30u);
+  EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped());
+}
+
+TEST(ObsShardedRingTest, RingDestroyedBeforeItsThreadExitsIsSafe) {
+  // The thread registers, the ring goes away, then the thread exits and
+  // releases its shard: the release must not touch the dead ring.  A
+  // second ring the same thread used afterwards still works.
+  auto ring = std::make_unique<ShardedEventRing>(16);
+  ShardedEventRing survivor(16);
+  std::atomic<int> stage{0};
+  std::thread worker([&] {
+    ring->push(make_event(1));
+    stage.store(1);
+    while (stage.load() != 2) std::this_thread::yield();
+    survivor.push(make_event(2));
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  EXPECT_EQ(ring->drain().size(), 1u);
+  ring.reset();
+  stage.store(2);
+  worker.join();
+  EXPECT_EQ(survivor.drain().size(), 1u);
+  // The survivor's shard was handed back at exit: a new thread takes it.
+  std::thread([&survivor] { survivor.push(make_event(3)); }).join();
+  EXPECT_EQ(survivor.shard_count(), 1u);
 }
 
 }  // namespace

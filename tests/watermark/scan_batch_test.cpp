@@ -4,7 +4,9 @@
 // with bits identical to running the job alone, whatever the pool
 // size; error jobs (null kernel, short series) fill their slot without
 // aborting the batch; and the watermark.scan.* obs instruments account
-// for exactly the work done.
+// for exactly the work done.  Jobs that scan one series form a family
+// and run as one family scan; the Family* cases hold every slot of such
+// a scan to the naive reference for its own code, bit for bit.
 
 #include "watermark/scan_batch.h"
 
@@ -12,11 +14,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "obs/obs.h"
 #include "util/rng.h"
 #include "watermark/dsss.h"
+#include "watermark/gold_code.h"
 #include "watermark/multibit.h"
 
 namespace lexfor::watermark {
@@ -248,6 +252,307 @@ TEST(ScanBatchTest, MultibitDecodeWithBatchIsBitIdenticalToSerialDecode) {
               std::bit_cast<std::uint64_t>(fanned.correlations[i]));
   }
 }
+
+// --- Family scans ---------------------------------------------------------
+
+// 100 + noise, with `code` planted at `offset`.
+std::vector<double> noisy_series(std::size_t length, const PnCode& code,
+                                 std::size_t offset, Rng& rng) {
+  std::vector<double> rates(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    rates[i] = 100.0 + rng.normal(0.0, 12.0);
+  }
+  for (std::size_t i = 0; i < code.length(); ++i) {
+    rates[offset + i] += 30.0 * code.chips()[i];
+  }
+  return rates;
+}
+
+std::vector<Detector> gold_detectors(int degree, std::size_t count) {
+  const auto family = GoldCodeFamily::create(degree).value();
+  const std::size_t k = count == 0 ? family.size() : count;
+  std::vector<Detector> detectors;
+  detectors.reserve(k);
+  for (std::size_t a = 0; a < k; ++a) detectors.emplace_back(family.code(a));
+  return detectors;
+}
+
+std::vector<ScanResult> reference_scans(const std::vector<Detector>& detectors,
+                                        std::span<const double> rates,
+                                        std::size_t max_offset) {
+  std::vector<ScanResult> want;
+  want.reserve(detectors.size());
+  for (const Detector& d : detectors) {
+    want.push_back(d.detect_with_scan_reference(rates, max_offset).value());
+  }
+  return want;
+}
+
+void expect_slot_matches(const Result<ScanResult>& got, const ScanResult& want,
+                         unsigned threads, std::size_t job) {
+  ASSERT_TRUE(got.ok()) << "threads=" << threads << " job " << job << ": "
+                        << got.status().message();
+  const ScanResult& g = got.value();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.best.correlation),
+            std::bit_cast<std::uint64_t>(want.best.correlation))
+      << "threads=" << threads << " job " << job;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.best.threshold),
+            std::bit_cast<std::uint64_t>(want.best.threshold))
+      << "threads=" << threads << " job " << job;
+  EXPECT_EQ(g.offset, want.offset) << "threads=" << threads << " job " << job;
+  EXPECT_EQ(g.best.detected, want.best.detected)
+      << "threads=" << threads << " job " << job;
+}
+
+TEST(ScanBatchTest, FamilyFullGoldFamilyMatchesTheReferenceAtEveryThreadCount) {
+  // All 513 codes of the degree-9 family over one series, 256 offsets:
+  // whole blocks of either width and no tail.
+  Rng rng{1601};
+  const auto detectors = gold_detectors(9, 0);
+  ASSERT_EQ(detectors.size(), 513u);
+  constexpr std::size_t kMaxOffset = 255;
+  const auto rates =
+      noisy_series(511 + kMaxOffset, detectors[3].code(), 77, rng);
+  const auto want = reference_scans(detectors, rates, kMaxOffset);
+  EXPECT_EQ(want[3].offset, 77u);
+  EXPECT_TRUE(want[3].best.detected);
+
+  std::vector<ScanJob> jobs(detectors.size());
+  for (std::size_t a = 0; a < jobs.size(); ++a) {
+    jobs[a].kernel = &detectors[a].kernel();
+    jobs[a].rates = rates;
+    jobs[a].max_offset = kMaxOffset;
+  }
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
+    ASSERT_EQ(got.size(), jobs.size());
+    for (std::size_t a = 0; a < jobs.size(); ++a) {
+      expect_slot_matches(got[a], want[a], threads, a);
+    }
+  }
+}
+
+TEST(ScanBatchTest, FamilySizesAroundTheTileMatchTheReference) {
+  // 251 offsets leave a tail after the last full block of either width.
+  // Sizes 1, 3, 4, 5 sit around the four-code tile; 129 is the
+  // perfbench family, four 32-code runs and one lone code.
+  Rng rng{1602};
+  const auto detectors = gold_detectors(9, 129);
+  constexpr std::size_t kMaxOffset = 250;
+  const auto rates =
+      noisy_series(511 + kMaxOffset, detectors[100].code(), 249, rng);
+  const auto want = reference_scans(detectors, rates, kMaxOffset);
+  EXPECT_EQ(want[100].offset, 249u);
+
+  for (const std::size_t size : {1u, 3u, 4u, 5u, 129u}) {
+    std::vector<ScanJob> jobs(size);
+    for (std::size_t a = 0; a < size; ++a) {
+      // Smaller families take the last codes, so code 100 is in most.
+      const std::size_t code = detectors.size() - size + a;
+      jobs[a].kernel = &detectors[code].kernel();
+      jobs[a].rates = rates;
+      jobs[a].max_offset = kMaxOffset;
+    }
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "family of " << size);
+      const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
+      ASSERT_EQ(got.size(), size);
+      for (std::size_t a = 0; a < size; ++a) {
+        expect_slot_matches(got[a], want[detectors.size() - size + a],
+                            threads, a);
+      }
+    }
+  }
+}
+
+TEST(ScanBatchTest, FamilyTwoSeriesInterleavedJobByJob) {
+  // Even jobs scan series A, odd jobs series B: two families whose
+  // members alternate in the input, each slot still answering its job.
+  Rng rng{1603};
+  const auto detectors = gold_detectors(7, 9);
+  constexpr std::size_t kMaxOffset = 40;
+  const auto series_a =
+      noisy_series(127 + kMaxOffset + 5, detectors[2].code(), 11, rng);
+  const auto series_b =
+      noisy_series(127 + kMaxOffset + 5, detectors[6].code(), 33, rng);
+  const auto want_a = reference_scans(detectors, series_a, kMaxOffset);
+  const auto want_b = reference_scans(detectors, series_b, kMaxOffset);
+
+  std::vector<ScanJob> jobs(2 * detectors.size());
+  for (std::size_t a = 0; a < detectors.size(); ++a) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      ScanJob& job = jobs[2 * a + s];
+      job.kernel = &detectors[a].kernel();
+      job.rates = s == 0 ? std::span<const double>(series_a)
+                         : std::span<const double>(series_b);
+      job.max_offset = kMaxOffset;
+    }
+  }
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
+    ASSERT_EQ(got.size(), jobs.size());
+    for (std::size_t a = 0; a < detectors.size(); ++a) {
+      expect_slot_matches(got[2 * a], want_a[a], threads, 2 * a);
+      expect_slot_matches(got[2 * a + 1], want_b[a], threads, 2 * a + 1);
+    }
+    EXPECT_EQ(got[4].value().offset, 11u);   // code 2 on series A
+    EXPECT_EQ(got[13].value().offset, 33u);  // code 6 on series B
+  }
+}
+
+TEST(ScanBatchTest, FamilyKeepsErrorSlotsAndMixedSegmentsApart) {
+  // One series, window length 127: full degree-7 codes, a null kernel,
+  // an out-of-range segment and a full-length window past the code's
+  // start all inside the family, plus a 127-chip segment of a degree-8
+  // code that joins it through its own chip pointer.
+  Rng rng{1604};
+  const auto detectors = gold_detectors(7, 4);
+  const auto long_code = PnCode::m_sequence(8).value();  // 255 chips
+  const CorrelationKernel long_kernel(long_code);
+  constexpr std::size_t kSegBegin = 64;
+  const std::vector<std::int8_t> seg_chips(
+      long_code.chips().begin() + kSegBegin,
+      long_code.chips().begin() + kSegBegin + 127);
+  const Detector seg_detector(PnCode::from_chips(seg_chips).value());
+  constexpr std::size_t kMaxOffset = 60;
+  const auto rates =
+      noisy_series(127 + kMaxOffset, seg_detector.code(), 21, rng);
+  const auto want = reference_scans(detectors, rates, kMaxOffset);
+  const auto want_seg =
+      seg_detector.detect_with_scan_reference(rates, kMaxOffset).value();
+  EXPECT_EQ(want_seg.offset, 21u);
+
+  std::vector<ScanJob> jobs(8);
+  for (ScanJob& job : jobs) {
+    job.rates = rates;
+    job.max_offset = kMaxOffset;
+  }
+  jobs[0].kernel = &detectors[0].kernel();
+  jobs[1].kernel = nullptr;  // null kernel inside the family
+  jobs[2].kernel = &detectors[1].kernel();
+  jobs[3].kernel = &detectors[2].kernel();  // [100, 150) of 127 chips
+  jobs[3].code_begin = 100;
+  jobs[3].code_length = 50;
+  jobs[4].kernel = &long_kernel;  // chips [64, 191) of 255
+  jobs[4].code_begin = kSegBegin;
+  jobs[4].code_length = 127;
+  jobs[5].kernel = &detectors[3].kernel();  // [5, 132) of 127 chips
+  jobs[5].code_begin = 5;
+  jobs[6].kernel = &detectors[2].kernel();
+  jobs[7].kernel = &detectors[3].kernel();
+
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
+    ASSERT_EQ(got.size(), jobs.size());
+    expect_slot_matches(got[0], want[0], threads, 0);
+    expect_slot_matches(got[2], want[1], threads, 2);
+    expect_slot_matches(got[4], want_seg, threads, 4);
+    expect_slot_matches(got[6], want[2], threads, 6);
+    expect_slot_matches(got[7], want[3], threads, 7);
+    for (const std::size_t bad : {1u, 3u, 5u}) {
+      ASSERT_FALSE(got[bad].ok()) << "threads=" << threads << " job " << bad;
+      EXPECT_EQ(got[bad].status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(ScanBatchTest, FamilyOverASeriesWithNoSlackStaysInBounds) {
+  // The series lives in a heap block exactly n + last_offset long, so a
+  // block or tail that read one element past the last window would be a
+  // heap overread under ASan.  256 offsets (whole blocks) and 243
+  // (a tail at either width), the second through a clamped max_offset.
+  Rng rng{1605};
+  const auto detectors = gold_detectors(9, 6);
+  for (const std::size_t last_offset : {255u, 242u}) {
+    const std::size_t length = 511 + last_offset;
+    const auto values =
+        noisy_series(length, detectors[4].code(), last_offset, rng);
+    const auto exact = std::make_unique<double[]>(length);
+    std::copy(values.begin(), values.end(), exact.get());
+    const std::span<const double> rates(exact.get(), length);
+    const std::size_t max_offset = last_offset == 255 ? 255 : 1000;
+    const auto want = reference_scans(detectors, rates, max_offset);
+    EXPECT_EQ(want[4].offset, last_offset);
+
+    std::vector<ScanJob> jobs(detectors.size());
+    for (std::size_t a = 0; a < jobs.size(); ++a) {
+      jobs[a].kernel = &detectors[a].kernel();
+      jobs[a].rates = rates;
+      jobs[a].max_offset = max_offset;
+    }
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "last offset " << last_offset);
+      const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
+      for (std::size_t a = 0; a < jobs.size(); ++a) {
+        expect_slot_matches(got[a], want[a], threads, a);
+      }
+    }
+  }
+}
+
+#if LEXFOR_OBS
+TEST(ScanBatchTest, RejectedJobsAddNoOffsets) {
+  // Two jobs scan() rejects for their code segment: [100, 150) of a
+  // 127-chip code, and a full-length window starting at chip 5.  Only
+  // the healthy job's 11 offsets count; every job still counts as a
+  // flow and records one latency sample.
+  Rng rng{1606};
+  const auto code = PnCode::m_sequence(7).value();  // 127 chips
+  const CorrelationKernel kernel(code, 5.0);
+  const auto flow = marked_flow(code, 3, 5.0, rng);
+  std::vector<ScanJob> jobs(3);
+  for (ScanJob& job : jobs) {
+    job.kernel = &kernel;
+    job.rates = flow.rates;
+    job.max_offset = 10;
+  }
+  jobs[0].code_begin = 100;
+  jobs[0].code_length = 50;
+  jobs[1].code_begin = 5;
+
+  auto& flows_c = obs::metrics().counter("watermark.scan.flows");
+  auto& offsets = obs::metrics().counter("watermark.scan.offsets");
+  auto& latency = obs::metrics().histogram("watermark.scan.latency_us");
+  const auto flows_before = flows_c.value();
+  const auto offsets_before = offsets.value();
+  const auto latency_before = latency.count();
+
+  const auto results = ScanBatch(ScanBatchOptions{2}).run(jobs);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].ok());
+  EXPECT_FALSE(results[1].ok());
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_EQ(results[2].value().offset, 3u);
+
+  EXPECT_EQ(flows_c.value() - flows_before, 3u);
+  EXPECT_EQ(offsets.value() - offsets_before, 11u);
+  EXPECT_EQ(latency.count() - latency_before, 3u);
+}
+TEST(ScanBatchTest, PoolsThatComeAndGoHandTheirRingShardsOn) {
+  // Every batch below starts four workers, each warm-registering a shard
+  // of the process-wide trace ring, and joins them when it goes away.
+  // The next batch's workers take those shards over instead of adding
+  // four more.
+  Rng rng{1607};
+  const auto code = PnCode::m_sequence(7).value();
+  const CorrelationKernel kernel(code, 5.0);
+  const auto a = marked_flow(code, 2, 5.0, rng);
+  const auto b = marked_flow(code, 5, 5.0, rng);
+  std::vector<ScanJob> jobs(2);  // two series, two tasks: the pool starts
+  jobs[0].kernel = &kernel;
+  jobs[0].rates = a.rates;
+  jobs[1].kernel = &kernel;
+  jobs[1].rates = b.rates;
+  const std::size_t before = obs::tracer().ring().shard_count();
+  for (int i = 0; i < 50; ++i) {
+    const ScanBatch batch(ScanBatchOptions{4});
+    const auto results = batch.run(jobs);
+    ASSERT_TRUE(results[0].ok());
+    ASSERT_TRUE(results[1].ok());
+  }
+  EXPECT_LE(obs::tracer().ring().shard_count(), before + 4);
+}
+#endif  // LEXFOR_OBS
 
 }  // namespace
 }  // namespace lexfor::watermark
