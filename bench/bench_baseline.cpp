@@ -10,9 +10,9 @@
 #include <cstdio>
 #include <vector>
 
+#include "oracles/pearson.h"
 #include "tornet/baseline.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "watermark/correlate.h"
 
 int main() {
@@ -90,7 +90,7 @@ int main() {
       }
       const double kernel =
           lexfor::watermark::CorrelationKernel::cross_score(a, b);
-      const double naive = lexfor::pearson(a, b);
+      const double naive = lexfor::oracles::pearson(a, b);
       identical = identical && std::bit_cast<std::uint64_t>(kernel) ==
                                    std::bit_cast<std::uint64_t>(naive);
     }

@@ -27,14 +27,15 @@
 #include <vector>
 
 #include "netsim/flow.h"
-#include "netsim/heap_event_queue.h"
 #include "netsim/network.h"
+#include "oracles/heap_event_queue.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace lexfor;
 using namespace lexfor::netsim;
+using lexfor::oracles::HeapEventQueue;
 
 // --- gate 1: throughput flatness ------------------------------------
 

@@ -19,9 +19,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "oracles/naive_scan.h"
 #include "tornet/traceback.h"
 #include "util/rng.h"
-#include "watermark/dsss.h"
+#include "watermark/correlate.h"
 
 namespace {
 
@@ -40,7 +41,7 @@ Row sweep(TracebackConfig base, int trials) {
   int detected = 0;
   for (int t = 0; t < trials; ++t) {
     base.seed = 1000 + static_cast<std::uint64_t>(t) * 77;
-    const auto r = tornet::run_traceback(base).value();
+    const auto r = tornet::run_streaming_traceback(base).value();
     detected += r.suspect_detected;
     row.mean_suspect_corr += r.suspect_correlation;
     row.decoy_flags += r.decoys_flagged;
@@ -116,7 +117,7 @@ int main() {
   }
 
   // Series 4: alignment-free detection.  When the observer does not know
-  // the embed start, detect_with_scan slides the code over candidate
+  // the embed start, the kernel's scan slides the code over candidate
   // offsets with a Bonferroni-adjusted threshold; this measures the
   // price of that uncertainty versus perfectly aligned detection.
   std::printf("\nSeries 4: aligned vs offset-scan detection vs noise "
@@ -124,7 +125,7 @@ int main() {
   std::printf("%14s %12s %12s\n", "noise sigma", "aligned", "scan(100)");
   {
     const auto code = lexfor::watermark::PnCode::m_sequence(9).value();
-    const lexfor::watermark::Detector det(code, 4.0);
+    const lexfor::watermark::CorrelationKernel kernel(code, 4.0);
     lexfor::Rng rng{2024};
     for (const double sigma : {10.0, 20.0, 40.0, 60.0, 90.0}) {
       int aligned_ok = 0, scan_ok = 0;
@@ -139,8 +140,8 @@ int main() {
         // Aligned detector gets the true offset for free.
         const std::vector<double> window(
             rates.begin() + static_cast<std::ptrdiff_t>(offset), rates.end());
-        aligned_ok += det.detect(window).value().detected;
-        scan_ok += det.detect_with_scan(rates, 100).value().best.detected;
+        aligned_ok += kernel.scan(window, 0).value().best.detected;
+        scan_ok += kernel.scan(rates, 100).value().best.detected;
       }
       std::printf("%14.0f %12.2f %12.2f\n", sigma,
                   static_cast<double>(aligned_ok) / kTrials,
@@ -148,10 +149,11 @@ int main() {
     }
   }
 
-  // Series 5 / experiment A-SCAN: correlation-kernel scan vs the
-  // retained naive reference.  Self-verifying: the two scans must agree
-  // bit for bit on every trial AND the kernel must beat the reference's
-  // per-offset cost, or the bench exits non-zero and fails the harness.
+  // Series 5 / experiment A-SCAN: correlation-kernel scan vs the naive
+  // oracle scan (tests/oracles/naive_scan.h).  Self-verifying: the two
+  // scans must agree bit for bit on every trial AND the kernel must beat
+  // the reference's per-offset cost, or the bench exits non-zero and
+  // fails the harness.
   std::printf("\nSeries 5 (A-SCAN): kernel vs naive reference offset scan "
               "(single core)\n");
   std::printf("%8s %8s %12s %14s %14s %10s\n", "degree", "offsets", "reps",
@@ -163,7 +165,7 @@ int main() {
     lexfor::Rng rng{4242};
     for (const int degree : {8, 10, 12}) {
       const auto code = lexfor::watermark::PnCode::m_sequence(degree).value();
-      const lexfor::watermark::Detector det(code, 5.0);
+      const lexfor::watermark::CorrelationKernel kernel(code, 5.0);
       const std::size_t max_offset = 256;
       std::vector<double> rates;
       for (std::size_t i = 0; i < max_offset / 2; ++i) {
@@ -180,9 +182,9 @@ int main() {
       const int reps = degree >= 12 ? 20 : 60;
 
       // Correctness gate first: bit-identical ScanResult.
-      const auto ref = det.detect_with_scan_reference(rates, max_offset)
-                           .value();
-      const auto ker = det.detect_with_scan(rates, max_offset).value();
+      const auto ref =
+          lexfor::oracles::naive_scan(code, rates, max_offset).value();
+      const auto ker = kernel.scan(rates, max_offset).value();
       const bool identical =
           ref.offset == ker.offset &&
           ref.best.detected == ker.best.detected &&
@@ -195,14 +197,13 @@ int main() {
       double sink = 0.0;  // defeat dead-code elimination
       const auto t0 = clock::now();
       for (int r = 0; r < reps; ++r) {
-        sink += det.detect_with_scan_reference(rates, max_offset)
+        sink += lexfor::oracles::naive_scan(code, rates, max_offset)
                     .value()
                     .best.correlation;
       }
       const auto t1 = clock::now();
       for (int r = 0; r < reps; ++r) {
-        sink += det.detect_with_scan(rates, max_offset).value()
-                    .best.correlation;
+        sink += kernel.scan(rates, max_offset).value().best.correlation;
       }
       const auto t2 = clock::now();
       const double ref_ns =
@@ -259,7 +260,7 @@ int main() {
     for (int t = 0; t < kTrials; ++t) {
       const int degree = 8 + static_cast<int>(rng.uniform(5));  // 8..12
       const auto code = lexfor::watermark::PnCode::m_sequence(degree).value();
-      const lexfor::watermark::Detector det(code);
+      const lexfor::watermark::CorrelationKernel kernel(code);
       const std::size_t max_offset = t % 2 == 0 ? 0 : 256;
       const std::size_t embed = rng.uniform(max_offset + 1);
       const double sigma = 1.0 + 30.0 * rng.uniform01();
@@ -275,9 +276,9 @@ int main() {
       for (std::size_t i = embed; i < max_offset + 8; ++i) {
         rates.push_back(100.0 + rng.normal(0.0, sigma));
       }
-      const auto ref = det.detect_with_scan_reference(rates, max_offset)
-                           .value();
-      const auto got = det.kernel().scan(rates, max_offset).value();
+      const auto ref =
+          lexfor::oracles::naive_scan(code, rates, max_offset).value();
+      const auto got = kernel.scan(rates, max_offset).value();
       const bool identical =
           ref.offset == got.offset &&
           ref.best.detected == got.best.detected &&

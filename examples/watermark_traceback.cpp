@@ -50,7 +50,7 @@ int main() {
   cfg.num_decoys = 7;
   cfg.seed = 424242;
 
-  const auto result = tornet::run_traceback(cfg).value();
+  const auto result = tornet::run_streaming_traceback(cfg).value();
   std::printf("watermark despread at the suspect's ISP:\n");
   std::printf("  suspect flow:  corr %.4f vs threshold %.4f -> %s\n",
               result.suspect_correlation,

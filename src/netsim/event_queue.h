@@ -6,10 +6,10 @@
 // packet network, the P2P overlay, the onion-routing network) share this
 // engine.
 //
-// ISSUE 8 rebuilt the implementation data-oriented.  The original queue
-// (retained verbatim as HeapEventQueue, the test oracle) was a binary
-// heap of std::function entries and collapsed 12.7M -> 2.7M events/s as
-// the queue grew, for two compounding reasons:
+// The implementation was rebuilt data-oriented.  The original queue
+// (kept as the test oracle in tests/oracles/heap_event_queue.h) was a
+// binary heap of std::function entries and collapsed 12.7M -> 2.7M
+// events/s as the queue grew, for two compounding reasons:
 //
 //  1. `Entry e = heap_.top()` deep-copied the std::function — and every
 //     captured packet payload and path vector — once per event

@@ -29,9 +29,9 @@
 // threshold, offset, and decision — to
 // CorrelationKernel::scan(series, max_offset) on any batch series whose
 // first max_offset + n bins equal the streamed ones; for max_offset = 0
-// that is Detector::detect on the same window.  The batch path stays
-// the oracle: this class holds no scoring math of its own, only the
-// bookkeeping to feed the kernel incrementally.  Peak memory is
+// that is the aligned despread of the same window.  The batch scan
+// stays the oracle: this class holds no scoring math of its own, only
+// the bookkeeping to feed the kernel incrementally.  Peak memory is
 // n + max_offset doubles — O(code length + offset window), independent
 // of stream length, allocated once in the constructor.
 //

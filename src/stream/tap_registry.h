@@ -2,12 +2,12 @@
 // multi-suspect investigation taps ALL candidate flows in a single
 // simulation pass.
 //
-// The per-suspect alternative — run the simulation once per candidate,
-// tapping one node each time — multiplies simulated events by the
-// suspect count and heap-allocates a fresh ring + despread window per
-// run.  A §IV.B collection point does not get to replay reality: every
-// candidate's tap must ride the SAME traffic.  TapRegistry makes that
-// the cheap path:
+// Running the simulation once per candidate, tapping one node each
+// time, would multiply simulated events by the suspect count and
+// heap-allocate a fresh ring + despread window per run.  A §IV.B
+// collection point does not get to replay reality: every candidate's
+// tap must ride the SAME traffic.  TapRegistry makes that the cheap
+// path:
 //
 //   * admission per suspect — add_tap() routes each candidate's
 //     collection posture through TapSession::create's legal gate
@@ -33,10 +33,10 @@
 //     per tap (tests pin it under overload and mid-flight topology
 //     changes).
 //
-// Results are locked identical to the per-suspect loop: each tap owns
-// an independent OnlineDespreader fed exactly the bins its node saw,
-// so sharing the allocator and the simulation pass changes WHERE the
-// state lives, never what any despreader reads.
+// Results are locked identical to despreading each flow on its own:
+// each tap owns an independent OnlineDespreader fed exactly the bins
+// its node saw, so sharing the allocator and the simulation pass
+// changes WHERE the state lives, never what any despreader reads.
 
 #pragma once
 

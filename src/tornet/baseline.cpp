@@ -42,8 +42,8 @@ Result<PassiveResult> run_passive_correlation(const PassiveConfig& config) {
       rate_series(suspect_sends, config.window_sec, windows);
 
   // Scoring goes through the one repo-wide implementation (bit-identical
-  // to the retained util::pearson reference; asserted in tests and
-  // gated in bench_baseline).
+  // to the naive Pearson test oracle; asserted in tests and gated in
+  // bench_baseline).
   result.correlations.push_back(watermark::CorrelationKernel::cross_score(
       server_series, rate_series(suspect_arrivals, config.window_sec, windows)));
 
@@ -87,7 +87,7 @@ Result<ComparisonResult> run_baseline_comparison(
   for (int t = 0; t < trials; ++t) {
     TracebackConfig wm = watermark_config;
     wm.seed = watermark_config.seed + static_cast<std::uint64_t>(t) * 131;
-    auto wm_r = run_traceback(wm);
+    auto wm_r = run_streaming_traceback(wm);
     if (!wm_r.ok()) return wm_r.status();
     wm_ok += wm_r.value().suspect_detected && wm_r.value().decoys_flagged == 0;
 

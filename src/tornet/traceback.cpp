@@ -5,10 +5,9 @@
 #include <span>
 #include <thread>
 
-#include "stream/online_despread.h"
 #include "stream/tap_registry.h"
 #include "util/thread_pool.h"
-#include "watermark/correlate.h"
+#include "watermark/dsss.h"
 #include "watermark/gold_code.h"
 #include "watermark/scan_batch.h"
 
@@ -61,28 +60,21 @@ void for_each_flow(unsigned threads, std::size_t n, const Body& body) {
   });
 }
 
-// Phase 1 of the experiment: simulate suspect + decoy flows through the
-// anonymity network and bin the ISP-side arrivals into one flat rate
-// buffer (one n_chips slice per flow, suspect first).  Shared between
-// the batch and streaming tracebacks so both detect over IDENTICAL
-// bins.
-//
-// Simulates flows [flow_begin, flow_end) and writes each flow's n_chips
-// bins at rates[(flow - flow_begin) * n_chips].  Flow i draws
-// exclusively from Rng::sub_stream(config.seed, i), so its bins are the
-// same whether its pass simulates one flow or all of them, and whichever
-// thread runs it — that equality is what lets the per-suspect reference
-// loop, the single-pass registry and every detect_threads setting
-// produce bit-identical series.
+// Phase 1 of the experiment: simulate the suspect and decoy flows
+// through the anonymity network and bin the ISP-side arrivals into one
+// flat rate buffer, flow f's n_chips bins at rates[f * n_chips]
+// (suspect first).  Flow f draws exclusively from
+// Rng::sub_stream(config.seed, f), so its bins do not depend on how
+// many other flows exist or which thread runs it — that is what makes
+// every detect_threads setting produce bit-identical series.
 //
 // Circuits are built first, on the calling thread and in flow order, so
 // circuit ids follow flow order and a failure is the first failing
 // flow's.  Each flow then runs simulate_flow_bins (bit-identical to
 // generate_modulated_poisson -> transit -> bin_arrivals) across
 // config.detect_threads threads, writing only its own slice.
-Status simulate_flow_range(const TracebackConfig& config,
+Status simulate_flow_rates(const TracebackConfig& config,
                            const watermark::PnCode& code,
-                           std::size_t flow_begin, std::size_t flow_end,
                            std::vector<double>& rates) {
   const std::size_t n_chips = code.length();
   const double chip_sec = config.chip_ms * 1e-3;
@@ -112,20 +104,21 @@ Status simulate_flow_range(const TracebackConfig& config,
     Circuit circuit;
     Rng rng;  // the flow's stream, just past its circuit draws
   };
+  const std::size_t num_flows = 1 + config.num_decoys;
   std::vector<FlowStart> starts;
-  starts.reserve(flow_end - flow_begin);
-  for (std::size_t flow = flow_begin; flow < flow_end; ++flow) {
+  starts.reserve(num_flows);
+  for (std::size_t flow = 0; flow < num_flows; ++flow) {
     Rng flow_rng = Rng::sub_stream(config.seed, flow);
     auto circuit_r = net.build_circuit(flow_rng);
     if (!circuit_r.ok()) return circuit_r.status();
     starts.push_back(FlowStart{std::move(circuit_r).value(), flow_rng});
   }
 
-  rates.resize(starts.size() * n_chips);
-  for_each_flow(config.detect_threads, starts.size(), [&](std::size_t i) {
+  rates.resize(num_flows * n_chips);
+  for_each_flow(config.detect_threads, num_flows, [&](std::size_t i) {
     FlowStart& f = starts[i];
     const std::span<double> out(rates.data() + i * n_chips, n_chips);
-    if (flow_begin + i == 0) {  // the suspect's flow carries the mark
+    if (i == 0) {  // the suspect's flow carries the mark
       simulate_flow_bins(
           net, f.circuit, config.base_rate_pps, t_end, 1.0 + config.depth,
           [&embedder](double t_sec) {
@@ -139,14 +132,6 @@ Status simulate_flow_range(const TracebackConfig& config,
     }
   });
   return Status::Ok();
-}
-
-// Phase 1 over every flow in one pass, as run_traceback and the
-// single-pass streaming traceback use it.
-Status simulate_flow_rates(const TracebackConfig& config,
-                           const watermark::PnCode& code,
-                           std::vector<double>& rates) {
-  return simulate_flow_range(config, code, 0, 1 + config.num_decoys, rates);
 }
 
 // The court order the streaming taps are admitted under: pen/trap-style
@@ -181,39 +166,6 @@ void accumulate_flow_verdict(TracebackResult& result, std::size_t flow,
 
 }  // namespace
 
-Result<TracebackResult> run_traceback(const TracebackConfig& config) {
-  auto code_r = watermark::PnCode::m_sequence(config.pn_degree);
-  if (!code_r.ok()) return code_r.status();
-  const watermark::PnCode code = std::move(code_r).value();
-  const std::size_t n_chips = code.length();
-
-  TracebackResult result;
-  result.collection_legality =
-      legal::ComplianceEngine{}.evaluate(collection_scenario());
-
-  const std::size_t num_flows = 1 + config.num_decoys;
-  std::vector<double> rates;
-  const Status sim = simulate_flow_rates(config, code, rates);
-  if (!sim.ok()) return sim;
-  result.sim_passes = 1;
-  result.flows_simulated = num_flows;
-
-  // Phase 2 — detection: one kernel (one code), one aligned despread
-  // per flow, in flow order.  max_offset 0 keeps the aligned-detection
-  // semantics (the investigator controls the embed start) and a
-  // Bonferroni factor of k=1, i.e. the plain threshold.  A flow's
-  // despread takes microseconds, so a worker pool would cost more than
-  // it saves.
-  const watermark::CorrelationKernel kernel(code, config.threshold_sigmas);
-  for (std::size_t flow = 0; flow < num_flows; ++flow) {
-    const auto det_r = kernel.scan(
-        std::span<const double>(rates.data() + flow * n_chips, n_chips), 0);
-    if (!det_r.ok()) return det_r.status();
-    accumulate_flow_verdict(result, flow, det_r.value().best);
-  }
-  return result;
-}
-
 Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
   auto code_r = watermark::PnCode::m_sequence(config.pn_degree);
   if (!code_r.ok()) return code_r.status();
@@ -227,42 +179,17 @@ Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
   const std::size_t num_flows = 1 + config.num_decoys;
   const watermark::CorrelationKernel kernel(code, config.threshold_sigmas);
 
-  if (config.resimulate_per_suspect) {
-    // Reference loop: one simulation pass per candidate, exactly what a
-    // per-suspect investigation would run.  sub_stream re-seeding makes
-    // each pass's bins identical to the single-pass run's slice for
-    // that flow, so the registry path below must (and does) match this
-    // bit for bit — the property the tests and A-STREAM gate pin.
-    std::vector<double> flow_rates;
-    for (std::size_t flow = 0; flow < num_flows; ++flow) {
-      const Status sim =
-          simulate_flow_range(config, code, flow, flow + 1, flow_rates);
-      if (!sim.ok()) return sim;
-      ++result.sim_passes;
-      ++result.flows_simulated;
-
-      stream::OnlineDespreader despreader(kernel, /*max_offset=*/0);
-      for (std::size_t i = 0; i < n_chips; ++i) {
-        (void)despreader.push(flow_rates[i]);
-      }
-      accumulate_flow_verdict(result, flow, despreader.verdict().scan.best);
-    }
-    return result;
-  }
-
-  // Single pass: simulate every flow once...
+  // Simulate every flow once...
   std::vector<double> rates;
   const Status sim = simulate_flow_rates(config, code, rates);
   if (!sim.ok()) return sim;
-  result.sim_passes = 1;
-  result.flows_simulated = num_flows;
 
   // ...then tap every candidate through one TapRegistry.  Each tap is
   // admitted per suspect — the §IV.B collection posture, evaluated
   // through the shared verdict cache under a court order — before any
   // ring or window exists; one arena backs all of them.  max_offset 0
-  // mirrors run_traceback's aligned scan, so every verdict is
-  // bit-identical to the batch path (tested + gated by A-STREAM).
+  // is aligned detection: the investigator controls the embed start,
+  // so the plain threshold applies (a Bonferroni factor of k = 1).
   stream::TapRegistry registry;
   for (std::size_t flow = 0; flow < num_flows; ++flow) {
     stream::TapSessionConfig tap_cfg;

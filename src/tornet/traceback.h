@@ -15,7 +15,7 @@
 
 #include "legal/engine.h"
 #include "tornet/anonymity_network.h"
-#include "watermark/dsss.h"
+#include "watermark/correlate.h"
 
 namespace lexfor::tornet {
 
@@ -39,12 +39,6 @@ struct TracebackConfig {
   // runs it (see EXPERIMENTS.md for the one-time output shift this
   // re-seeding caused).
   unsigned detect_threads = 0;
-  // Reference mode for run_streaming_traceback: simulate each candidate
-  // flow in its OWN pass (sim_passes == flow count) instead of tapping
-  // every candidate during one pass through stream::TapRegistry.  The
-  // sub_stream re-seeding above makes the two modes bit-identical —
-  // which the single-pass claim is tested and gated against.
-  bool resimulate_per_suspect = false;
 };
 
 struct FlowVerdict {
@@ -61,14 +55,6 @@ struct TracebackResult {
   // Legal posture of the collection step (non-content at the ISP): the
   // engine must report a court order suffices, matching §IV.B.
   legal::Determination collection_legality;
-  // Simulation accounting for the streaming traceback's single-pass
-  // claim: the TapRegistry path reports sim_passes == 1 for ANY number
-  // of candidate flows; the resimulate_per_suspect reference loop
-  // reports one pass per flow.  flows_simulated counts flows generated
-  // across all passes (identical in both modes).  run_traceback also
-  // fills these (always one pass).
-  std::size_t sim_passes = 0;
-  std::size_t flows_simulated = 0;
 };
 
 // The legal scenario for the collection side: real-time non-content rate
@@ -79,23 +65,18 @@ struct TracebackResult {
 // and decoys, carries them through the network, bins arrivals at the
 // "ISP", and despreads each candidate.  Circuits are built on the
 // calling thread in flow order; the flows are then simulated in
-// parallel (TracebackConfig::detect_threads).  Safe to call from
-// several threads at once.
-[[nodiscard]] Result<TracebackResult> run_traceback(const TracebackConfig& config);
-
-// The streaming variant: the same simulation (identical flows, bins and
-// legal posture), but detection runs through a stream::TapRegistry —
-// one legally-admitted TapSession per candidate flow, every tap fed
-// from ONE simulation pass, each flow's bins pushed one at a time
-// exactly as a live ISP tap would see them, with the verdict available
-// the moment the code period completes.  Each tap's admission runs the
-// §IV.B collection posture through the legal engine under an
-// internally-constructed court order BEFORE any tap state exists.
-// Bit-identical to run_traceback on every flow verdict (the online
-// despreader is bit-identical to the batch kernel; the batch path stays
-// the oracle), and bit-identical to the resimulate_per_suspect
-// reference loop — the single-pass fan-out changes the number of
-// simulation passes (see TracebackResult::sim_passes), never a bin.
+// parallel (TracebackConfig::detect_threads), all of them in ONE
+// simulation pass.  Detection runs through a stream::TapRegistry — one
+// legally-admitted TapSession per candidate flow, each flow's bins
+// pushed one at a time exactly as a live ISP tap would see them, with
+// the verdict available the moment the code period completes.  Each
+// tap's admission runs the §IV.B collection posture through the legal
+// engine under an internally-constructed court order BEFORE any tap
+// state exists.  Every flow verdict is bit-identical to simulating that
+// flow on its own (generate_modulated_poisson -> transit ->
+// bin_arrivals) and despreading it with CorrelationKernel::scan at
+// max_offset 0, whatever detect_threads is.  Safe to call from several
+// threads at once.
 [[nodiscard]] Result<TracebackResult> run_streaming_traceback(
     const TracebackConfig& config);
 

@@ -59,7 +59,7 @@ inline void seq_correlate(const double* x, const double* c, std::size_t n,
 
 // Fused Pearson pass: cov/va/vb are three independent accumulator
 // chains, each advancing in naive sequential order — bit-identical to
-// the util::pearson reference loop.
+// the naive Pearson loop of the test oracle.
 inline void seq_cross(const double* a, const double* b, std::size_t n,
                       double ma, double mb, double& cov_out, double& va_out,
                       double& vb_out) noexcept {
@@ -180,14 +180,8 @@ CorrelationKernel::CorrelationKernel(PnCode code, double threshold_sigmas)
 
 double CorrelationKernel::despread(const double* x, std::size_t code_begin,
                                    std::size_t len) const noexcept {
-  return despread_presummed(x, code_begin, len, seq_sum(x, len));
-}
-
-double CorrelationKernel::despread_presummed(const double* x,
-                                             std::size_t code_begin,
-                                             std::size_t len,
-                                             double sum) const noexcept {
-  return score_window(x, chips_f64_.data() + code_begin, len, sum);
+  return score_window(x, chips_f64_.data() + code_begin, len,
+                      seq_sum(x, len));
 }
 
 double CorrelationKernel::scan_threshold(std::size_t k,
@@ -213,21 +207,6 @@ double CorrelationKernel::cross_score(std::span<const double> a,
   return cov / std::sqrt(va * vb);
 }
 
-Result<DetectionResult> CorrelationKernel::detect(
-    std::span<const double> rates) const {
-  const std::size_t n = chips_f64_.size();
-  if (rates.size() < n) {
-    return InvalidArgument(
-        "detect: observed series shorter than the PN code (" +
-        std::to_string(rates.size()) + " < " + std::to_string(n) + ")");
-  }
-  DetectionResult r;
-  r.threshold = threshold_sigmas_ / std::sqrt(static_cast<double>(n));
-  r.correlation = despread(rates.data(), 0, n);
-  r.detected = r.correlation > r.threshold;
-  return r;
-}
-
 Result<CorrelationKernel::Window> CorrelationKernel::window(
     std::span<const double> rates, std::size_t max_offset,
     std::size_t code_begin, std::size_t code_length) const {
@@ -240,7 +219,9 @@ Result<CorrelationKernel::Window> CorrelationKernel::window(
                            std::to_string(chips_f64_.size()));
   }
   if (rates.size() < n) {
-    return InvalidArgument("detect_with_scan: series shorter than the code");
+    return InvalidArgument("scan: series shorter than the code (" +
+                           std::to_string(rates.size()) + " < " +
+                           std::to_string(n) + ")");
   }
   return Window{chips_f64_.data() + code_begin, n,
                 std::min(max_offset, rates.size() - n)};
@@ -248,7 +229,7 @@ Result<CorrelationKernel::Window> CorrelationKernel::window(
 
 ScanResult CorrelationKernel::decide(ScanResult best,
                                      const Window& window) const noexcept {
-  // Bonferroni correction, identical to the naive reference: scanning k
+  // Bonferroni correction, identical to the naive oracle: scanning k
   // offsets multiplies the null false-positive probability by ~k, so
   // inflate the threshold by sqrt(2 ln k) sigma.
   best.best.threshold = scan_threshold(window.last_offset + 1, window.n);

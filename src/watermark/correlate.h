@@ -4,10 +4,12 @@
 // flow an ISP vantage point observes, and alignment-free detection runs
 // it at every candidate offset of every flow.  The original scan path
 // copied the tail of the rate series into a fresh vector per offset and
-// recomputed the statistics from scratch through the allocating
-// Detector::detect — O(k·n) flops buried under O(k·tail) copies and k
-// heap allocations.  CorrelationKernel is the allocation-free core both
-// Detector and the batch fan-out (scan_batch.h) sit on:
+// recomputed the statistics from scratch through an allocating detector
+// — O(k·n) flops buried under O(k·tail) copies and k heap allocations.
+// CorrelationKernel is the allocation-free core every detector sits
+// on: aligned detection is scan() at max_offset 0, and the streaming
+// despreader (stream/online_despread.h) and the batch fan-out
+// (scan_batch.h) run the same code:
 //
 //   * the PN code is pre-converted once into a contiguous ±1.0 double
 //     buffer, so the despread loop is a straight-line dot product with
@@ -19,15 +21,15 @@
 //     does — nothing else.  No window copy, no obs emission, no
 //     detector re-construction inside the loop.
 //
-// Bit-identity contract: score(), scan() and despread() perform the
-// SAME floating-point operations in the SAME order as the naive
-// per-offset reference (Detector::detect_with_scan_reference) and the
-// historic multibit decoder loop.  Within one window the unrolling
-// below keeps a single accumulator chain per statistic, so it reorders
-// nothing.  We deliberately rejected a prefix-sum O(1)-per-offset
-// formulation for the mean/denominator: differencing running sums
-// reassociates the additions and breaks the bit-for-bit oracle test
-// (and loses digits to cancellation on long series).
+// Bit-identity contract: scan() and despread() perform the SAME
+// floating-point operations in the SAME order as the naive per-offset
+// scan (the test oracle in tests/oracles/naive_scan.h) and the historic
+// multibit decoder loop.  Within one window the unrolling below keeps a
+// single accumulator chain per statistic, so it reorders nothing.  We
+// deliberately rejected a prefix-sum O(1)-per-offset formulation for
+// the mean/denominator: differencing running sums reassociates the
+// additions and breaks the bit-for-bit oracle test (and loses digits to
+// cancellation on long series).
 //
 // scan() gets its speed across offsets instead of within one sum: it
 // scores blocks of consecutive offsets at once, one offset per vector
@@ -70,19 +72,17 @@ class ScanBatch;
 class CorrelationKernel {
  public:
   // `threshold_sigmas`: decision threshold in units of the null-model
-  // standard deviation 1/sqrt(N); see Detector.
+  // standard deviation 1/sqrt(N) (N = code length).  5 sigma keeps the
+  // false-positive rate negligible for the code lengths used here.
   explicit CorrelationKernel(PnCode code, double threshold_sigmas = 5.0);
 
-  // Aligned detection over the full code: mean-removed matched filter
-  // on rates[0..length).  Short series are an error; extra bins are
-  // ignored.  Allocation-free.
-  [[nodiscard]] Result<DetectionResult> detect(
-      std::span<const double> rates) const;
-
-  // Alignment-free detection: slides the code over offsets
+  // Matched-filter detection: slides the code over offsets
   // [0, min(max_offset, rates.size() - n)] and returns the best
   // despread under a Bonferroni-inflated threshold (+sqrt(2 ln k)
-  // sigma for k offsets).  Ties keep the earliest offset.
+  // sigma for k offsets).  Ties keep the earliest offset.  max_offset 0
+  // is aligned detection on rates[0..n) under the plain threshold (the
+  // investigator controls the embed start, §IV.B).  Short series are an
+  // error; extra bins are ignored.  Allocation-free.
   //
   // `code_begin`/`code_length` select a sub-range of the code to
   // despread against (the multibit decoder scores chips
@@ -105,21 +105,12 @@ class CorrelationKernel {
   [[nodiscard]] double despread(const double* x, std::size_t code_begin,
                                 std::size_t len) const noexcept;
 
-  // Same despread with a caller-supplied window sum.  The streaming path
-  // (stream::OnlineDespreader) accumulates the sum incrementally as bins
-  // arrive; adding elements in index order performs the same FP
-  // additions in the same order as the internal sequential sum, so the
-  // result is bit-identical to despread() on the same window.
-  [[nodiscard]] double despread_presummed(const double* x,
-                                          std::size_t code_begin,
-                                          std::size_t len,
-                                          double sum) const noexcept;
-
   // The Bonferroni-inflated decision threshold scan() applies when `k`
   // candidate offsets are tried over a despread window of
-  // `code_length` chips (0 = the full code).  k = 1 reduces to the
-  // aligned detect() threshold, bit for bit.  Exposed so the streaming
-  // despreader applies the same formula through the same code path.
+  // `code_length` chips (0 = the full code).  k = 1 adds nothing, so
+  // it is the plain aligned threshold, bit for bit.  Exposed so the
+  // streaming despreader applies the same formula through the same
+  // code path.
   [[nodiscard]] double scan_threshold(std::size_t k,
                                       std::size_t code_length = 0) const
       noexcept;
@@ -128,8 +119,8 @@ class CorrelationKernel {
   // (the Pearson coefficient): the passive flow-correlation baseline's
   // score, computed with the same sequential-order accumulation loops as
   // the despread above so the repo has exactly one scoring
-  // implementation.  Bit-identical to the naive util::pearson loops
-  // (retained as the test oracle).  Degenerate input — mismatched
+  // implementation.  Bit-identical to the naive Pearson loops of the
+  // test oracle in tests/oracles/.  Degenerate input — mismatched
   // lengths, fewer than two samples, zero variance — scores 0.0.
   [[nodiscard]] static double cross_score(std::span<const double> a,
                                           std::span<const double> b) noexcept;

@@ -7,7 +7,7 @@
 // reassociating its sums.  Consecutive OFFSETS, however, are
 // independent: a block scores W·R of them at once, one offset per
 // vector lane, and each lane performs exactly the operations of
-// CorrelationKernel::despread_presummed in exactly its order:
+// CorrelationKernel::despread in exactly its order:
 //
 //   sum  += x[i]                      for i = 0..n-1
 //   mean  = sum / n

@@ -1,4 +1,4 @@
-// DSSS traffic watermarking: embedder and matched-filter detector.
+// DSSS traffic watermarking: the embedder.
 //
 // §IV.B of the paper: "By slightly modifying the traffic rate with an
 // embedded PN code at the seized web-server and collecting the traffic
@@ -7,21 +7,20 @@
 // suspect in the anonymous network system."
 //
 // The embedder turns a PN code into a rate-multiplier function (1 + d
-// during a +1 chip, 1 - d during a -1 chip).  The detector bins the far
+// during a +1 chip, 1 - d during a -1 chip).  Detection bins the far
 // side's packet arrivals into chip-width windows, removes the mean, and
 // correlates against the code; the normalized score is compared against
-// a threshold calibrated to the code length.  The correlation math
-// itself lives in CorrelationKernel (correlate.h); Detector is the
-// instrumented, Result-returning front end.
+// a threshold calibrated to the code length.  That matched filter is
+// CorrelationKernel::scan (correlate.h); aligned detection is a scan at
+// max_offset 0.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
+#include <utility>
 
 #include "util/sim_time.h"
-#include "watermark/correlate.h"
 #include "watermark/pn_code.h"
 
 namespace lexfor::watermark {
@@ -58,60 +57,6 @@ class Embedder {
  private:
   PnCode code_;
   EmbedParams params_;
-};
-
-// Matched-filter detector.
-class Detector {
- public:
-  // `threshold_sigmas`: decision threshold in units of the null-model
-  // standard deviation 1/sqrt(N) (N = code length).  5 sigma keeps the
-  // false-positive rate negligible for the code lengths used here.
-  explicit Detector(PnCode code, double threshold_sigmas = 5.0)
-      : kernel_(std::move(code), threshold_sigmas) {}
-
-  // `chip_rates` holds the observed traffic rate per chip window, aligned
-  // with chip 0 (the investigator controls the embed start, §IV.B).
-  // Extra trailing bins are ignored; short series are an error.  The
-  // series is read in place — no copy, no allocation.
-  [[nodiscard]] Result<DetectionResult> detect(
-      std::span<const double> chip_rates) const;
-
-  // Convenience: converts binned packet counts to rates and detects.
-  // The first form allocates a fresh conversion buffer per call; the
-  // second reuses `scratch` (cleared and refilled), which is what hot
-  // per-flow loops (tornet::Traceback) use.
-  [[nodiscard]] Result<DetectionResult> detect_counts(
-      const std::vector<std::uint32_t>& chip_counts) const;
-  [[nodiscard]] Result<DetectionResult> detect_counts(
-      const std::vector<std::uint32_t>& chip_counts,
-      std::vector<double>& scratch) const;
-
-  // Alignment-free detection: when the observer does not know the embed
-  // start (no cooperation from the marking side), slide the code over
-  // offsets [0, max_offset] and return the best despread.  The threshold
-  // is Bonferroni-adjusted for the number of offsets tried so scanning
-  // does not inflate the false-positive rate.  Thin wrapper over
-  // CorrelationKernel::scan — bit-identical scores to the naive
-  // reference below, without its per-offset copies.
-  using ScanResult = watermark::ScanResult;
-  [[nodiscard]] Result<ScanResult> detect_with_scan(
-      std::span<const double> rates, std::size_t max_offset) const;
-
-  // The retained naive per-offset scan: copies each window and
-  // recomputes every statistic from scratch through independent plain
-  // loops.  Test-only oracle for the kernel's bit-identity contract
-  // (and the baseline the A-SCAN bench measures against) — new callers
-  // want detect_with_scan.
-  [[nodiscard]] Result<ScanResult> detect_with_scan_reference(
-      std::span<const double> rates, std::size_t max_offset) const;
-
-  [[nodiscard]] const PnCode& code() const noexcept { return kernel_.code(); }
-  [[nodiscard]] const CorrelationKernel& kernel() const noexcept {
-    return kernel_;
-  }
-
- private:
-  CorrelationKernel kernel_;
 };
 
 }  // namespace lexfor::watermark

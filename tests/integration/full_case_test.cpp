@@ -46,7 +46,7 @@ TEST(FullCaseTest, WatermarkTracebackCaseEndToEnd) {
   cfg.pn_degree = 9;
   cfg.num_decoys = 5;
   cfg.seed = 777;
-  const auto result = tornet::run_traceback(cfg).value();
+  const auto result = tornet::run_streaming_traceback(cfg).value();
   ASSERT_TRUE(result.suspect_detected);
   ASSERT_EQ(result.decoys_flagged, 0u);
 

@@ -7,11 +7,13 @@
 #include <utility>
 #include <vector>
 
-#include "netsim/heap_event_queue.h"
+#include "oracles/heap_event_queue.h"
 #include "util/rng.h"
 
 namespace lexfor::netsim {
 namespace {
+
+using oracles::HeapEventQueue;
 
 TEST(EventQueueTest, EventsFireInTimeOrder) {
   EventQueue q;
@@ -125,9 +127,10 @@ TEST(EventQueueTest, WheelGrowsAndShrinksWithLoad) {
 
 // ---- property tests: the calendar queue against the heap oracle ------
 //
-// HeapEventQueue is the pre-ISSUE-8 implementation, retained verbatim.
-// Any observable divergence — firing order, clock, pending counts — is
-// a bug in the calendar queue, so the oracle replays identical scripts.
+// oracles::HeapEventQueue is the binary-heap queue the calendar queue
+// replaced.  Any observable divergence — firing order, clock, pending
+// counts — is a bug in the calendar queue, so the oracle replays
+// identical scripts.
 
 // Replays `n_roots` randomized schedules; root events with id % 5 == 0
 // spawn two children from inside their callback, one of them in the

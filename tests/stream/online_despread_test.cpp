@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "util/rng.h"
-#include "watermark/dsss.h"
 #include "watermark/pn_code.h"
 
 namespace lexfor::stream {
@@ -87,7 +86,7 @@ TEST(OnlineDespreaderTest, RandomizedStreamingMatchesBatchScanBitForBit) {
 
 TEST(OnlineDespreaderTest, AlignedStreamMatchesDetectorDetectBitForBit) {
   // max_offset = 0 is the tornet posture: the online verdict must equal
-  // the aligned batch Detector::detect on the same bins, bit for bit.
+  // the aligned batch scan on the same bins, bit for bit.
   Rng rng{77};
   for (int trial = 0; trial < 30; ++trial) {
     const int degree = 5 + static_cast<int>(rng.uniform(5));
@@ -101,17 +100,17 @@ TEST(OnlineDespreaderTest, AlignedStreamMatchesDetectorDetectBitForBit) {
     for (const double r : rates) (void)online.push(r);
     ASSERT_TRUE(online.verdict().complete);
 
-    const watermark::Detector det(code);
-    const auto batch = det.detect(rates);
+    const auto batch = kernel.scan(rates, 0);
     ASSERT_TRUE(batch.ok());
     EXPECT_EQ(online.verdict().scan.offset, 0u);
-    EXPECT_EQ(online.verdict().scan.best.detected, batch.value().detected);
+    EXPECT_EQ(online.verdict().scan.best.detected,
+              batch.value().best.detected);
     EXPECT_EQ(
         std::bit_cast<std::uint64_t>(online.verdict().scan.best.correlation),
-        std::bit_cast<std::uint64_t>(batch.value().correlation));
+        std::bit_cast<std::uint64_t>(batch.value().best.correlation));
     EXPECT_EQ(
         std::bit_cast<std::uint64_t>(online.verdict().scan.best.threshold),
-        std::bit_cast<std::uint64_t>(batch.value().threshold));
+        std::bit_cast<std::uint64_t>(batch.value().best.threshold));
   }
 }
 

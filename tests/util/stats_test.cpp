@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/pearson.h"
+
 namespace lexfor {
 namespace {
+
+using oracles::pearson;
 
 TEST(RunningStatsTest, MeanAndVariance) {
   RunningStats s;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "watermark/correlate.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -43,52 +44,53 @@ TEST(EmbedderTest, EndMatchesCodeLength) {
 }
 
 TEST(DetectorTest, RejectsShortSeries) {
-  const Detector det(code9());
+  const CorrelationKernel kernel(code9());
   const std::vector<double> too_short(10, 1.0);
-  EXPECT_EQ(det.detect(too_short).status().code(),
+  EXPECT_EQ(kernel.scan(too_short, 0).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(DetectorTest, FlatSeriesIsNotDetected) {
-  const Detector det(code9());
+  const CorrelationKernel kernel(code9());
   const std::vector<double> flat(code9().length(), 100.0);
-  const auto r = det.detect(flat);
+  const auto r = kernel.scan(flat, 0);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.value().detected);
-  EXPECT_DOUBLE_EQ(r.value().correlation, 0.0);
+  EXPECT_FALSE(r.value().best.detected);
+  EXPECT_DOUBLE_EQ(r.value().best.correlation, 0.0);
 }
 
 TEST(DetectorTest, CleanMarkIsDetected) {
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel kernel(code);
   std::vector<double> rates;
   for (const auto c : code.chips()) {
     rates.push_back(100.0 * (1.0 + 0.3 * c));
   }
-  const auto r = det.detect(rates);
+  const auto r = kernel.scan(rates, 0);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().detected);
-  EXPECT_GT(r.value().correlation, 0.9);
+  EXPECT_TRUE(r.value().best.detected);
+  EXPECT_GT(r.value().best.correlation, 0.9);
 }
 
 TEST(DetectorTest, NoisyMarkIsStillDetected) {
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel kernel(code);
   Rng rng{13};
   std::vector<double> rates;
   for (const auto c : code.chips()) {
     // SNR well below 1: noise sigma 3x the mark amplitude.
     rates.push_back(100.0 + 10.0 * c + rng.normal(0.0, 30.0));
   }
-  const auto r = det.detect(rates);
+  const auto r = kernel.scan(rates, 0);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().detected) << "corr=" << r.value().correlation
-                                  << " thr=" << r.value().threshold;
+  EXPECT_TRUE(r.value().best.detected)
+      << "corr=" << r.value().best.correlation
+      << " thr=" << r.value().best.threshold;
 }
 
 TEST(DetectorTest, PureNoiseIsNotDetected) {
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel kernel(code);
   Rng rng{17};
   int false_positives = 0;
   constexpr int kTrials = 200;
@@ -97,9 +99,9 @@ TEST(DetectorTest, PureNoiseIsNotDetected) {
     for (std::size_t i = 0; i < code.length(); ++i) {
       rates.push_back(100.0 + rng.normal(0.0, 20.0));
     }
-    const auto r = det.detect(rates);
+    const auto r = kernel.scan(rates, 0);
     ASSERT_TRUE(r.ok());
-    false_positives += r.value().detected;
+    false_positives += r.value().best.detected;
   }
   // 5-sigma threshold: essentially zero false positives expected.
   EXPECT_LE(false_positives, 1);
@@ -112,10 +114,10 @@ TEST(DetectorTest, WrongCodeDoesNotDespreadTheMark) {
   for (const auto c : marked_code.chips()) {
     rates.push_back(100.0 * (1.0 + 0.3 * c));
   }
-  const Detector det(wrong_code);
-  const auto r = det.detect(rates);
+  const CorrelationKernel kernel(wrong_code);
+  const auto r = kernel.scan(rates, 0);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.value().detected)
+  EXPECT_FALSE(r.value().best.detected)
       << "phase-shifted code must not despread the mark";
 }
 
@@ -128,7 +130,7 @@ TEST(DetectorTest, LongerCodesTolerateMoreNoise) {
 
   auto detection_rate = [&](int degree) {
     const auto code = PnCode::m_sequence(degree).value();
-    const Detector det(code, 4.0);
+    const CorrelationKernel kernel(code, 4.0);
     int detected = 0;
     constexpr int kTrials = 60;
     for (int t = 0; t < kTrials; ++t) {
@@ -136,7 +138,7 @@ TEST(DetectorTest, LongerCodesTolerateMoreNoise) {
       for (const auto c : code.chips()) {
         rates.push_back(100.0 + mark * c + rng.normal(0.0, noise_sigma));
       }
-      detected += det.detect(rates).value().detected;
+      detected += kernel.scan(rates, 0).value().best.detected;
     }
     return static_cast<double>(detected) / kTrials;
   };
@@ -147,32 +149,15 @@ TEST(DetectorTest, LongerCodesTolerateMoreNoise) {
   EXPECT_GT(long_code, 0.9);
 }
 
-TEST(DetectorTest, DetectCountsMatchesDetectOnRates) {
-  const auto code = PnCode::m_sequence(6).value();
-  const Detector det(code);
-  std::vector<std::uint32_t> counts;
-  std::vector<double> rates;
-  for (const auto c : code.chips()) {
-    const std::uint32_t n = static_cast<std::uint32_t>(50 + 10 * c);
-    counts.push_back(n);
-    rates.push_back(static_cast<double>(n));
-  }
-  const auto a = det.detect_counts(counts);
-  const auto b = det.detect(rates);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a.value().correlation, b.value().correlation);
-}
-
 TEST(DetectorTest, ExtraTrailingBinsAreIgnored) {
   const auto code = PnCode::m_sequence(6).value();
-  const Detector det(code);
+  const CorrelationKernel kernel(code);
   std::vector<double> rates;
   for (const auto c : code.chips()) rates.push_back(100.0 * (1.0 + 0.3 * c));
-  const auto exact = det.detect(rates).value();
+  const auto exact = kernel.scan(rates, 0).value().best;
   rates.push_back(9999.0);
   rates.push_back(0.0);
-  const auto padded = det.detect(rates).value();
+  const auto padded = kernel.scan(rates, 0).value().best;
   EXPECT_DOUBLE_EQ(exact.correlation, padded.correlation);
 }
 

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "watermark/dsss.h"
+#include "watermark/correlate.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -71,10 +71,10 @@ TEST(GoldCodeTest, MarkUnderOneCodeDoesNotDespreadUnderAnother) {
   for (const auto c : family.code(3).chips()) {
     rates.push_back(100.0 * (1.0 + 0.3 * c));
   }
-  const Detector right(family.code(3));
-  const Detector wrong(family.code(17));
-  EXPECT_TRUE(right.detect(rates).value().detected);
-  EXPECT_FALSE(wrong.detect(rates).value().detected);
+  const CorrelationKernel right(family.code(3));
+  const CorrelationKernel wrong(family.code(17));
+  EXPECT_TRUE(right.scan(rates, 0).value().best.detected);
+  EXPECT_FALSE(wrong.scan(rates, 0).value().best.detected);
 }
 
 }  // namespace

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "oracles/naive_scan.h"
 #include "util/rng.h"
-#include "watermark/dsss.h"
 #include "watermark/gold_code.h"
 #include "watermark/multibit.h"
 
@@ -94,14 +94,14 @@ TEST(ScanBatchTest, EachSlotMatchesTheReferenceForItsOwnFlow) {
   // of either width plus tails of several lengths.
   Rng rng{83};
   const auto code = PnCode::m_sequence(9).value();
-  const Detector detector(code);
+  const CorrelationKernel kernel(code);
   std::vector<Flow> flows;
   for (std::size_t i = 0; i < 6; ++i) {
     flows.push_back(marked_flow(code, 11 * i + 1, 12.0, rng));
   }
   std::vector<ScanJob> jobs(flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    jobs[i].kernel = &detector.kernel();
+    jobs[i].kernel = &kernel;
     jobs[i].rates = std::span<const double>(flows[i].rates);
     jobs[i].max_offset = 64;
   }
@@ -113,7 +113,7 @@ TEST(ScanBatchTest, EachSlotMatchesTheReferenceForItsOwnFlow) {
       ASSERT_TRUE(results[i].ok()) << "threads=" << threads << " job " << i;
       const auto& got = results[i].value();
       const auto want =
-          detector.detect_with_scan_reference(flows[i].rates, 64).value();
+          oracles::naive_scan(code, flows[i].rates, 64).value();
       EXPECT_EQ(got.offset, flows[i].true_offset);
       EXPECT_EQ(got.offset, want.offset);
       EXPECT_EQ(got.best.detected, want.best.detected);
@@ -268,22 +268,22 @@ std::vector<double> noisy_series(std::size_t length, const PnCode& code,
   return rates;
 }
 
-std::vector<Detector> gold_detectors(int degree, std::size_t count) {
+std::vector<CorrelationKernel> gold_kernels(int degree, std::size_t count) {
   const auto family = GoldCodeFamily::create(degree).value();
   const std::size_t k = count == 0 ? family.size() : count;
-  std::vector<Detector> detectors;
-  detectors.reserve(k);
-  for (std::size_t a = 0; a < k; ++a) detectors.emplace_back(family.code(a));
-  return detectors;
+  std::vector<CorrelationKernel> kernels;
+  kernels.reserve(k);
+  for (std::size_t a = 0; a < k; ++a) kernels.emplace_back(family.code(a));
+  return kernels;
 }
 
-std::vector<ScanResult> reference_scans(const std::vector<Detector>& detectors,
-                                        std::span<const double> rates,
-                                        std::size_t max_offset) {
+std::vector<ScanResult> reference_scans(
+    const std::vector<CorrelationKernel>& kernels,
+    std::span<const double> rates, std::size_t max_offset) {
   std::vector<ScanResult> want;
-  want.reserve(detectors.size());
-  for (const Detector& d : detectors) {
-    want.push_back(d.detect_with_scan_reference(rates, max_offset).value());
+  want.reserve(kernels.size());
+  for (const CorrelationKernel& k : kernels) {
+    want.push_back(oracles::naive_scan(k.code(), rates, max_offset).value());
   }
   return want;
 }
@@ -308,18 +308,18 @@ TEST(ScanBatchTest, FamilyFullGoldFamilyMatchesTheReferenceAtEveryThreadCount) {
   // All 513 codes of the degree-9 family over one series, 256 offsets:
   // whole blocks of either width and no tail.
   Rng rng{1601};
-  const auto detectors = gold_detectors(9, 0);
-  ASSERT_EQ(detectors.size(), 513u);
+  const auto kernels = gold_kernels(9, 0);
+  ASSERT_EQ(kernels.size(), 513u);
   constexpr std::size_t kMaxOffset = 255;
   const auto rates =
-      noisy_series(511 + kMaxOffset, detectors[3].code(), 77, rng);
-  const auto want = reference_scans(detectors, rates, kMaxOffset);
+      noisy_series(511 + kMaxOffset, kernels[3].code(), 77, rng);
+  const auto want = reference_scans(kernels, rates, kMaxOffset);
   EXPECT_EQ(want[3].offset, 77u);
   EXPECT_TRUE(want[3].best.detected);
 
-  std::vector<ScanJob> jobs(detectors.size());
+  std::vector<ScanJob> jobs(kernels.size());
   for (std::size_t a = 0; a < jobs.size(); ++a) {
-    jobs[a].kernel = &detectors[a].kernel();
+    jobs[a].kernel = &kernels[a];
     jobs[a].rates = rates;
     jobs[a].max_offset = kMaxOffset;
   }
@@ -337,19 +337,19 @@ TEST(ScanBatchTest, FamilySizesAroundTheTileMatchTheReference) {
   // Sizes 1, 3, 4, 5 sit around the four-code tile; 129 is the
   // perfbench family, four 32-code runs and one lone code.
   Rng rng{1602};
-  const auto detectors = gold_detectors(9, 129);
+  const auto kernels = gold_kernels(9, 129);
   constexpr std::size_t kMaxOffset = 250;
   const auto rates =
-      noisy_series(511 + kMaxOffset, detectors[100].code(), 249, rng);
-  const auto want = reference_scans(detectors, rates, kMaxOffset);
+      noisy_series(511 + kMaxOffset, kernels[100].code(), 249, rng);
+  const auto want = reference_scans(kernels, rates, kMaxOffset);
   EXPECT_EQ(want[100].offset, 249u);
 
   for (const std::size_t size : {1u, 3u, 4u, 5u, 129u}) {
     std::vector<ScanJob> jobs(size);
     for (std::size_t a = 0; a < size; ++a) {
       // Smaller families take the last codes, so code 100 is in most.
-      const std::size_t code = detectors.size() - size + a;
-      jobs[a].kernel = &detectors[code].kernel();
+      const std::size_t code = kernels.size() - size + a;
+      jobs[a].kernel = &kernels[code];
       jobs[a].rates = rates;
       jobs[a].max_offset = kMaxOffset;
     }
@@ -358,7 +358,7 @@ TEST(ScanBatchTest, FamilySizesAroundTheTileMatchTheReference) {
       const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
       ASSERT_EQ(got.size(), size);
       for (std::size_t a = 0; a < size; ++a) {
-        expect_slot_matches(got[a], want[detectors.size() - size + a],
+        expect_slot_matches(got[a], want[kernels.size() - size + a],
                             threads, a);
       }
     }
@@ -369,20 +369,20 @@ TEST(ScanBatchTest, FamilyTwoSeriesInterleavedJobByJob) {
   // Even jobs scan series A, odd jobs series B: two families whose
   // members alternate in the input, each slot still answering its job.
   Rng rng{1603};
-  const auto detectors = gold_detectors(7, 9);
+  const auto kernels = gold_kernels(7, 9);
   constexpr std::size_t kMaxOffset = 40;
   const auto series_a =
-      noisy_series(127 + kMaxOffset + 5, detectors[2].code(), 11, rng);
+      noisy_series(127 + kMaxOffset + 5, kernels[2].code(), 11, rng);
   const auto series_b =
-      noisy_series(127 + kMaxOffset + 5, detectors[6].code(), 33, rng);
-  const auto want_a = reference_scans(detectors, series_a, kMaxOffset);
-  const auto want_b = reference_scans(detectors, series_b, kMaxOffset);
+      noisy_series(127 + kMaxOffset + 5, kernels[6].code(), 33, rng);
+  const auto want_a = reference_scans(kernels, series_a, kMaxOffset);
+  const auto want_b = reference_scans(kernels, series_b, kMaxOffset);
 
-  std::vector<ScanJob> jobs(2 * detectors.size());
-  for (std::size_t a = 0; a < detectors.size(); ++a) {
+  std::vector<ScanJob> jobs(2 * kernels.size());
+  for (std::size_t a = 0; a < kernels.size(); ++a) {
     for (std::size_t s = 0; s < 2; ++s) {
       ScanJob& job = jobs[2 * a + s];
-      job.kernel = &detectors[a].kernel();
+      job.kernel = &kernels[a];
       job.rates = s == 0 ? std::span<const double>(series_a)
                          : std::span<const double>(series_b);
       job.max_offset = kMaxOffset;
@@ -391,7 +391,7 @@ TEST(ScanBatchTest, FamilyTwoSeriesInterleavedJobByJob) {
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
     ASSERT_EQ(got.size(), jobs.size());
-    for (std::size_t a = 0; a < detectors.size(); ++a) {
+    for (std::size_t a = 0; a < kernels.size(); ++a) {
       expect_slot_matches(got[2 * a], want_a[a], threads, 2 * a);
       expect_slot_matches(got[2 * a + 1], want_b[a], threads, 2 * a + 1);
     }
@@ -406,20 +406,20 @@ TEST(ScanBatchTest, FamilyKeepsErrorSlotsAndMixedSegmentsApart) {
   // start all inside the family, plus a 127-chip segment of a degree-8
   // code that joins it through its own chip pointer.
   Rng rng{1604};
-  const auto detectors = gold_detectors(7, 4);
+  const auto kernels = gold_kernels(7, 4);
   const auto long_code = PnCode::m_sequence(8).value();  // 255 chips
   const CorrelationKernel long_kernel(long_code);
   constexpr std::size_t kSegBegin = 64;
   const std::vector<std::int8_t> seg_chips(
       long_code.chips().begin() + kSegBegin,
       long_code.chips().begin() + kSegBegin + 127);
-  const Detector seg_detector(PnCode::from_chips(seg_chips).value());
+  const auto seg_code = PnCode::from_chips(seg_chips).value();
   constexpr std::size_t kMaxOffset = 60;
   const auto rates =
-      noisy_series(127 + kMaxOffset, seg_detector.code(), 21, rng);
-  const auto want = reference_scans(detectors, rates, kMaxOffset);
+      noisy_series(127 + kMaxOffset, seg_code, 21, rng);
+  const auto want = reference_scans(kernels, rates, kMaxOffset);
   const auto want_seg =
-      seg_detector.detect_with_scan_reference(rates, kMaxOffset).value();
+      oracles::naive_scan(seg_code, rates, kMaxOffset).value();
   EXPECT_EQ(want_seg.offset, 21u);
 
   std::vector<ScanJob> jobs(8);
@@ -427,19 +427,19 @@ TEST(ScanBatchTest, FamilyKeepsErrorSlotsAndMixedSegmentsApart) {
     job.rates = rates;
     job.max_offset = kMaxOffset;
   }
-  jobs[0].kernel = &detectors[0].kernel();
+  jobs[0].kernel = &kernels[0];
   jobs[1].kernel = nullptr;  // null kernel inside the family
-  jobs[2].kernel = &detectors[1].kernel();
-  jobs[3].kernel = &detectors[2].kernel();  // [100, 150) of 127 chips
+  jobs[2].kernel = &kernels[1];
+  jobs[3].kernel = &kernels[2];  // [100, 150) of 127 chips
   jobs[3].code_begin = 100;
   jobs[3].code_length = 50;
   jobs[4].kernel = &long_kernel;  // chips [64, 191) of 255
   jobs[4].code_begin = kSegBegin;
   jobs[4].code_length = 127;
-  jobs[5].kernel = &detectors[3].kernel();  // [5, 132) of 127 chips
+  jobs[5].kernel = &kernels[3];  // [5, 132) of 127 chips
   jobs[5].code_begin = 5;
-  jobs[6].kernel = &detectors[2].kernel();
-  jobs[7].kernel = &detectors[3].kernel();
+  jobs[6].kernel = &kernels[2];
+  jobs[7].kernel = &kernels[3];
 
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     const auto got = ScanBatch(ScanBatchOptions{threads}).run(jobs);
@@ -462,21 +462,21 @@ TEST(ScanBatchTest, FamilyOverASeriesWithNoSlackStaysInBounds) {
   // heap overread under ASan.  256 offsets (whole blocks) and 243
   // (a tail at either width), the second through a clamped max_offset.
   Rng rng{1605};
-  const auto detectors = gold_detectors(9, 6);
+  const auto kernels = gold_kernels(9, 6);
   for (const std::size_t last_offset : {255u, 242u}) {
     const std::size_t length = 511 + last_offset;
     const auto values =
-        noisy_series(length, detectors[4].code(), last_offset, rng);
+        noisy_series(length, kernels[4].code(), last_offset, rng);
     const auto exact = std::make_unique<double[]>(length);
     std::copy(values.begin(), values.end(), exact.get());
     const std::span<const double> rates(exact.get(), length);
     const std::size_t max_offset = last_offset == 255 ? 255 : 1000;
-    const auto want = reference_scans(detectors, rates, max_offset);
+    const auto want = reference_scans(kernels, rates, max_offset);
     EXPECT_EQ(want[4].offset, last_offset);
 
-    std::vector<ScanJob> jobs(detectors.size());
+    std::vector<ScanJob> jobs(kernels.size());
     for (std::size_t a = 0; a < jobs.size(); ++a) {
-      jobs[a].kernel = &detectors[a].kernel();
+      jobs[a].kernel = &kernels[a];
       jobs[a].rates = rates;
       jobs[a].max_offset = max_offset;
     }

@@ -20,10 +20,11 @@
 # loop of single-window despreads, on every build and host),
 # bench_stream (A-STREAM: the online despreader must match the batch
 # scan bit for bit in O(ring) memory, the tap admission gate must
-# hold, and the single-pass TapRegistry traceback must be bit-identical
-# to the per-suspect re-simulation loop at one simulation pass),
-# bench_baseline (E-IVB gate: kernel cross_score must match
-# the naive pearson oracle bit for bit), bench_netsim (A-NETSIM:
+# hold, and at 4 and 9 suspects the streaming traceback must give every
+# flow the verdict it gets when simulated alone and despread by the
+# batch kernel, bit for bit), bench_baseline (E-IVB gate: kernel
+# cross_score must match the naive pearson oracle bit for bit; the
+# oracles live in tests/oracles/), bench_netsim (A-NETSIM:
 # events/s at 1M+ queued events must stay >= 0.8x the 1k rate, the
 # calendar queue must fire randomized schedules bit-identically to the
 # retained heap oracle, and DES accounting must balance under

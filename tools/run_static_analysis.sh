@@ -13,7 +13,7 @@
 #                                       thread pool and sharded LRU cache,
 #                                       the legal batch evaluator, the
 #                                       watermark scan batch, the tornet
-#                                       detection fan-out, and the serve
+#                                       simulation fan-out, and the serve
 #                                       verdict-server worker fan-out)
 #   4. lint regression                 (the lint_examples suite: the shipped
 #                                       example plans must lint as documented)
@@ -25,6 +25,11 @@
 #                                       plus the metamorphic invariant
 #                                       rules; LEXFOR_CHECK_TRIALS scales
 #                                       the sweep, default 50000)
+#   7. host-variance ctest             (stage 1's tree, full ctest with
+#                                       GLIBC_TUNABLES masking AVX2 and
+#                                       FMA, so glibc runs its other
+#                                       log/exp variant; every gate must
+#                                       give the same answer)
 #
 # Usage: tools/run_static_analysis.sh [--skip-tidy] [--jobs N]
 # Exits non-zero if any stage fails.
@@ -90,8 +95,8 @@ stage "full ctest under ASan+UBSan" sanitizer_ctest
 # util thread pool and sharded LRU verdict cache, the legal batch
 # evaluator that fans compliance queries across workers, the watermark
 # scan batch (parallel multi-flow despread), and the tornet traceback
-# detection fan-out built on it.  The rest of the code is
-# single-threaded DES and already covered above.
+# simulation fan-out.  The rest of the code is single-threaded DES and
+# already covered above.
 tsan_build() {
   cmake -B build-tsan -S . "-DLEXFOR_SANITIZE=thread" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
@@ -141,14 +146,14 @@ tsan_stream() {
 tsan_traceback_fanout() {
   # The tornet fan-outs: flows simulated in parallel on the process-wide
   # pool (each flow's fused pass writing only its own slice, circuits
-  # built on the calling thread), then thread-fanned detection and the
-  # single-pass TapRegistry path (which spans legal admission and the
-  # despread fan-out in one run), across every detect thread count and
-  # with two tracebacks running at once.  The composition oracle runs
-  # here too, so a race that moved a draw would also fail bit-identity.
+  # built on the calling thread), then the single-pass TapRegistry path
+  # (which spans legal admission and the despread in one run), across
+  # every detect thread count and with two tracebacks running at once.
+  # The composition oracle runs here too, so a race that moved a draw
+  # would also fail bit-identity.
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/tornet_test \
-      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.SinglePassMatchesPerSuspectResimulation:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:MultiflowTest.DetectThreadCountDoesNotChangeResults:SimulateFlowBinsTest.*'
+      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:MultiflowTest.DetectThreadCountDoesNotChangeResults:SimulateFlowBinsTest.*'
 }
 tsan_serve() {
   # The verdict server's fan-out path: worker evaluation into disjoint
@@ -167,7 +172,7 @@ stage "calendar queue + packet store under TSan" tsan_calendar_queue
 stage "batch evaluator under TSan" tsan_batch
 stage "watermark scan batch under TSan" tsan_scan_batch
 stage "streaming tap suite under TSan" tsan_stream
-stage "tornet simulation + detection fan-out under TSan" tsan_traceback_fanout
+stage "tornet simulation fan-out + tap registry under TSan" tsan_traceback_fanout
 stage "verdict server + fleet under TSan" tsan_serve
 
 # ------------------------------------------------------ 4. lint regression
@@ -213,6 +218,19 @@ check_sweep() {
   ctest --test-dir build-asan --output-on-failure -R '^CheckFuzzTest'
 }
 stage "differential doctrine sweep (check_fuzz under ASan)" check_sweep
+
+# ------------------------------------------------------- 7. host variance
+# glibc picks its log/exp implementation by CPU, and its FMA variant
+# and its baseline variant differ in the last bit for about one input in
+# ten thousand.  Masking AVX2 and FMA from glibc's hwcaps makes it pick
+# the other variant, so rerunning tier-1 that way shows whether any gate
+# depends on which one the host got.  Reuses stage 1's -Werror tree.
+host_variance_ctest() {
+  GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA \
+  ctest --test-dir build-werror --output-on-failure -j "${JOBS}"
+}
+stage "tier-1 ctest under glibc's other log/exp (hwcaps -AVX2,-FMA)" \
+      host_variance_ctest
 
 # ------------------------------------------------------------------ report
 note "static analysis summary"
