@@ -128,6 +128,60 @@ TEST(TapRegistryTest, DirectFeedMatchesStandaloneDespreader) {
   EXPECT_EQ(registry.tap(0).stats().bins_scored, bins.size());
 }
 
+TEST(TapRegistryTest, BinMajorFeedMatchesEachTapFedAlone) {
+  // The traceback feeds bin i to every tap before any tap sees bin
+  // i+1.  Taps share the arena but no window, so each verdict must
+  // equal a standalone despreader fed only that tap's bins — marked or
+  // not, aligned or scanning offsets.
+  const auto code = PnCode::m_sequence(6).value();
+  const CorrelationKernel kernel(code);
+  const std::vector<std::size_t> max_offsets{0, 3, 0, 7, 1};
+  const std::size_t num_bins = code.length() + 8;
+  Rng rng{23};
+  std::vector<std::vector<double>> bins(max_offsets.size());
+  for (std::size_t t = 0; t < bins.size(); ++t) {
+    const bool marked = t % 2 == 0;
+    for (std::size_t i = 0; i < num_bins; ++i) {
+      const double chip = marked && i < code.length()
+                              ? static_cast<double>(code.chips()[i])
+                              : 0.0;
+      bins[t].push_back(100.0 + 30.0 * chip + rng.normal(0.0, 10.0));
+    }
+  }
+
+  TapRegistry registry;
+  for (std::size_t t = 0; t < max_offsets.size(); ++t) {
+    auto cfg = tap_config(NodeId{static_cast<std::uint32_t>(t + 1)},
+                          SimDuration::from_ms(100.0), code.length());
+    cfg.max_offset = max_offsets[t];
+    ASSERT_TRUE(registry.add_tap(kernel, cfg).ok());
+  }
+  for (std::size_t i = 0; i < num_bins; ++i) {
+    for (std::size_t t = 0; t < bins.size(); ++t) {
+      registry.feed_bin(t, bins[t][i]);
+    }
+  }
+
+  for (std::size_t t = 0; t < bins.size(); ++t) {
+    OnlineDespreader reference(kernel, max_offsets[t]);
+    for (const double b : bins[t]) (void)reference.push(b);
+    const auto& got = registry.tap(t).verdict();
+    const auto& want = reference.verdict();
+    ASSERT_TRUE(got.complete) << "tap " << t;
+    EXPECT_EQ(got.scan.offset, want.scan.offset) << "tap " << t;
+    EXPECT_EQ(got.scan.best.detected, want.scan.best.detected) << "tap " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.scan.best.correlation),
+              std::bit_cast<std::uint64_t>(want.scan.best.correlation))
+        << "tap " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.scan.best.threshold),
+              std::bit_cast<std::uint64_t>(want.scan.best.threshold))
+        << "tap " << t;
+    if (t % 2 == 0) {
+      EXPECT_TRUE(got.scan.best.detected) << "tap " << t;
+    }
+  }
+}
+
 TEST(TapRegistryTest, AggregateAccountingExactUnderOverload) {
   // Tiny rings, never pumped: most events overflow.  The conservation
   // invariant recorded + drops == offered must hold exactly on the
