@@ -8,10 +8,9 @@
 // constructed unless the held process covers the collection scenario.
 //
 // Act two widens the lens: a stream::TapRegistry taps EVERY candidate
-// suspect behind the ISP at once — one arena behind all the rings and
-// despread windows, per-suspect legal admission, one simulation pass —
-// which is how run_streaming_traceback avoids re-simulating the
-// network per suspect.
+// suspect behind the ISP at once — per-suspect legal admission, one
+// simulation pass — which is how run_streaming_traceback avoids
+// re-simulating the network per suspect.
 
 #include <cstdio>
 #include <memory>
@@ -121,8 +120,7 @@ int main() {
   // --- act two: every suspect at once, one pass -------------------------
   // Three candidates behind the ISP; only suspect-0's flow carries the
   // watermark.  One TapRegistry admits each tap through the verdict
-  // cache, carves all tap state from a single arena, and one net.run()
-  // scores all three.
+  // cache, and one net.run() scores all three.
   std::printf("\n-- multi-suspect registry: one pass, all candidates --\n");
   netsim::Network net2(2027);
   const auto server2 = net2.add_node("seized-server");
@@ -169,11 +167,9 @@ int main() {
     else decoy_flagged = decoy_flagged || scan.best.detected;
   }
   const auto agg = registry.aggregate_ring_stats();
-  std::printf("registry: %zu taps, %llu refused, %llu bins recorded, "
-              "%zu arena bytes\n",
+  std::printf("registry: %zu taps, %llu refused, %llu bins recorded\n",
               registry.size(),
               static_cast<unsigned long long>(registry.refused()),
-              static_cast<unsigned long long>(agg.recorded),
-              registry.arena_bytes());
+              static_cast<unsigned long long>(agg.recorded));
   return marked_found && !decoy_flagged ? 0 : 1;
 }

@@ -331,8 +331,7 @@ CheckReport DifferentialChecker::run(const CheckOptions& options) const {
     for (std::size_t step = 0; step < options.walk_steps; ++step) {
       const legal::ScenarioFingerprint before = legal::fingerprint(s);
       const legal::FactKey key_before = legal::fact_key(s);
-      const std::size_t juris_before =
-          legal::jurisdiction_index(s.jurisdiction);
+      const std::string juris_before = s.jurisdiction;
       const bool changed = gen.mutate(s);
       if (changed && legal::fingerprint(s) == before) {
         report.violations.push_back(Violation{
@@ -342,11 +341,12 @@ CheckReport DifferentialChecker::run(const CheckOptions& options) const {
             describe_scenario(s), options.seed, trial});
         report_to_flight(report.violations.back());
       }
-      // Every fact change must move the key, except a move between two
-      // unlisted codes: mutate() changes one field, so an unlisted code
-      // before and after means only the code moved.
+      // Every fact change must move the key, except a step that moved
+      // the jurisdiction itself between two unlisted codes.
       const bool unlisted_move =
-          juris_before == legal::kUnlistedJurisdiction &&
+          s.jurisdiction != juris_before &&
+          legal::jurisdiction_index(juris_before) ==
+              legal::kUnlistedJurisdiction &&
           legal::jurisdiction_index(s.jurisdiction) ==
               legal::kUnlistedJurisdiction;
       if (changed && !unlisted_move && legal::fact_key(s) == key_before) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <sstream>
+#include <utility>
 
 namespace lexfor::check {
 namespace {
@@ -67,77 +68,28 @@ Scenario ScenarioGen::generate(std::string name) {
 }
 
 bool ScenarioGen::mutate(Scenario& s) {
-  const auto flip = [&](bool& b) {
-    const bool next = rng_.bernoulli(0.5);
-    const bool changed = next != b;
-    b = next;
+  // Slot k is the k-th fact of LEXFOR_FACT_LIST; the last slot is the
+  // jurisdiction.  An enum fact draws from all of its values, a flag
+  // from a fair coin.
+  const auto set = [](auto& field, auto next) {
+    const bool changed = next != field;
+    field = std::move(next);
     return changed;
   };
-  switch (rng_.uniform(field_count())) {
-    case 0: {
-      const auto next = pick_enum<ActorKind>(rng_, 4);
-      const bool changed = next != s.actor;
-      s.actor = next;
-      return changed;
-    }
-    case 1: return flip(s.acting_under_color_of_law);
-    case 2: {
-      const auto next = pick_enum<DataKind>(rng_, 4);
-      const bool changed = next != s.data;
-      s.data = next;
-      return changed;
-    }
-    case 3: {
-      const auto next = pick_enum<DataState>(rng_, 4);
-      const bool changed = next != s.state;
-      s.state = next;
-      return changed;
-    }
-    case 4: {
-      const auto next = pick_enum<Timing>(rng_, 2);
-      const bool changed = next != s.timing;
-      s.timing = next;
-      return changed;
-    }
-    case 5: return flip(s.knowingly_exposed_to_public);
-    case 6: return flip(s.shared_with_third_party);
-    case 7: return flip(s.delivered_to_recipient);
-    case 8: return flip(s.inside_home);
-    case 9: return flip(s.via_sense_enhancing_tech);
-    case 10: return flip(s.tech_in_general_public_use);
-    case 11: return flip(s.readily_accessible_to_public);
-    case 12: return flip(s.encrypted);
-    case 13: {
-      const auto next = pick_enum<ProviderClass>(rng_, 4);
-      const bool changed = next != s.provider;
-      s.provider = next;
-      return changed;
-    }
-    case 14: return flip(s.message_opened_by_recipient);
-    case 15: {
-      const auto next = pick_enum<ConsentKind>(rng_, 10);
-      const bool changed = next != s.consent;
-      s.consent = next;
-      return changed;
-    }
-    case 16: return flip(s.consent_revoked);
-    case 17: return flip(s.target_area_password_protected);
-    case 18: return flip(s.is_victim_system);
-    case 19: return flip(s.targets_attacker_system);
-    case 20: return flip(s.exigent_circumstances);
-    case 21: return flip(s.in_plain_view);
-    case 22: return flip(s.target_on_probation);
-    case 23: return flip(s.emergency_pen_trap);
-    case 24: return flip(s.provider_self_protection);
-    case 25: {
-      const std::string next =
-          kJurisdictions[rng_.uniform(kJurisdictions.size())];
-      const bool changed = next != s.jurisdiction;
-      s.jurisdiction = next;
-      return changed;
-    }
-    default: return flip(s.target_arrested) | flip(s.credentials_lawfully_obtained);
+  std::uint64_t slot = rng_.uniform(field_count());
+#define LEXFOR_MUTATE_ENUM(member, Type, last)                  \
+  if (slot-- == 0) {                                            \
+    const std::uint64_t values =                                \
+        static_cast<std::uint64_t>(legal::Type::last) + 1;      \
+    return set(s.member, pick_enum<legal::Type>(rng_, values)); \
   }
+#define LEXFOR_MUTATE_FLAG(member) \
+  if (slot-- == 0) return set(s.member, rng_.bernoulli(0.5));
+  LEXFOR_FACT_LIST(LEXFOR_MUTATE_ENUM, LEXFOR_MUTATE_FLAG)
+#undef LEXFOR_MUTATE_ENUM
+#undef LEXFOR_MUTATE_FLAG
+  return set(s.jurisdiction,
+             std::string(kJurisdictions[rng_.uniform(kJurisdictions.size())]));
 }
 
 std::string describe_scenario(const Scenario& s) {

@@ -32,14 +32,16 @@ class ScenarioGen {
   // which the engine must treat as the federal default).
   [[nodiscard]] legal::Scenario generate(std::string name);
 
-  // One random-walk step: re-samples exactly one field.  Returns true
-  // when the chosen field actually changed value (callers use this to
-  // decide whether the canonical fingerprint must differ).
+  // One random-walk step: re-samples exactly one field, picked
+  // uniformly from every enum and flag fact of LEXFOR_FACT_LIST and the
+  // jurisdiction.  Returns true when the chosen field actually changed
+  // value (callers use this to decide whether the canonical
+  // fingerprint must differ).
   bool mutate(legal::Scenario& s);
 
   // The number of distinct mutable field slots mutate() picks from.
   [[nodiscard]] static constexpr std::size_t field_count() noexcept {
-    return 27;
+    return legal::kEnumFactCount + legal::kFlagFactCount + 1;
   }
 
  private:

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "obs/sink.h"
+
 namespace lexfor::legal {
 namespace {
 
@@ -21,23 +23,7 @@ std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
   out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  obs::append_json_escaped(out, s);
   out.push_back('"');
   return out;
 }

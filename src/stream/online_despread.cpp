@@ -4,18 +4,10 @@ namespace lexfor::stream {
 
 OnlineDespreader::OnlineDespreader(const watermark::CorrelationKernel& kernel,
                                    std::size_t max_offset)
-    : OnlineDespreader(kernel, max_offset, nullptr) {}
-
-OnlineDespreader::OnlineDespreader(const watermark::CorrelationKernel& kernel,
-                                   std::size_t max_offset, double* storage)
     : kernel_(kernel),
       max_offset_(max_offset),
-      window_len_(window_capacity(kernel, max_offset)) {
-  if (storage == nullptr) {
-    owned_ = std::make_unique<double[]>(window_len_);
-    storage = owned_.get();
-  }
-  window_ = storage;
+      window_len_(kernel.length() + max_offset),
+      window_(std::make_unique_for_overwrite<double[]>(window_len_)) {
   // Fixed k = max_offset + 1: identical to scan() over a series of
   // max_offset + n bins (or longer — scan clamps to the same k).
   verdict_.scan.best.correlation = -2.0;  // below any achievable value
@@ -43,7 +35,8 @@ std::optional<StreamScore> OnlineDespreader::push(double rate) {
   // despread()'s sequential sum adds window_[off..off+n) in index
   // order — the order the bins arrived — so the score is bit-identical
   // to the batch scan over the same series.
-  const double corr = kernel_.despread(window_ + off, /*code_begin=*/0, n);
+  const double corr =
+      kernel_.despread(window_.get() + off, /*code_begin=*/0, n);
   ++verdict_.offsets_scored;
   if (corr > verdict_.scan.best.correlation) {
     verdict_.scan.best.correlation = corr;

@@ -33,12 +33,9 @@
 // stays the oracle: this class holds no scoring math of its own, only
 // the bookkeeping to feed the kernel incrementally.  Peak memory is
 // n + max_offset doubles — O(code length + offset window), independent
-// of stream length, allocated once in the constructor.
-//
-// Storage can be supplied externally (stream::TapRegistry backs every
-// tap's window from one util::Arena): the despreader then owns nothing
-// and the caller guarantees the buffer outlives it.  Either way the
-// window pointer is stable, so the type stays safely movable.
+// of stream length, allocated once in the constructor and owned by the
+// despreader.  The window's address does not change when the
+// despreader moves, so the type is safely movable.
 
 #pragma once
 
@@ -72,21 +69,6 @@ class OnlineDespreader {
   OnlineDespreader(const watermark::CorrelationKernel& kernel,
                    std::size_t max_offset);
 
-  // Same, over caller-owned storage of at least window_capacity(kernel,
-  // max_offset) doubles (TapRegistry carves these from one arena).  The
-  // buffer must outlive the despreader; it is overwritten as bins
-  // arrive and need not be initialized.  nullptr means "allocate
-  // internally" — identical to the two-argument constructor.
-  OnlineDespreader(const watermark::CorrelationKernel& kernel,
-                   std::size_t max_offset, double* storage);
-
-  // Doubles of storage the external-storage constructor requires.
-  [[nodiscard]] static std::size_t window_capacity(
-      const watermark::CorrelationKernel& kernel,
-      std::size_t max_offset) noexcept {
-    return kernel.length() + max_offset;
-  }
-
   // Ingests the next rate bin.  Returns the offset score this bin
   // completed, if any (bin t finalizes offset t - n + 1).  Bins past
   // the candidate window are counted and ignored — the verdict is
@@ -110,11 +92,12 @@ class OnlineDespreader {
  private:
   const watermark::CorrelationKernel& kernel_;
   std::size_t max_offset_;
-  std::unique_ptr<double[]> owned_;  // null when storage is external
-  double* window_ = nullptr;         // flat: bin t at window_[t]
-  std::size_t window_len_ = 0;       // n + max_offset
-  std::size_t bins_ = 0;             // bins ingested (== next bin index)
-  std::uint64_t ignored_ = 0;        // bins past the candidate window
+  std::size_t window_len_ = 0;  // n + max_offset
+  // Flat: bin t at window_[t].  Left uninitialized, since bin t is
+  // written before any offset reads it.
+  std::unique_ptr<double[]> window_;
+  std::size_t bins_ = 0;        // bins ingested (== next bin index)
+  std::uint64_t ignored_ = 0;   // bins past the candidate window
   OnlineVerdict verdict_;
 };
 

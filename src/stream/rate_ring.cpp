@@ -1,6 +1,5 @@
 #include "stream/rate_ring.h"
 
-#include <algorithm>
 #include <string>
 
 #include "obs/obs.h"
@@ -8,11 +7,6 @@
 namespace lexfor::stream {
 
 Result<RateRing> RateRing::create(RateRingConfig config) {
-  return create(config, nullptr);
-}
-
-Result<RateRing> RateRing::create(RateRingConfig config,
-                                  std::uint32_t* storage) {
   if (config.capacity == 0) {
     return InvalidArgument("RateRing: capacity must be positive");
   }
@@ -20,18 +14,13 @@ Result<RateRing> RateRing::create(RateRingConfig config,
     return InvalidArgument("RateRing: bin width must be positive, got " +
                            std::to_string(config.bin_width.us) + "us");
   }
-  return RateRing(config, storage);
+  return RateRing(config);
 }
 
-RateRing::RateRing(RateRingConfig config, std::uint32_t* storage)
-    : config_(config), capacity_(config.capacity) {
-  if (storage == nullptr) {
-    owned_ = std::make_unique<std::uint32_t[]>(capacity_);
-    storage = owned_.get();
-  }
-  bins_ = storage;
-  std::fill(bins_, bins_ + capacity_, 0u);
-}
+RateRing::RateRing(RateRingConfig config)
+    : config_(config),
+      bins_(std::make_unique<std::uint32_t[]>(config.capacity)),
+      capacity_(config.capacity) {}
 
 RecordOutcome RateRing::record(SimTime at) noexcept {
   if (at < config_.start) {

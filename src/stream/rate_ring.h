@@ -58,13 +58,6 @@ class RateRing {
  public:
   [[nodiscard]] static Result<RateRing> create(RateRingConfig config);
 
-  // Same ring over caller-owned storage of `config.capacity` counters
-  // (stream::TapRegistry carves one slab per tap from a shared
-  // util::Arena).  The buffer must outlive the ring; it is zeroed here,
-  // so it need not arrive initialized.
-  [[nodiscard]] static Result<RateRing> create(RateRingConfig config,
-                                               std::uint32_t* storage);
-
   // Counts one packet event at sim time `at` into its bin; never grows
   // memory.  Out-of-window events are dropped and classified.
   RecordOutcome record(SimTime at) noexcept;
@@ -86,13 +79,11 @@ class RateRing {
   }
 
  private:
-  // storage == nullptr means "own a fresh buffer"; the pointer is
-  // stable either way, so default moves are safe.
-  RateRing(RateRingConfig config, std::uint32_t* storage);
+  explicit RateRing(RateRingConfig config);
 
   RateRingConfig config_;
-  std::unique_ptr<std::uint32_t[]> owned_;  // null when storage is external
-  std::uint32_t* bins_ = nullptr;  // bin b lives at bins_[b % capacity]
+  // Bin b lives at bins_[b % capacity], zeroed at construction.
+  std::unique_ptr<std::uint32_t[]> bins_;
   std::size_t capacity_ = 0;
   std::uint64_t base_ = 0;  // oldest retained bin index
   std::uint64_t high_ = 0;  // one past the highest bin touched

@@ -6,7 +6,7 @@ namespace lexfor::stream {
 
 Result<TapSession*> TapRegistry::add_tap(
     const watermark::CorrelationKernel& kernel, TapSessionConfig config) {
-  auto session = TapSession::create(kernel, std::move(config), arena_);
+  auto session = TapSession::create(kernel, std::move(config));
   if (!session.ok()) {
     ++refused_;
     return session.status();

@@ -1,10 +1,9 @@
-// TapRegistry: one ring allocator behind every suspect tap, so a
+// TapRegistry: every suspect tap of one investigation, so a
 // multi-suspect investigation taps ALL candidate flows in a single
 // simulation pass.
 //
 // Running the simulation once per candidate, tapping one node each
-// time, would multiply simulated events by the suspect count and
-// heap-allocate a fresh ring + despread window per run.  A §IV.B
+// time, would multiply simulated events by the suspect count.  A §IV.B
 // collection point does not get to replay reality: every candidate's
 // tap must ride the SAME traffic.  TapRegistry makes that the cheap
 // path:
@@ -12,15 +11,9 @@
 //   * admission per suspect — add_tap() routes each candidate's
 //     collection posture through TapSession::create's legal gate
 //     (shared legal::BatchEvaluator verdict cache + GrantedAuthority
-//     check) BEFORE any state exists.  A refused suspect consumes zero
-//     arena bytes and zero bins; the refusal count is part of the
+//     check) BEFORE any state exists.  A refused suspect gets no slot,
+//     no ring and no window; the refusal count is part of the
 //     registry's audit surface.
-//
-//   * one arena, many taps — every admitted tap's ring counters and
-//     despread window are carved from the registry's util::Arena in
-//     cache-line-aligned slabs (allocate_aligned), so N taps cost one
-//     allocator and a handful of chunk mmaps instead of 3N heap
-//     allocations, and iterating taps walks dense memory.
 //
 //   * single-pass fan-out — attach_all() hooks every tap to its node,
 //     one Network::run() drives them all, pump_all() flushes the
@@ -34,9 +27,9 @@
 //     changes).
 //
 // Results are locked identical to despreading each flow on its own:
-// each tap owns an independent OnlineDespreader fed exactly the bins
-// its node saw, so sharing the allocator and the simulation pass
-// changes WHERE the state lives, never what any despreader reads.
+// each tap owns its ring and an independent OnlineDespreader fed
+// exactly the bins its node saw, so sharing the simulation pass never
+// changes what any despreader reads.
 
 #pragma once
 
@@ -47,7 +40,6 @@
 
 #include "netsim/network.h"
 #include "stream/tap_session.h"
-#include "util/arena.h"
 #include "util/status.h"
 #include "watermark/correlate.h"
 
@@ -57,11 +49,10 @@ class TapRegistry {
  public:
   TapRegistry() = default;
 
-  // Admission-gated tap creation: runs the full TapSession legal gate,
-  // then backs the tap's ring + despread window from the shared arena.
-  // On refusal the registry is unchanged (no arena growth, no slot) and
-  // refused() increments.  The returned pointer is stable for the
-  // registry's lifetime.  The kernel must outlive the registry.
+  // Admission-gated tap creation: runs the full TapSession legal gate.
+  // On refusal the registry gains no slot and refused() increments.
+  // The returned pointer is stable for the registry's lifetime.  The
+  // kernel must outlive the registry.
   [[nodiscard]] Result<TapSession*> add_tap(
       const watermark::CorrelationKernel& kernel, TapSessionConfig config);
 
@@ -93,14 +84,7 @@ class TapRegistry {
   // is exact on the aggregate (each addend is exact per tap).
   [[nodiscard]] RateRingStats aggregate_ring_stats() const noexcept;
 
-  // Arena bytes actually carved for tap state — the "one allocator"
-  // claim, measurable.
-  [[nodiscard]] std::size_t arena_bytes() const noexcept {
-    return arena_.bytes_allocated();
-  }
-
  private:
-  util::Arena arena_;
   // unique_ptr per tap: TapSession is address-sensitive (netsim taps
   // capture `this`), so slots must never relocate as taps are added.
   std::vector<std::unique_ptr<TapSession>> taps_;

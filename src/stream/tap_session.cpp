@@ -7,13 +7,8 @@
 
 namespace lexfor::stream {
 
-namespace {
-
-// Admission shared by both create overloads: evaluate the scenario,
-// check the held authority, emit the audit record.  Returns the
-// determination on admit, the refusal status otherwise — and in the
-// refusal case the caller has allocated NOTHING yet.
-Result<legal::Determination> admit(const TapSessionConfig& config) {
+Result<TapSession> TapSession::create(
+    const watermark::CorrelationKernel& kernel, TapSessionConfig config) {
   if (!config.target.valid()) {
     return InvalidArgument("TapSession: target node is invalid");
   }
@@ -44,44 +39,11 @@ Result<legal::Determination> admit(const TapSessionConfig& config) {
                        ",held=" +
                        std::string(to_string(config.authority.kind())),
                    config.ring.start);
-  return admission;
-}
-
-}  // namespace
-
-Result<TapSession> TapSession::create(
-    const watermark::CorrelationKernel& kernel, TapSessionConfig config) {
-  auto admission = admit(config);
-  if (!admission.ok()) return admission.status();
 
   auto ring = RateRing::create(config.ring);
   if (!ring.ok()) return ring.status();
-  return TapSession(kernel, std::move(config), std::move(admission).value(),
-                    std::move(ring).value(), /*window=*/nullptr);
-}
-
-Result<TapSession> TapSession::create(
-    const watermark::CorrelationKernel& kernel, TapSessionConfig config,
-    util::Arena& arena) {
-  // Admission before ANY arena carve: a refused tap leaves the arena
-  // untouched (TapRegistry relies on this to keep its slab exactly
-  // sized to the admitted taps).
-  auto admission = admit(config);
-  if (!admission.ok()) return admission.status();
-  if (config.ring.capacity == 0) {
-    return InvalidArgument("RateRing: capacity must be positive");
-  }
-
-  // One cache-line-aligned slab per tap: ring counters, then the
-  // despread window.
-  auto* bins =
-      arena.alloc_array_aligned<std::uint32_t>(config.ring.capacity, 64);
-  auto* window = arena.alloc_array_aligned<double>(
-      OnlineDespreader::window_capacity(kernel, config.max_offset), 64);
-  auto ring = RateRing::create(config.ring, bins);
-  if (!ring.ok()) return ring.status();
-  return TapSession(kernel, std::move(config), std::move(admission).value(),
-                    std::move(ring).value(), window);
+  return TapSession(kernel, std::move(config), std::move(admission),
+                    std::move(ring).value());
 }
 
 Status TapSession::attach(netsim::Network& net) {

@@ -37,7 +37,6 @@
 
 #include "legal/authority.h"
 #include "legal/batch.h"
-#include "util/arena.h"
 #include "legal/scenario.h"
 #include "netsim/network.h"
 #include "stream/online_despread.h"
@@ -69,18 +68,10 @@ class TapSession {
  public:
   // The legal gate.  Evaluates `config.scenario`, checks the authority,
   // and refuses (PermissionDenied / InvalidArgument) before any
-  // recording state is allocated.  The kernel must outlive the session.
+  // recording state is allocated.  An admitted session owns its ring
+  // and its despread window.  The kernel must outlive the session.
   [[nodiscard]] static Result<TapSession> create(
       const watermark::CorrelationKernel& kernel, TapSessionConfig config);
-
-  // Same gate, with every recording buffer (ring counters + despread
-  // window) carved from `arena` in one cache-line-aligned slab —
-  // TapRegistry backs all of its taps this way.  Admission still runs
-  // FIRST: a refused tap takes nothing from the arena.  The arena must
-  // outlive the session.
-  [[nodiscard]] static Result<TapSession> create(
-      const watermark::CorrelationKernel& kernel, TapSessionConfig config,
-      util::Arena& arena);
 
   // Attaches to every link incident to the target node.
   [[nodiscard]] Status attach(netsim::Network& net);
@@ -116,14 +107,13 @@ class TapSession {
   }
 
  private:
-  // window == nullptr: the despreader owns its buffer (heap path).
   TapSession(const watermark::CorrelationKernel& kernel,
              TapSessionConfig config, legal::Determination admission,
-             RateRing ring, double* window)
+             RateRing ring)
       : config_(std::move(config)),
         admission_(std::move(admission)),
         ring_(std::move(ring)),
-        despreader_(kernel, config_.max_offset, window) {}
+        despreader_(kernel, config_.max_offset) {}
 
   TapSessionConfig config_;
   legal::Determination admission_;

@@ -186,10 +186,10 @@ Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
 
   // ...then tap every candidate through one TapRegistry.  Each tap is
   // admitted per suspect — the §IV.B collection posture, evaluated
-  // through the shared verdict cache under a court order — before any
-  // ring or window exists; one arena backs all of them.  max_offset 0
-  // is aligned detection: the investigator controls the embed start,
-  // so the plain threshold applies (a Bonferroni factor of k = 1).
+  // through the shared verdict cache under a court order — before its
+  // ring or window exists.  max_offset 0 is aligned detection: the
+  // investigator controls the embed start, so the plain threshold
+  // applies (a Bonferroni factor of k = 1).
   stream::TapRegistry registry;
   for (std::size_t flow = 0; flow < num_flows; ++flow) {
     stream::TapSessionConfig tap_cfg;
@@ -275,8 +275,10 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
       expected_shift_sec, chip_sec, rates, rng);
 
   // One tap, every account's code: a kernel per Gold code, all scanning
-  // the SAME rate series in one batch.  Account order is preserved by
-  // the batch's in-order merge, so the argmax below is deterministic.
+  // the SAME rate series as one family on the calling thread.  A pool
+  // would cost more to start than the family scan of a few codes at
+  // one offset takes.  Slot a answers account a, so the argmax below is
+  // deterministic.
   std::vector<watermark::CorrelationKernel> kernels;
   kernels.reserve(config.num_accounts);
   for (std::size_t a = 0; a < config.num_accounts; ++a) {
@@ -287,9 +289,8 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
     jobs[a].kernel = &kernels[a];
     jobs[a].rates = std::span<const double>(rates);
   }
-  const watermark::ScanBatch batch(
-      watermark::ScanBatchOptions{config.detect_threads});
-  const auto detections = batch.run(jobs);
+  const auto detections =
+      watermark::ScanBatch(watermark::ScanBatchOptions{1}).run(jobs);
 
   MultiflowResult result;
   result.correlations.reserve(config.num_accounts);

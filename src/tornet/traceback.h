@@ -97,10 +97,6 @@ struct MultiflowConfig {
   double base_rate_pps = 120.0;
   double threshold_sigmas = 5.0;
   std::uint64_t seed = 7;
-  // Worker threads for the per-account despread fan-out (the whole
-  // CodeFamily scans in one watermark::ScanBatch); 0 = hardware
-  // concurrency.  Bit-identical for every thread count.
-  unsigned detect_threads = 0;
 };
 
 struct MultiflowResult {
@@ -112,6 +108,10 @@ struct MultiflowResult {
   double margin = 0.0;                 // winner corr minus runner-up corr
 };
 
+// Simulates the observed client's flow once, then despreads it at
+// offset 0 under every account's code as one family scan
+// (watermark::ScanBatch) on the calling thread.  Each correlation is
+// bit-identical to CorrelationKernel::scan(rates, 0) for that account.
 [[nodiscard]] Result<MultiflowResult> run_multiflow_traceback(
     const MultiflowConfig& config);
 

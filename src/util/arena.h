@@ -50,8 +50,7 @@ class Arena {
   // Never returns nullptr; allocations larger than the chunk size get a
   // dedicated chunk.  The returned ADDRESS is aligned, not merely the
   // offset into the chunk: alignments above what operator new[] grants
-  // (typically 16) are honoured, which is what the SIMD despread lane
-  // relies on for its 64-byte chip/window buffers.
+  // (typically 16), such as a 64-byte cache line, are honoured.
   [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align) {
     if (bytes == 0) bytes = 1;
     if (chunk_ < chunks_.size()) {
@@ -66,26 +65,6 @@ class Arena {
       }
     }
     return allocate_slow(bytes, align);
-  }
-
-  // Explicit over-aligned allocation: `align` may exceed
-  // alignof(std::max_align_t) (e.g. 64 for a cache line, so a SIMD lane
-  // never straddles one).  Same contract as allocate() — this alias
-  // exists so call sites that REQUIRE the over-alignment say so.
-  [[nodiscard]] void* allocate_aligned(std::size_t bytes, std::size_t align) {
-    return allocate(bytes, align);
-  }
-
-  // Typed over-aligned array: n elements of T starting on an `align`
-  // boundary (align >= alignof(T), power of two).  Uninitialized, like
-  // alloc_array.
-  template <typename T>
-  [[nodiscard]] T* alloc_array_aligned(std::size_t n, std::size_t align) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "Arena never runs destructors");
-    return static_cast<T*>(
-        allocate_aligned(n * sizeof(T), align < alignof(T) ? alignof(T)
-                                                           : align));
   }
 
   // Typed array allocation.  Value-initializes nothing: callers fill the

@@ -184,14 +184,11 @@ double CorrelationKernel::despread(const double* x, std::size_t code_begin,
                       seq_sum(x, len));
 }
 
-double CorrelationKernel::scan_threshold(std::size_t k,
-                                         std::size_t code_length) const
-    noexcept {
-  const std::size_t n = code_length == 0 ? chips_f64_.size() : code_length;
+double CorrelationKernel::scan_threshold(std::size_t k) const noexcept {
   const double kf = static_cast<double>(k);
   const double sigma_inflation = std::sqrt(2.0 * std::log(std::max(kf, 1.0)));
   return (threshold_sigmas_ + sigma_inflation) /
-         std::sqrt(static_cast<double>(n));
+         std::sqrt(static_cast<double>(chips_f64_.size()));
 }
 
 double CorrelationKernel::cross_score(std::span<const double> a,
@@ -208,23 +205,14 @@ double CorrelationKernel::cross_score(std::span<const double> a,
 }
 
 Result<CorrelationKernel::Window> CorrelationKernel::window(
-    std::span<const double> rates, std::size_t max_offset,
-    std::size_t code_begin, std::size_t code_length) const {
-  const std::size_t n = code_length == 0 ? chips_f64_.size() : code_length;
-  if (code_begin + n > chips_f64_.size()) {
-    return InvalidArgument("scan: code segment [" +
-                           std::to_string(code_begin) + ", " +
-                           std::to_string(code_begin + n) +
-                           ") exceeds the code length " +
-                           std::to_string(chips_f64_.size()));
-  }
+    std::span<const double> rates, std::size_t max_offset) const {
+  const std::size_t n = chips_f64_.size();
   if (rates.size() < n) {
     return InvalidArgument("scan: series shorter than the code (" +
                            std::to_string(rates.size()) + " < " +
                            std::to_string(n) + ")");
   }
-  return Window{chips_f64_.data() + code_begin, n,
-                std::min(max_offset, rates.size() - n)};
+  return Window{chips_f64_.data(), n, std::min(max_offset, rates.size() - n)};
 }
 
 ScanResult CorrelationKernel::decide(ScanResult best,
@@ -232,16 +220,14 @@ ScanResult CorrelationKernel::decide(ScanResult best,
   // Bonferroni correction, identical to the naive oracle: scanning k
   // offsets multiplies the null false-positive probability by ~k, so
   // inflate the threshold by sqrt(2 ln k) sigma.
-  best.best.threshold = scan_threshold(window.last_offset + 1, window.n);
+  best.best.threshold = scan_threshold(window.last_offset + 1);
   best.best.detected = best.best.correlation > best.best.threshold;
   return best;
 }
 
 Result<ScanResult> CorrelationKernel::scan(std::span<const double> rates,
-                                           std::size_t max_offset,
-                                           std::size_t code_begin,
-                                           std::size_t code_length) const {
-  const auto w = window(rates, max_offset, code_begin, code_length);
+                                           std::size_t max_offset) const {
+  const auto w = window(rates, max_offset);
   if (!w.ok()) return w.status();
   ScanResult best;
   detail::scan_family(rates.data(), w.value().last_offset, w.value().n,

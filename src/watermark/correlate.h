@@ -83,14 +83,8 @@ class CorrelationKernel {
   // is aligned detection on rates[0..n) under the plain threshold (the
   // investigator controls the embed start, §IV.B).  Short series are an
   // error; extra bins are ignored.  Allocation-free.
-  //
-  // `code_begin`/`code_length` select a sub-range of the code to
-  // despread against (the multibit decoder scores chips
-  // [i·L, (i+1)·L) per bit); code_length 0 means the full code.
   [[nodiscard]] Result<ScanResult> scan(std::span<const double> rates,
-                                        std::size_t max_offset,
-                                        std::size_t code_begin = 0,
-                                        std::size_t code_length = 0) const;
+                                        std::size_t max_offset) const;
 
   // True when scan() runs the AVX2 instantiation of the blocked
   // despread on this build + host (compile-time LEXFOR_SIMD option AND
@@ -101,19 +95,17 @@ class CorrelationKernel {
   // Segment despread primitive: the normalized, segment-mean-removed
   // correlation of x[0..len) against code chips
   // [code_begin, code_begin + len).  Returns 0.0 for a flat segment.
-  // The caller guarantees code_begin + len <= length().
+  // The caller guarantees code_begin + len <= length().  The multibit
+  // decoder scores bit i over chips [i·L, (i+1)·L) with it.
   [[nodiscard]] double despread(const double* x, std::size_t code_begin,
                                 std::size_t len) const noexcept;
 
   // The Bonferroni-inflated decision threshold scan() applies when `k`
-  // candidate offsets are tried over a despread window of
-  // `code_length` chips (0 = the full code).  k = 1 adds nothing, so
-  // it is the plain aligned threshold, bit for bit.  Exposed so the
-  // streaming despreader applies the same formula through the same
-  // code path.
-  [[nodiscard]] double scan_threshold(std::size_t k,
-                                      std::size_t code_length = 0) const
-      noexcept;
+  // candidate offsets are tried over the full code.  k = 1 adds
+  // nothing, so it is the plain aligned threshold, bit for bit.
+  // Exposed so the streaming despreader applies the same formula
+  // through the same code path.
+  [[nodiscard]] double scan_threshold(std::size_t k) const noexcept;
 
   // Normalized mean-removed cross-correlation of two equal-length series
   // (the Pearson coefficient): the passive flow-correlation baseline's
@@ -146,9 +138,7 @@ class CorrelationKernel {
     std::size_t last_offset;
   };
   [[nodiscard]] Result<Window> window(std::span<const double> rates,
-                                      std::size_t max_offset,
-                                      std::size_t code_begin,
-                                      std::size_t code_length) const;
+                                      std::size_t max_offset) const;
   // Sets best's Bonferroni threshold and verdict for a scan of `window`.
   [[nodiscard]] ScanResult decide(ScanResult best,
                                   const Window& window) const noexcept;

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "obs/obs.h"
-#include "watermark/scan_batch.h"
 
 namespace lexfor::watermark {
 
@@ -46,8 +45,8 @@ SimTime MultiBitEmbedder::end() const noexcept {
              static_cast<std::int64_t>(bits_.size() * params_.chips_per_bit);
 }
 
-Status MultiBitDecoder::validate(std::size_t series_len,
-                                 std::size_t num_bits) const {
+Result<MultiBitDecodeResult> MultiBitDecoder::decode(
+    std::span<const double> chip_rates, std::size_t num_bits) const {
   if (chips_per_bit_ == 0) {
     return InvalidArgument("multibit decode: chips_per_bit is zero");
   }
@@ -55,17 +54,11 @@ Status MultiBitDecoder::validate(std::size_t series_len,
   if (need > kernel_.length()) {
     return InvalidArgument("multibit decode: payload exceeds code length");
   }
-  if (series_len < need) {
+  if (chip_rates.size() < need) {
     return InvalidArgument("multibit decode: series shorter than payload (" +
-                           std::to_string(series_len) + " < " +
+                           std::to_string(chip_rates.size()) + " < " +
                            std::to_string(need) + " chips)");
   }
-  return Status::Ok();
-}
-
-Result<MultiBitDecodeResult> MultiBitDecoder::decode(
-    std::span<const double> chip_rates, std::size_t num_bits) const {
-  if (auto s = validate(chip_rates.size(), num_bits); !s.ok()) return s;
 
   LEXFOR_OBS_SPAN(obs::Level::kInfo, "watermark", "multibit_decode",
                   "bits=" + std::to_string(num_bits) +
@@ -81,34 +74,6 @@ Result<MultiBitDecodeResult> MultiBitDecoder::decode(
     const std::size_t begin = b * chips_per_bit_;
     const double corr =
         kernel_.despread(chip_rates.data() + begin, begin, chips_per_bit_);
-    out.correlations.push_back(corr);
-    out.bits.push_back(corr >= 0.0 ? std::int8_t{1} : std::int8_t{-1});
-  }
-  return out;
-}
-
-Result<MultiBitDecodeResult> MultiBitDecoder::decode_with(
-    const ScanBatch& batch, std::span<const double> chip_rates,
-    std::size_t num_bits) const {
-  if (auto s = validate(chip_rates.size(), num_bits); !s.ok()) return s;
-
-  std::vector<ScanJob> jobs(num_bits);
-  for (std::size_t b = 0; b < num_bits; ++b) {
-    const std::size_t begin = b * chips_per_bit_;
-    jobs[b].kernel = &kernel_;
-    jobs[b].rates = chip_rates.subspan(begin, chips_per_bit_);
-    jobs[b].max_offset = 0;  // segments are aligned by construction
-    jobs[b].code_begin = begin;
-    jobs[b].code_length = chips_per_bit_;
-  }
-  const auto results = batch.run(jobs);
-
-  MultiBitDecodeResult out;
-  out.bits.reserve(num_bits);
-  out.correlations.reserve(num_bits);
-  for (const auto& r : results) {
-    if (!r.ok()) return r.status();
-    const double corr = r.value().best.correlation;
     out.correlations.push_back(corr);
     out.bits.push_back(corr >= 0.0 ? std::int8_t{1} : std::int8_t{-1});
   }

@@ -19,8 +19,6 @@
 
 namespace lexfor::watermark {
 
-class ScanBatch;
-
 struct MultiBitParams {
   SimTime start;
   SimDuration chip_duration = SimDuration::from_ms(400.0);
@@ -67,18 +65,12 @@ class MultiBitDecoder {
       : kernel_(std::move(code)), chips_per_bit_(chips_per_bit) {}
 
   // `chip_rates`: observed rate per chip window, aligned with chip 0.
-  // Decodes floor(min(len, code_len) / L) bits.  Each bit despreads
-  // through the shared CorrelationKernel segment primitive
+  // Decodes `num_bits` bits, which needs num_bits * L chips of both the
+  // code and the series.  Bit i despreads x[i·L, (i+1)·L) against
+  // chips [i·L, (i+1)·L) through CorrelationKernel::despread
   // (segment-local mean removal, zero per-bit allocation).
   [[nodiscard]] Result<MultiBitDecodeResult> decode(
       std::span<const double> chip_rates, std::size_t num_bits) const;
-
-  // Same decode, with the per-bit despreads fanned across `batch` as
-  // (segment × code-segment) scan jobs — bit-identical to decode(),
-  // worth it for long payloads and wide spreading factors.
-  [[nodiscard]] Result<MultiBitDecodeResult> decode_with(
-      const ScanBatch& batch, std::span<const double> chip_rates,
-      std::size_t num_bits) const;
 
   // Decodes and scores against the ground-truth bits.
   [[nodiscard]] Result<MultiBitDecodeResult> decode_and_compare(
@@ -86,9 +78,6 @@ class MultiBitDecoder {
       const std::vector<std::int8_t>& truth) const;
 
  private:
-  [[nodiscard]] Status validate(std::size_t series_len,
-                                std::size_t num_bits) const;
-
   CorrelationKernel kernel_;
   std::size_t chips_per_bit_;
 };

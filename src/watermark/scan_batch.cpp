@@ -53,8 +53,7 @@ std::vector<Result<ScanResult>> ScanBatch::run(
         job.kernel == nullptr
             ? Result<CorrelationKernel::Window>(
                   InvalidArgument("scan batch: job has no kernel"))
-            : job.kernel->window(job.rates, job.max_offset, job.code_begin,
-                                 job.code_length);
+            : job.kernel->window(job.rates, job.max_offset);
     if (w.ok()) {
       members.push_back(Member{i, w.value()});
     } else {
@@ -64,7 +63,7 @@ std::vector<Result<ScanResult>> ScanBatch::run(
   }
 
   // A family is every member that scans the same series with the same
-  // window length over the same offsets; sorting by that key (stably, so
+  // code length over the same offsets; sorting by that key (stably, so
   // a family keeps input order) makes each family one contiguous run.
   const auto key = [&jobs](const Member& m) {
     const std::span<const double> rates = jobs[m.job].rates;

@@ -9,16 +9,16 @@
 // the pool size.
 //
 // Families: jobs that scan the same series (same rates.data() and
-// rates.size()) with the same window length over the same offsets form
-// a family, whatever kernels and code segments they bring.  A family
-// runs as one family scan (despread_block.h): each offset block's
-// window sums, means and dens are computed once and shared by every
-// code, which then adds only its own num.  That is a property of the
-// input, not a setting; any other job is a family of one.  With more
-// than one worker a family splits into one contiguous code range per
-// worker, and the ranges of every family fan across the shared
-// util::ThreadPool; a batch of one range runs on the calling thread.
-// Each kernel's chips are read where they are, never copied.
+// rates.size()) with the same code length over the same offsets form
+// a family, whatever kernels they bring.  A family runs as one family
+// scan (despread_block.h): each offset block's window sums, means and
+// dens are computed once and shared by every code, which then adds
+// only its own num.  That is a property of the input, not a setting;
+// any other job is a family of one.  With more than one worker a
+// family splits into one contiguous code range per worker, and the
+// ranges of every family fan across the shared util::ThreadPool; a
+// batch of one range runs on the calling thread.  Each kernel's chips
+// are read where they are, never copied.
 //
 // Obs wiring: watermark.scan.batches counts batches and
 // watermark.scan.flows one per job; watermark.scan.offsets adds the
@@ -47,11 +47,6 @@ struct ScanJob {
   const CorrelationKernel* kernel = nullptr;
   std::span<const double> rates;  // observed rate series, read in place
   std::size_t max_offset = 0;     // 0 = aligned detection only
-  // Despread against code chips [code_begin, code_begin + code_length);
-  // code_length 0 means the full code (multibit per-bit jobs use
-  // segments).
-  std::size_t code_begin = 0;
-  std::size_t code_length = 0;
 };
 
 struct ScanBatchOptions {
@@ -67,9 +62,8 @@ class ScanBatch {
   explicit ScanBatch(ScanBatchOptions options);
 
   // Runs every job and returns one Result per job, in input order.
-  // A null kernel yields an InvalidArgument slot; a too-short series or
-  // an out-of-range code segment yields the error scan() would return;
-  // none of them aborts the rest of the batch.
+  // A null kernel yields an InvalidArgument slot and a too-short series
+  // the error scan() would return; neither aborts the rest of the batch.
   [[nodiscard]] std::vector<Result<ScanResult>> run(
       std::span<const ScanJob> jobs) const;
 

@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "legal/batch.h"
 
 namespace lexfor::check {
 namespace {
+
+// Per fact, in LEXFOR_FACT_LIST order and then the jurisdiction:
+// whether `a` and `b` differ in it.
+std::vector<bool> fact_diff(const legal::Scenario& a,
+                            const legal::Scenario& b) {
+  std::vector<bool> diff;
+#define LEXFOR_DIFF(member, ...) diff.push_back(a.member != b.member);
+  LEXFOR_FACT_LIST(LEXFOR_DIFF, LEXFOR_DIFF)
+#undef LEXFOR_DIFF
+  diff.push_back(a.jurisdiction != b.jurisdiction);
+  return diff;
+}
 
 TEST(ScenarioGenTest, SameStreamReproducesTheSameScenario) {
   Rng a = Rng::sub_stream(42, 7);
@@ -42,6 +59,72 @@ TEST(ScenarioGenTest, MutateReportsWhetherTheScenarioChanged) {
     } else {
       EXPECT_EQ(describe_scenario(s), before) << "step " << step;
     }
+  }
+}
+
+TEST(ScenarioGenTest, MutateChangesOneFieldAndReachesEveryFact) {
+  // A step re-samples one fact of LEXFOR_FACT_LIST or the jurisdiction:
+  // at most one field differs afterwards, and mutate() says whether
+  // one did.  Over a long walk every fact changes, and every enum fact
+  // takes every value up to its last enumerator.
+  Rng rng = Rng::sub_stream(3, 0);
+  ScenarioGen gen(rng);
+  legal::Scenario s = gen.generate("walk");
+  const std::size_t slots = ScenarioGen::field_count();
+  ASSERT_EQ(slots, legal::kEnumFactCount + legal::kFlagFactCount + 1);
+  std::vector<int> changes(slots, 0);
+  std::vector<std::uint32_t> values(legal::kEnumFactCount, 0);
+  for (int step = 0; step < 20'000; ++step) {
+    const legal::Scenario before = s;
+    const bool changed = gen.mutate(s);
+    const std::vector<bool> diff = fact_diff(before, s);
+    ASSERT_EQ(diff.size(), slots);
+    const auto moved = std::count(diff.begin(), diff.end(), true);
+    ASSERT_LE(moved, 1) << "step " << step;
+    ASSERT_EQ(changed, moved == 1) << "step " << step;
+    for (std::size_t f = 0; f < slots; ++f) changes[f] += diff[f];
+    std::size_t e = 0;
+#define LEXFOR_SEEN(member, Type, last) \
+  values[e++] |= 1u << static_cast<unsigned>(s.member);
+    LEXFOR_FACT_LIST(LEXFOR_SEEN, LEXFOR_FACT_SKIP)
+#undef LEXFOR_SEEN
+  }
+  for (std::size_t f = 0; f < slots; ++f) {
+    EXPECT_GT(changes[f], 0) << "fact slot " << f << " never changed";
+  }
+  std::size_t e = 0;
+#define LEXFOR_ALL_SEEN(member, Type, last)                       \
+  EXPECT_EQ(values[e++],                                          \
+            (2u << static_cast<unsigned>(legal::Type::last)) - 1) \
+      << #member;
+  LEXFOR_FACT_LIST(LEXFOR_ALL_SEEN, LEXFOR_FACT_SKIP)
+#undef LEXFOR_ALL_SEEN
+}
+
+TEST(ScenarioGenTest, GenerateDrawsThePinnedRowsForFixedStreams) {
+  // generate() seeds the check corpora and the benchmark's cold-cache
+  // request pool, so its draws are pinned: the same stream must keep
+  // giving the same scenario.
+  const std::vector<std::string> want = {
+      "Scenario{}.named(\"pin\").located(public venue).at_provider(ECS "
+      "provider).with_consent(private employer consent).on_victim_system()"
+      ".reaching_attacker().in_jurisdiction(\"ZZ\")",
+      "Scenario{}.named(\"pin\").acquiring(subscriber records).located(on "
+      "device).exposed_publicly().delivered().in_home().at_provider(non-"
+      "public provider).with_consent(policy/banner consent)"
+      ".password_protected().reaching_attacker().plain_view()"
+      ".provider_protecting().in_jurisdiction(\"MD\").with_credentials()",
+      "Scenario{}.named(\"pin\").by(ActorKind::government agent).acquiring("
+      "subscriber records).located(stored at provider).general_public_use()"
+      ".at_provider(ECS provider).with_consent(one-party consent)"
+      ".reaching_attacker().probationer().in_jurisdiction(\"TX\")"
+      ".previously_acquired()",
+  };
+  for (std::uint64_t stream = 0; stream < want.size(); ++stream) {
+    Rng rng = Rng::sub_stream(7, stream);
+    EXPECT_EQ(describe_scenario(ScenarioGen(rng).generate("pin")),
+              want[stream])
+        << "stream " << stream;
   }
 }
 

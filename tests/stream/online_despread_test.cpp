@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -111,6 +112,40 @@ TEST(OnlineDespreaderTest, AlignedStreamMatchesDetectorDetectBitForBit) {
     EXPECT_EQ(
         std::bit_cast<std::uint64_t>(online.verdict().scan.best.threshold),
         std::bit_cast<std::uint64_t>(batch.value().best.threshold));
+  }
+}
+
+TEST(OnlineDespreaderTest, MovedMidStreamKeepsTheVerdictBitForBit) {
+  // The despreader owns its window, and a move carries the bins already
+  // pushed: moved before the first offset closes, mid-way through the
+  // code, or with offsets already scored, it finishes with the verdict
+  // of a despreader that never moved.
+  Rng rng{1808};
+  const auto code = PnCode::m_sequence(7).value();  // 127 chips
+  const CorrelationKernel kernel(code);
+  constexpr std::size_t kMaxOffset = 9;
+  const auto rates = random_series(code, 4, kMaxOffset - 4, true, 0.3, 5.0,
+                                   rng);
+  ASSERT_EQ(rates.size(), code.length() + kMaxOffset);
+  for (const std::size_t split : {std::size_t{1}, std::size_t{64},
+                                  code.length() + 3}) {
+    SCOPED_TRACE(testing::Message() << "moved after " << split << " bins");
+    OnlineDespreader unmoved(kernel, kMaxOffset);
+    OnlineDespreader first(kernel, kMaxOffset);
+    for (std::size_t t = 0; t < split; ++t) {
+      (void)unmoved.push(rates[t]);
+      (void)first.push(rates[t]);
+    }
+    OnlineDespreader moved(std::move(first));
+    for (std::size_t t = split; t < rates.size(); ++t) {
+      (void)unmoved.push(rates[t]);
+      (void)moved.push(rates[t]);
+    }
+    ASSERT_TRUE(moved.verdict().complete);
+    expect_bit_identical(moved.verdict().scan, unmoved.verdict().scan);
+    EXPECT_EQ(moved.verdict().offsets_scored, kMaxOffset + 1);
+    EXPECT_EQ(moved.bins_consumed(), rates.size());
+    EXPECT_EQ(moved.verdict().scan.offset, 4u);
   }
 }
 

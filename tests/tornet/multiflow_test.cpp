@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "tornet/traceback.h"
+#include "watermark/dsss.h"
+#include "watermark/gold_code.h"
 
 namespace lexfor::tornet {
 namespace {
@@ -77,19 +85,59 @@ TEST(MultiflowTest, DeterministicForSeed) {
   EXPECT_EQ(a.correlations, b.correlations);
 }
 
-TEST(MultiflowTest, DetectThreadCountDoesNotChangeResults) {
-  // The per-account despread fan-out merges in account order: the
-  // correlation vector — and therefore the argmax — is bit-identical
-  // for any pool size.
-  auto serial = easy();
-  serial.detect_threads = 1;
-  auto fanned = easy();
-  fanned.detect_threads = 4;
-  const auto a = run_multiflow_traceback(serial).value();
-  const auto b = run_multiflow_traceback(fanned).value();
-  EXPECT_EQ(a.correlations, b.correlations);
-  EXPECT_EQ(a.identified_account, b.identified_account);
-  EXPECT_DOUBLE_EQ(a.margin, b.margin);
+TEST(MultiflowTest, CorrelationsMatchEachAccountKernelScanBitForBit) {
+  // The observed client's series, spelled out through the public
+  // composition (circuit, then generate_modulated_poisson -> transit ->
+  // bin_arrivals on one Rng), and despread by each account's kernel at
+  // offset 0: every correlation, the argmax, the verdict and the margin
+  // must follow bit for bit.
+  const MultiflowConfig cfg = easy();
+  const auto family =
+      watermark::GoldCodeFamily::create(cfg.gold_degree).value();
+  const std::size_t n_chips = family.code_length();
+  const double chip_sec = cfg.chip_ms * 1e-3;
+  const double t_end = chip_sec * static_cast<double>(n_chips) + 2.0;
+  const double shift =
+      static_cast<double>(cfg.network.circuit_length) *
+      (cfg.network.hop_latency_ms + cfg.network.relay_jitter_ms +
+       cfg.network.relay_batch_ms / 2.0) *
+      1e-3;
+  watermark::EmbedParams embed;
+  embed.start = SimTime::zero();
+  embed.chip_duration = SimDuration::from_ms(cfg.chip_ms);
+  embed.depth = cfg.depth;
+  const watermark::Embedder embedder(family.code(cfg.true_account), embed);
+  const AnonymityNetwork net(cfg.network);
+  Rng rng(cfg.seed);
+  const Circuit circuit = net.build_circuit(rng).value();
+  const auto sends = generate_modulated_poisson(
+      cfg.base_rate_pps, t_end, 1.0 + cfg.depth,
+      [&embedder](double t_sec) {
+        return embedder.multiplier(SimTime::from_sec(t_sec));
+      },
+      rng);
+  const auto counts = bin_arrivals(net.transit(circuit, sends, rng), shift,
+                                   chip_sec, n_chips);
+  const std::vector<double> rates(counts.begin(), counts.end());
+
+  const auto got = run_multiflow_traceback(cfg).value();
+  ASSERT_EQ(got.correlations.size(), cfg.num_accounts);
+  std::vector<watermark::DetectionResult> want;
+  for (std::size_t a = 0; a < cfg.num_accounts; ++a) {
+    const watermark::CorrelationKernel kernel(family.code(a),
+                                              cfg.threshold_sigmas);
+    want.push_back(kernel.scan(rates, 0).value().best);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.correlations[a]),
+              std::bit_cast<std::uint64_t>(want[a].correlation))
+        << "account " << a;
+  }
+  std::vector<double> sorted;
+  for (const auto& w : want) sorted.push_back(w.correlation);
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  EXPECT_EQ(want[got.identified_account].correlation, sorted[0]);
+  EXPECT_EQ(got.above_threshold, want[got.identified_account].detected);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.margin),
+            std::bit_cast<std::uint64_t>(sorted[0] - sorted[1]));
 }
 
 TEST(MultiflowTest, HeavyJitterErodesMarginButNotCorrectness) {

@@ -20,14 +20,14 @@ TEST(ArenaTest, AllocationsAreAligned) {
 }
 
 TEST(ArenaTest, OverAlignedAllocationsAreAddressAligned) {
-  // The SIMD despread lane allocates 64-byte (cache-line) buffers: the
-  // ADDRESS must be aligned even when the chunk base is only 16-byte
-  // aligned, and even mid-chunk after odd-sized neighbours.
+  // A 64-byte (cache-line) or wider alignment applies to the ADDRESS,
+  // even when the chunk base is only 16-byte aligned, and even
+  // mid-chunk after odd-sized neighbours.
   Arena arena;
   for (int i = 0; i < 200; ++i) {
     (void)arena.allocate(static_cast<std::size_t>(1 + i % 7), 1);
     for (std::size_t align : {32u, 64u, 128u}) {
-      void* p = arena.allocate_aligned(24, align);
+      void* p = arena.allocate(24, align);
       ASSERT_NE(p, nullptr);
       ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
           << "align=" << align << " iteration=" << i;
@@ -40,7 +40,7 @@ TEST(ArenaTest, AlignedArraysSpanChunkBoundaries) {
   // aligned and fully writable wherever it lands.
   Arena arena(4096);
   for (int i = 0; i < 32; ++i) {
-    double* lane = arena.alloc_array_aligned<double>(300, 64);
+    auto* lane = static_cast<double*>(arena.allocate(300 * sizeof(double), 64));
     ASSERT_NE(lane, nullptr);
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(lane) % 64, 0u);
     for (int j = 0; j < 300; ++j) lane[j] = i * 1000.0 + j;
@@ -52,11 +52,11 @@ TEST(ArenaTest, AlignedArraysSpanChunkBoundaries) {
 TEST(ArenaTest, AlignedAllocationSurvivesReset) {
   Arena arena;
   (void)arena.allocate(13, 1);  // leave the bump offset unaligned
-  void* first = arena.allocate_aligned(512, 64);
+  void* first = arena.allocate(512, 64);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first) % 64, 0u);
   arena.reset();
   (void)arena.allocate(5, 1);
-  void* again = arena.allocate_aligned(512, 64);
+  void* again = arena.allocate(512, 64);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(again) % 64, 0u);
 }
 

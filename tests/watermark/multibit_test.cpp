@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "oracles/naive_scan.h"
 #include "util/rng.h"
 
 namespace lexfor::watermark {
@@ -103,6 +109,54 @@ TEST(MultiBitTest, DecodeRejectsShortSeries) {
   const MultiBitDecoder decoder(code10(), 63);
   const std::vector<double> short_series(100, 1.0);
   EXPECT_FALSE(decoder.decode(short_series, 16).ok());
+}
+
+TEST(MultiBitTest, DecodeRejectsZeroSpreadAndPayloadPastTheCode) {
+  const std::vector<double> rates(2048, 100.0);
+  const auto zero = MultiBitDecoder(code10(), 0).decode(rates, 4);
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().message(), "multibit decode: chips_per_bit is zero");
+  // 17 bits x 63 chips = 1071 > 1023, however long the series.
+  const auto past = MultiBitDecoder(code10(), 63).decode(rates, 17);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().message(),
+            "multibit decode: payload exceeds code length");
+}
+
+TEST(MultiBitTest, EachBitScoreMatchesTheNaiveScanOverItsChips) {
+  // Bit i despreads series bins [i·L, (i+1)·L) against code chips
+  // [i·L, (i+1)·L) around the segment's own mean: the naive scan, at
+  // offset 0, of that segment under a code made of those chips.
+  // L = 7 is one unrolled step of four plus a tail of three; 63 ends in
+  // a tail of three and 100 in none.
+  const auto code = code10();
+  Rng rng{2028};
+  for (const std::size_t chips_per_bit : {7u, 63u, 100u}) {
+    const std::size_t n_bits = code.length() / chips_per_bit;
+    std::vector<double> rates;
+    for (std::size_t chip = 0; chip < n_bits * chips_per_bit; ++chip) {
+      const double bit = (chip / chips_per_bit) % 3 == 0 ? -1.0 : 1.0;
+      rates.push_back(100.0 + 20.0 * bit * code.chips()[chip] +
+                      rng.normal(0.0, 40.0));
+    }
+    const MultiBitDecoder decoder(code, chips_per_bit);
+    const auto got = decoder.decode(rates, n_bits).value();
+    ASSERT_EQ(got.correlations.size(), n_bits);
+    for (std::size_t b = 0; b < n_bits; ++b) {
+      const std::size_t begin = b * chips_per_bit;
+      const auto chips =
+          std::span(code.chips()).subspan(begin, chips_per_bit);
+      const auto segment =
+          PnCode::from_chips({chips.begin(), chips.end()}).value();
+      const auto series = std::span(rates).subspan(begin, chips_per_bit);
+      const auto want = oracles::naive_scan(segment, series, 0).value();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.correlations[b]),
+                std::bit_cast<std::uint64_t>(want.best.correlation))
+          << "L " << chips_per_bit << " bit " << b;
+      EXPECT_EQ(got.bits[b], want.best.correlation >= 0.0 ? 1 : -1)
+          << "L " << chips_per_bit << " bit " << b;
+    }
+  }
 }
 
 TEST(MultiBitTest, LongerSpreadingLowersBerAtFixedNoise) {

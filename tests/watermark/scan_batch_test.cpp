@@ -15,13 +15,13 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/obs.h"
 #include "oracles/naive_scan.h"
 #include "util/rng.h"
 #include "watermark/gold_code.h"
-#include "watermark/multibit.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -228,31 +228,6 @@ TEST(ScanBatchTest, ObsCountersAccountForTheWorkDone) {
 }
 #endif  // LEXFOR_OBS
 
-TEST(ScanBatchTest, MultibitDecodeWithBatchIsBitIdenticalToSerialDecode) {
-  Rng rng{81};
-  const auto code = PnCode::m_sequence(10).value();
-  const std::vector<std::int8_t> payload = {1,  -1, 1, 1, -1, -1, 1, -1,
-                                            -1, 1,  1, 1, -1, 1,  -1, -1};
-  constexpr std::size_t kChipsPerBit = 63;
-  std::vector<double> rates;
-  for (std::size_t chip = 0; chip < payload.size() * kChipsPerBit; ++chip) {
-    rates.push_back(100.0 +
-                    20.0 * payload[chip / kChipsPerBit] * code.chips()[chip] +
-                    rng.normal(0.0, 40.0));
-  }
-  const MultiBitDecoder decoder(code, kChipsPerBit);
-  const auto serial = decoder.decode(rates, payload.size()).value();
-  const ScanBatch batch(ScanBatchOptions{4});
-  const auto fanned =
-      decoder.decode_with(batch, rates, payload.size()).value();
-  EXPECT_EQ(serial.bits, fanned.bits);
-  ASSERT_EQ(serial.correlations.size(), fanned.correlations.size());
-  for (std::size_t i = 0; i < serial.correlations.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.correlations[i]),
-              std::bit_cast<std::uint64_t>(fanned.correlations[i]));
-  }
-}
-
 // --- Family scans ---------------------------------------------------------
 
 // 100 + noise, with `code` planted at `offset`.
@@ -401,26 +376,22 @@ TEST(ScanBatchTest, FamilyTwoSeriesInterleavedJobByJob) {
 }
 
 TEST(ScanBatchTest, FamilyKeepsErrorSlotsAndMixedSegmentsApart) {
-  // One series, window length 127: full degree-7 codes, a null kernel,
-  // an out-of-range segment and a full-length window past the code's
-  // start all inside the family, plus a 127-chip segment of a degree-8
-  // code that joins it through its own chip pointer.
+  // One series, scanned by full degree-7 codes (window 127) with two
+  // kinds of error slot among them: a null kernel, and jobs over a
+  // prefix of the series too short for the code.  A degree-8 kernel
+  // scans the same series over the same offsets with a 255-chip
+  // window, so it forms a family of its own.
   Rng rng{1604};
   const auto kernels = gold_kernels(7, 4);
   const auto long_code = PnCode::m_sequence(8).value();  // 255 chips
   const CorrelationKernel long_kernel(long_code);
-  constexpr std::size_t kSegBegin = 64;
-  const std::vector<std::int8_t> seg_chips(
-      long_code.chips().begin() + kSegBegin,
-      long_code.chips().begin() + kSegBegin + 127);
-  const auto seg_code = PnCode::from_chips(seg_chips).value();
   constexpr std::size_t kMaxOffset = 60;
-  const auto rates =
-      noisy_series(127 + kMaxOffset, seg_code, 21, rng);
+  const auto rates = noisy_series(255 + kMaxOffset, long_code, 21, rng);
+  const std::span<const double> series(rates);
   const auto want = reference_scans(kernels, rates, kMaxOffset);
-  const auto want_seg =
-      oracles::naive_scan(seg_code, rates, kMaxOffset).value();
-  EXPECT_EQ(want_seg.offset, 21u);
+  const auto want_long =
+      oracles::naive_scan(long_code, rates, kMaxOffset).value();
+  EXPECT_EQ(want_long.offset, 21u);
 
   std::vector<ScanJob> jobs(8);
   for (ScanJob& job : jobs) {
@@ -430,14 +401,11 @@ TEST(ScanBatchTest, FamilyKeepsErrorSlotsAndMixedSegmentsApart) {
   jobs[0].kernel = &kernels[0];
   jobs[1].kernel = nullptr;  // null kernel inside the family
   jobs[2].kernel = &kernels[1];
-  jobs[3].kernel = &kernels[2];  // [100, 150) of 127 chips
-  jobs[3].code_begin = 100;
-  jobs[3].code_length = 50;
-  jobs[4].kernel = &long_kernel;  // chips [64, 191) of 255
-  jobs[4].code_begin = kSegBegin;
-  jobs[4].code_length = 127;
-  jobs[5].kernel = &kernels[3];  // [5, 132) of 127 chips
-  jobs[5].code_begin = 5;
+  jobs[3].kernel = &kernels[2];  // 100 bins for 127 chips
+  jobs[3].rates = series.first(100);
+  jobs[4].kernel = &long_kernel;  // the 255-chip window's own family
+  jobs[5].kernel = &kernels[3];  // one bin short of 127 chips
+  jobs[5].rates = series.first(126);
   jobs[6].kernel = &kernels[2];
   jobs[7].kernel = &kernels[3];
 
@@ -446,7 +414,7 @@ TEST(ScanBatchTest, FamilyKeepsErrorSlotsAndMixedSegmentsApart) {
     ASSERT_EQ(got.size(), jobs.size());
     expect_slot_matches(got[0], want[0], threads, 0);
     expect_slot_matches(got[2], want[1], threads, 2);
-    expect_slot_matches(got[4], want_seg, threads, 4);
+    expect_slot_matches(got[4], want_long, threads, 4);
     expect_slot_matches(got[6], want[2], threads, 6);
     expect_slot_matches(got[7], want[3], threads, 7);
     for (const std::size_t bad : {1u, 3u, 5u}) {
@@ -492,10 +460,10 @@ TEST(ScanBatchTest, FamilyOverASeriesWithNoSlackStaysInBounds) {
 
 #if LEXFOR_OBS
 TEST(ScanBatchTest, RejectedJobsAddNoOffsets) {
-  // Two jobs scan() rejects for their code segment: [100, 150) of a
-  // 127-chip code, and a full-length window starting at chip 5.  Only
-  // the healthy job's 11 offsets count; every job still counts as a
-  // flow and records one latency sample.
+  // Two jobs the batch rejects: one with no kernel, and one whose
+  // series is a bin shorter than the 127-chip code.  Only the healthy
+  // job's 11 offsets count; every job still counts as a flow and
+  // records one latency sample.
   Rng rng{1606};
   const auto code = PnCode::m_sequence(7).value();  // 127 chips
   const CorrelationKernel kernel(code, 5.0);
@@ -506,9 +474,8 @@ TEST(ScanBatchTest, RejectedJobsAddNoOffsets) {
     job.rates = flow.rates;
     job.max_offset = 10;
   }
-  jobs[0].code_begin = 100;
-  jobs[0].code_length = 50;
-  jobs[1].code_begin = 5;
+  jobs[0].kernel = nullptr;
+  jobs[1].rates = std::span<const double>(flow.rates).first(126);
 
   auto& flows_c = obs::metrics().counter("watermark.scan.flows");
   auto& offsets = obs::metrics().counter("watermark.scan.offsets");

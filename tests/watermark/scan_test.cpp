@@ -98,17 +98,6 @@ TEST(ScanTest, RejectsShortSeries) {
             "scan: series shorter than the code (510 < 511)");
 }
 
-TEST(ScanTest, RejectsCodeSegmentPastTheCode) {
-  const auto code = code9();
-  const CorrelationKernel kernel(code);
-  const std::vector<double> rates(code.length(), 1.0);
-  const auto r = kernel.scan(rates, 0, 10, code.length());
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(r.status().message(),
-            "scan: code segment [10, 521) exceeds the code length 511");
-}
-
 TEST(ScanTest, MaxOffsetClampsToSeriesLength) {
   Rng rng{13};
   const auto code = code9();

@@ -153,7 +153,7 @@ tsan_traceback_fanout() {
   # would also fail bit-identity.
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/tornet_test \
-      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:MultiflowTest.DetectThreadCountDoesNotChangeResults:SimulateFlowBinsTest.*'
+      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:SimulateFlowBinsTest.*'
 }
 tsan_serve() {
   # The verdict server's fan-out path: worker evaluation into disjoint
