@@ -8,6 +8,7 @@
 
 #include "obs/obs.h"
 #include "util/bytes.h"
+#include "util/thread_pool.h"
 
 namespace lexfor::legal {
 namespace {
@@ -107,20 +108,6 @@ BatchEvaluator::BatchEvaluator(BatchOptions options)
   }
 }
 
-util::ThreadPool& BatchEvaluator::pool() const {
-  std::call_once(pool_once_, [this] {
-    // Workers pre-register their obs ring shard so the first traced
-    // event inside a batch does not pay the registration mutex.
-    pool_ = std::make_unique<util::ThreadPool>(
-        options_.threads, [] { LEXFOR_OBS_WARM_THREAD(); });
-    pool_->set_queue_observer([](std::size_t depth) {
-      LEXFOR_OBS_GAUGE_SET("legal.batch.pool_queue_depth",
-                           static_cast<std::int64_t>(depth));
-    });
-  });
-  return *pool_;
-}
-
 Determination BatchEvaluator::evaluate(const Scenario& s) const {
   FactKey key;
   std::optional<Determination> hit;
@@ -155,17 +142,17 @@ std::vector<Determination> BatchEvaluator::evaluate_batch(
   std::vector<Determination> out(batch.size());
   if (batch.empty()) return out;
 
-  util::ThreadPool& workers = pool();
-  // Aim for a few chunks per worker so stragglers rebalance, without
-  // paying queue overhead per element.
+  // Aim for a few chunks per thread so stragglers rebalance, without
+  // claiming one element at a time.
+  const unsigned width = util::resolve_width(options_.threads);
   const std::size_t grain = std::max<std::size_t>(
-      1, batch.size() / (static_cast<std::size_t>(workers.size()) * 8));
-  workers.parallel_for(batch.size(), grain,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           out[i] = evaluate(batch[i]);
-                         }
-                       });
+      1, batch.size() / (std::size_t{width} * 8));
+  util::parallel_for(
+      (batch.size() + grain - 1) / grain, width, [&](std::size_t chunk) {
+        const std::size_t begin = chunk * grain;
+        const std::size_t end = std::min(begin + grain, batch.size());
+        for (std::size_t i = begin; i < end; ++i) out[i] = evaluate(batch[i]);
+      });
   return out;
 }
 

@@ -15,8 +15,8 @@
 //      instance (shared_verdict_cache()) is reused by Investigation
 //      and the plan linter so repeated lint/eval cycles stop
 //      re-deriving verdicts.
-//   2. BatchEvaluator: fans a batch of scenario queries across a
-//      util::ThreadPool and merges Determinations in input order,
+//   2. BatchEvaluator: fans a batch of scenario queries out through
+//      util::parallel_for and merges Determinations in input order,
 //      bit-identical to evaluating serially.
 //   3. fingerprint(): the audit digest, SHA-256 over a canonical,
 //      versioned serialization of every Scenario field, name included.
@@ -24,15 +24,13 @@
 //      exports and replays.
 //
 // Obs wiring: legal.batch.cache_hits / legal.batch.cache_misses
-// counters, legal.batch.eval_latency_us histogram (miss path), and the
-// legal.batch.pool_queue_depth gauge.
+// counters and the legal.batch.eval_latency_us histogram (miss path).
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,7 +39,6 @@
 #include "legal/fact_key.h"
 #include "legal/scenario.h"
 #include "util/lru_cache.h"
-#include "util/thread_pool.h"
 
 namespace lexfor::legal {
 
@@ -64,9 +61,8 @@ using VerdictCache = util::ShardedLruCache<FactKey, Determination, FactKeyHash>;
 [[nodiscard]] VerdictCache& shared_verdict_cache();
 
 struct BatchOptions {
-  // 0 = std::thread::hardware_concurrency().  The pool is created
-  // lazily on the first evaluate_batch call, so single-query users
-  // never pay for worker threads.
+  // evaluate_batch's fan-out width (util::parallel_for); 0 = one per
+  // hardware thread, 1 = inline on the calling thread.
   unsigned threads = 0;
   // Entry budget / stripe count for a private cache (ignored when
   // use_shared_cache is set).
@@ -84,7 +80,8 @@ class BatchEvaluator {
   // Single evaluation through the verdict cache.  Thread-safe.
   [[nodiscard]] Determination evaluate(const Scenario& s) const;
 
-  // Evaluates the whole batch, fanning chunks across the pool.
+  // Evaluates the whole batch, fanning chunks out across
+  // BatchOptions::threads threads.
   // Results are returned in input order and are bit-identical to
   // calling ComplianceEngine::evaluate on each element serially (the
   // engine is pure, so per-element results are order- and
@@ -99,14 +96,10 @@ class BatchEvaluator {
   [[nodiscard]] VerdictCache& cache() const noexcept { return *cache_; }
 
  private:
-  [[nodiscard]] util::ThreadPool& pool() const;
-
   ComplianceEngine engine_;
   BatchOptions options_;
   std::unique_ptr<VerdictCache> owned_cache_;  // null when shared
   VerdictCache* cache_ = nullptr;
-  mutable std::once_flag pool_once_;
-  mutable std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace lexfor::legal

@@ -111,12 +111,6 @@ namespace lexfor::obs {
       lexfor_obs_profile_scope_, __LINE__)(                                 \
       LEXFOR_OBS_CONCAT(lexfor_obs_profile_site_, __LINE__))
 
-// Pre-registers the calling thread's ring shard so a worker's first
-// traced event doesn't pay the registration mutex inside a hot region.
-// Intended for thread-pool worker-init hooks.
-#define LEXFOR_OBS_WARM_THREAD()                                            \
-  ::lexfor::obs::tracer().ring().register_this_thread()
-
 #else  // LEXFOR_OBS == 0: erase instrumentation entirely.
 
 #define LEXFOR_OBS_SPAN(level, category, name, args, sim) ((void)0)
@@ -126,6 +120,5 @@ namespace lexfor::obs {
 #define LEXFOR_OBS_GAUGE_SET(name, value) ((void)0)
 #define LEXFOR_OBS_HISTOGRAM_RECORD(name, sample) ((void)0)
 #define LEXFOR_OBS_PROFILE(name) ((void)0)
-#define LEXFOR_OBS_WARM_THREAD() ((void)0)
 
 #endif  // LEXFOR_OBS

@@ -1,7 +1,7 @@
 // Per-thread sharded event ring: the v2 always-on sink of last resort.
 //
 // v1 funneled every trace write through one spinlocked EventRing, so
-// util::ThreadPool workers (BatchEvaluator, ScanBatch, stream taps)
+// fan-out workers (BatchEvaluator, ScanBatch, the verdict server)
 // serialized on a single cache line per event.  v2 gives each emitting
 // thread its own fixed-capacity EventRing shard, registered on first
 // use and cached in a thread-local table, so the hot path is:
@@ -25,12 +25,14 @@
 // and drain().  The next thread to register takes that shard over
 // instead of adding one, unless the shard is full: then its next push
 // would overwrite an event the exited thread left undrained, so it
-// waits until a drain empties it.  Pools that come and go (a ScanBatch
-// per call, each worker warm-registered) therefore keep the shard
-// count at the peak number of live threads, not at the number of
-// threads ever started.  A thread's cache entry shares a
-// release flag with its shard, so a ring destroyed before the thread
-// exits leaves the thread nothing dangling to write.
+// waits until a drain empties it.  Threads that come and go (one per
+// concurrent traceback, say) therefore keep the shard count at the peak
+// number of live threads, not at the number of threads ever started;
+// the process-wide util::ThreadPool never exits a worker, so each of
+// its workers registers once per process, on its first traced event.
+// A thread's cache entry shares a release flag with its shard, so a
+// ring destroyed before the thread exits leaves the thread nothing
+// dangling to write.
 
 #pragma once
 
@@ -62,8 +64,8 @@ class ShardedEventRing {
   void push(TraceEvent ev);
 
   // Pre-registers the calling thread's shard so the first traced event
-  // on a hot path does not pay the registration mutex.  Thread pools
-  // call this from their worker-start hook (LEXFOR_OBS_WARM_THREAD).
+  // on a hot path does not pay the registration mutex (bench_obs calls
+  // it before its timed region).
   void register_this_thread();
 
   // Merged oldest-to-newest copy of every shard's retained events,

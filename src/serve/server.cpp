@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <cstring>
-#include <mutex>
 
 #include "obs/obs.h"
+#include "util/thread_pool.h"
 
 namespace lexfor::serve {
 
@@ -37,9 +35,8 @@ VerdictServer::VerdictServer(ServerOptions options)
       table_(options.verdict_table_capacity == 0
                  ? 1
                  : options.verdict_table_capacity,
-             options.verdict_table_shards),
-      pool_(options.workers, [] { LEXFOR_OBS_WARM_THREAD(); }) {
-  if (options_.grain == 0) options_.grain = 1;
+             options.verdict_table_shards) {
+  options_.workers = util::resolve_width(options_.workers);
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
 }
 
@@ -139,38 +136,17 @@ ServeStats VerdictServer::serve(Connection& conn,
   Pending* pending = conn.arena_.alloc_array<Pending>(accepted);
   for (std::size_t i = 0; i < accepted; ++i) pending[i] = Pending{};
 
-  const std::size_t grain = options_.grain;
-  const std::size_t chunks = accepted == 0 ? 0 : (accepted + grain - 1) / grain;
-  if (chunks <= 1 || pool_.size() <= 1) {
-    // Inline path: no dispatch closures, strictly zero heap traffic in
-    // steady state (the A-SERVE arena-flat gate runs here).
-    evaluate_range(conn, pending, 0, accepted);
-  } else {
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::size_t remaining = chunks;
-    for (std::size_t begin = 0; begin < accepted; begin += grain) {
-      const std::size_t end = std::min(begin + grain, accepted);
-      std::function<void()> task = [&, begin, end] {
-        evaluate_range(conn, pending, begin, end);
-        const std::scoped_lock lock(done_mu);
-        if (--remaining == 0) done_cv.notify_one();
-      };
-      if (!pool_.try_submit(task, options_.pool_queue_depth).ok()) {
-        // Caller-runs degradation: the pool refused to buffer, so the
-        // serving thread absorbs the chunk.  Accepted work is never
-        // dropped.
-        ++stats.pool_saturated;
-        evaluate_range(conn, pending, begin, end);
-        const std::scoped_lock lock(done_mu);
-        --remaining;
-      }
-      LEXFOR_OBS_GAUGE_SET("serve.queue_depth",
-                           static_cast<std::int64_t>(pool_.queue_depth()));
-    }
-    std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
+  // A few chunks per thread, as in BatchEvaluator::evaluate_batch.  At
+  // one worker the chunks run inline: strictly zero heap traffic in
+  // steady state (the A-SERVE arena-flat gate runs here).
+  const unsigned width = options_.workers;
+  const std::size_t grain =
+      std::max<std::size_t>(1, accepted / (std::size_t{width} * 8));
+  util::parallel_for(
+      (accepted + grain - 1) / grain, width, [&](std::size_t chunk) {
+        const std::size_t begin = chunk * grain;
+        evaluate_range(conn, pending, begin, std::min(begin + grain, accepted));
+      });
 
   // --- Responses, in request order. ---------------------------------
   wire::Response resp;
@@ -222,9 +198,6 @@ ServeStats VerdictServer::serve(Connection& conn,
   if (stats.cache_misses != 0) {
     LEXFOR_OBS_COUNTER_ADD("serve.cache_misses", stats.cache_misses);
   }
-  if (stats.pool_saturated != 0) {
-    LEXFOR_OBS_COUNTER_ADD("serve.pool_saturated", stats.pool_saturated);
-  }
 
   tot_offered_.fetch_add(stats.offered, std::memory_order_relaxed);
   tot_accepted_.fetch_add(stats.accepted, std::memory_order_relaxed);
@@ -235,8 +208,6 @@ ServeStats VerdictServer::serve(Connection& conn,
   tot_responses_.fetch_add(stats.responses, std::memory_order_relaxed);
   tot_hits_.fetch_add(stats.cache_hits, std::memory_order_relaxed);
   tot_misses_.fetch_add(stats.cache_misses, std::memory_order_relaxed);
-  tot_pool_saturated_.fetch_add(stats.pool_saturated,
-                                std::memory_order_relaxed);
   tot_batches_.fetch_add(1, std::memory_order_relaxed);
   return stats;
 }
@@ -251,7 +222,6 @@ ServeStats VerdictServer::stats() const {
   s.responses = tot_responses_.load(std::memory_order_relaxed);
   s.cache_hits = tot_hits_.load(std::memory_order_relaxed);
   s.cache_misses = tot_misses_.load(std::memory_order_relaxed);
-  s.pool_saturated = tot_pool_saturated_.load(std::memory_order_relaxed);
   s.batches = tot_batches_.load(std::memory_order_relaxed);
   return s;
 }

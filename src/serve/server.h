@@ -5,7 +5,7 @@
 // acquisition; at ISP/provider scale that check is a service queried at
 // traffic rates, not a library call.  VerdictServer is that service
 // shape: request frames (serve::wire) arrive on a Connection, pass a
-// BOUNDED admission stage, fan out across a util::ThreadPool, route
+// BOUNDED admission stage, fan out through util::parallel_for, route
 // through legal::BatchEvaluator's shared verdict cache, and leave as
 // response frames in request order.
 //
@@ -30,8 +30,7 @@
 // slot vector whose decoded Requests keep their string capacity, and a
 // response buffer that keeps its bytes.  Once the fleet's scenario mix
 // is warm in the compact verdict table, a batch performs no heap
-// traffic at all on the single-worker inline path, and only the
-// constant per-chunk dispatch closures otherwise (gated by A-SERVE).
+// traffic at all on the single-worker inline path (gated by A-SERVE).
 //
 // The compact verdict table is the serving layer's own cache: an LRU
 // of 3-byte verdicts keyed by legal::FactKey, in front of the shared
@@ -42,17 +41,18 @@
 // BatchEvaluator::evaluate, which keeps the shared cache coherent for
 // the linter and Investigation::acquire.
 //
-// Backpressure reaches the pool too: chunk tasks enter via
-// ThreadPool::try_submit with a bounded depth, and a refused chunk
-// runs on the serving thread (caller-runs degradation — accepted work
-// is never lost, the pool queue is never unbounded).
+// Backpressure reaches the worker pool too: a batch is at most
+// queue_capacity requests, and its fan-out asks the process-wide pool
+// for at most workers - 1 helpers, with the serving thread claiming
+// chunks alongside them.  Accepted work is never lost, and no batch
+// can queue more than one entry on the pool.
 //
 // Obs: serve.requests / serve.sheds / serve.rejected_malformed /
 // serve.rejected_version / serve.responses / serve.cache_{hits,misses}
-// / serve.pool_saturated counters, serve.request_latency_ns histogram
-// (p50/p95/p99), serve.queue_depth gauge, a kError overload event on
-// the first shed of a batch (flight-recorder dump when armed), and a
-// kError + flight dump if the admission invariant ever breaks.
+// counters, serve.request_latency_ns histogram (p50/p95/p99), a kError
+// overload event on the first shed of a batch (flight-recorder dump
+// when armed), and a kError + flight dump if the admission invariant
+// ever breaks.
 
 #pragma once
 
@@ -65,7 +65,7 @@
 #include "legal/batch.h"
 #include "serve/wire.h"
 #include "util/arena.h"
-#include "util/thread_pool.h"
+#include "util/lru_cache.h"
 
 namespace lexfor::serve {
 
@@ -87,7 +87,6 @@ struct ServeStats {
   std::uint64_t responses = 0;       // == accepted, always
   std::uint64_t cache_hits = 0;      // compact verdict-table hits
   std::uint64_t cache_misses = 0;    // engine evaluations
-  std::uint64_t pool_saturated = 0;  // chunks degraded to caller-runs
   std::uint64_t batches = 0;
 
   [[nodiscard]] bool balanced() const noexcept {
@@ -98,17 +97,12 @@ struct ServeStats {
 };
 
 struct ServerOptions {
-  // Worker threads for the evaluation fan-out (0 = hardware
-  // concurrency).  1 serves inline with zero dispatch overhead.
+  // The evaluation fan-out's width (util::parallel_for); 0 = one per
+  // hardware thread.  1 serves inline with zero dispatch overhead.
   unsigned workers = 1;
   // Bounded admission queue: at most this many accepted requests per
   // batch; the rest of a wave is shed (and counted).
   std::size_t queue_capacity = 4096;
-  // ThreadPool::try_submit bound for chunk tasks; a refused chunk runs
-  // on the serving thread.
-  std::size_t pool_queue_depth = 256;
-  // Requests per worker chunk.
-  std::size_t grain = 256;
   // Entry budget for the compact verdict table.  The fleet's 66
   // scenarios hold 54 distinct fact keys and serve a million
   // subscribers; 1<<16 leaves room for real mixes.
@@ -180,7 +174,8 @@ class VerdictServer {
   [[nodiscard]] const ServerOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] unsigned workers() const noexcept { return pool_.size(); }
+  // The fan-out width, ServerOptions::workers with 0 resolved.
+  [[nodiscard]] unsigned workers() const noexcept { return options_.workers; }
   [[nodiscard]] const legal::BatchEvaluator& evaluator() const noexcept {
     return batch_;
   }
@@ -204,7 +199,6 @@ class VerdictServer {
   mutable util::ShardedLruCache<legal::FactKey, CompactVerdict,
                                 legal::FactKeyHash>
       table_;
-  mutable util::ThreadPool pool_;
 
   // Cumulative stats; relaxed atomics, folded into a ServeStats copy
   // by stats().
@@ -216,7 +210,6 @@ class VerdictServer {
   mutable std::atomic<std::uint64_t> tot_responses_{0};
   mutable std::atomic<std::uint64_t> tot_hits_{0};
   mutable std::atomic<std::uint64_t> tot_misses_{0};
-  mutable std::atomic<std::uint64_t> tot_pool_saturated_{0};
   mutable std::atomic<std::uint64_t> tot_batches_{0};
 };
 

@@ -32,6 +32,19 @@ struct TorConfig {
   double hop_latency_ms = 25.0;
 };
 
+// The mean delay a circuit adds to every packet, in seconds: per hop,
+// the propagation latency plus the mean jitter plus half the batching
+// quantum.  The §IV.B investigator aligns the observation window at
+// this shift; it calibrates it by measuring circuit RTT, which is
+// observable without content.
+[[nodiscard]] inline double expected_circuit_shift_sec(
+    const TorConfig& config) noexcept {
+  return static_cast<double>(config.circuit_length) *
+         (config.hop_latency_ms + config.relay_jitter_ms +
+          config.relay_batch_ms / 2.0) *
+         1e-3;
+}
+
 struct Circuit {
   CircuitId id;
   std::vector<std::size_t> relays;  // indices into the relay set

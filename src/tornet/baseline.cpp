@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "watermark/correlate.h"
+#include "watermark/pn_code.h"
 
 namespace lexfor::tornet {
 namespace {
@@ -77,11 +78,13 @@ Result<ComparisonResult> run_baseline_comparison(
     const TracebackConfig& watermark_config, int trials) {
   if (trials <= 0) return InvalidArgument("comparison: trials must be > 0");
 
+  auto code = watermark::PnCode::m_sequence(watermark_config.pn_degree);
+  if (!code.ok()) return code.status();
+
   ComparisonResult out;
   out.trials = trials;
-  const double code_len = static_cast<double>(
-      (std::size_t{1} << watermark_config.pn_degree) - 1);
-  out.observation_sec = code_len * watermark_config.chip_ms * 1e-3;
+  out.observation_sec = static_cast<double>(code.value().length()) *
+                        watermark_config.chip_ms * 1e-3;
 
   int wm_ok = 0, passive_ok = 0;
   for (int t = 0; t < trials; ++t) {

@@ -1,9 +1,8 @@
 #include "tornet/traceback.h"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
-#include <thread>
+#include <string>
 
 #include "stream/tap_registry.h"
 #include "util/thread_pool.h"
@@ -28,36 +27,14 @@ legal::Scenario collection_scenario() {
 
 namespace {
 
-// The simulation fan-out's workers, one per hardware thread: created on
-// first use and kept for the life of the process, so a case does not
-// pay for starting threads.  Leaked on purpose, like
-// legal::shared_verdict_cache(): a traceback run from another static
-// object's destructor still finds its workers.
-util::ThreadPool& simulation_pool() {
-  static util::ThreadPool* const pool = new util::ThreadPool(0);
-  return *pool;
-}
-
-// Runs body(i) for every i in [0, n) on up to `threads` threads (0 =
-// hardware concurrency, 1 = inline on the calling thread).  Each task
-// claims indices from one shared counter, so a slow flow never leaves
-// the others waiting behind it in a fixed chunk.  body(i) must touch
-// only state that index i owns.
-template <typename Body>
-void for_each_flow(unsigned threads, std::size_t n, const Body& body) {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t tasks = std::min<std::size_t>(threads, n);
-  if (tasks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
+// A chip must last at least one microsecond: the embedder finds a
+// send's chip by dividing by the chip duration in whole microseconds.
+Status check_chip_ms(double chip_ms, const char* caller) {
+  if (SimDuration::from_ms(chip_ms).us < 1) {
+    return InvalidArgument(std::string(caller) +
+                           ": chip_ms must be at least 0.001 (1 us)");
   }
-  std::atomic<std::size_t> next{0};
-  simulation_pool().parallel_for(tasks, 1, [&](std::size_t, std::size_t) {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      body(i);
-    }
-  });
+  return Status::Ok();
 }
 
 // Phase 1 of the experiment: simulate the suspect and decoy flows
@@ -89,16 +66,7 @@ Status simulate_flow_rates(const TracebackConfig& config,
   const watermark::Embedder embedder(code, embed_params);
 
   const AnonymityNetwork net(config.network);
-
-  const double hops = static_cast<double>(config.network.circuit_length);
-  // The mean circuit delay shifts every packet; align the observation
-  // window at the expected shift (the investigator calibrates this by
-  // measuring circuit RTT, which is observable without content).
-  const double expected_shift_sec =
-      hops *
-      (config.network.hop_latency_ms + config.network.relay_jitter_ms +
-       config.network.relay_batch_ms / 2.0) *
-      1e-3;
+  const double expected_shift_sec = expected_circuit_shift_sec(config.network);
 
   struct FlowStart {
     Circuit circuit;
@@ -115,7 +83,8 @@ Status simulate_flow_rates(const TracebackConfig& config,
   }
 
   rates.resize(num_flows * n_chips);
-  for_each_flow(config.detect_threads, num_flows, [&](std::size_t i) {
+  const unsigned width = util::resolve_width(config.detect_threads);
+  util::parallel_for(num_flows, width, [&](std::size_t i) {
     FlowStart& f = starts[i];
     const std::span<double> out(rates.data() + i * n_chips, n_chips);
     if (i == 0) {  // the suspect's flow carries the mark
@@ -167,6 +136,8 @@ void accumulate_flow_verdict(TracebackResult& result, std::size_t flow,
 }  // namespace
 
 Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
+  const Status chip = check_chip_ms(config.chip_ms, "run_streaming_traceback");
+  if (!chip.ok()) return chip;
   auto code_r = watermark::PnCode::m_sequence(config.pn_degree);
   if (!code_r.ok()) return code_r.status();
   const watermark::PnCode code = std::move(code_r).value();
@@ -221,15 +192,13 @@ Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
   return result;
 }
 
-}  // namespace lexfor::tornet
-
-namespace lexfor::tornet {
-
 Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   if (config.true_account >= config.num_accounts) {
     return InvalidArgument(
         "run_multiflow_traceback: true_account out of range");
   }
+  const Status chip = check_chip_ms(config.chip_ms, "run_multiflow_traceback");
+  if (!chip.ok()) return chip;
   auto family_r = watermark::GoldCodeFamily::create(config.gold_degree);
   if (!family_r.ok()) return family_r.status();
   const watermark::GoldCodeFamily family = std::move(family_r).value();
@@ -260,25 +229,19 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   auto circuit_r = net.build_circuit(rng);
   if (!circuit_r.ok()) return circuit_r.status();
 
-  const double hops = static_cast<double>(config.network.circuit_length);
-  const double expected_shift_sec =
-      hops *
-      (config.network.hop_latency_ms + config.network.relay_jitter_ms +
-       config.network.relay_batch_ms / 2.0) *
-      1e-3;
   std::vector<double> rates(n_chips);
   simulate_flow_bins(
       net, circuit_r.value(), config.base_rate_pps, t_end, 1.0 + config.depth,
       [&embedder](double t_sec) {
         return embedder.multiplier(SimTime::from_sec(t_sec));
       },
-      expected_shift_sec, chip_sec, rates, rng);
+      expected_circuit_shift_sec(config.network), chip_sec, rates, rng);
 
   // One tap, every account's code: a kernel per Gold code, all scanning
-  // the SAME rate series as one family on the calling thread.  A pool
-  // would cost more to start than the family scan of a few codes at
-  // one offset takes.  Slot a answers account a, so the argmax below is
-  // deterministic.
+  // the SAME rate series as one family on the calling thread.  Handing
+  // code ranges to helpers would cost more than the family scan of a
+  // few codes at one offset takes.  Slot a answers account a, so the
+  // argmax below is deterministic.
   std::vector<watermark::CorrelationKernel> kernels;
   kernels.reserve(config.num_accounts);
   for (std::size_t a = 0; a < config.num_accounts; ++a) {

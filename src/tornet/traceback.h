@@ -22,16 +22,16 @@ namespace lexfor::tornet {
 struct TracebackConfig {
   TorConfig network;
   int pn_degree = 9;               // code length 2^degree - 1
-  double chip_ms = 400.0;          // chip duration
+  double chip_ms = 400.0;          // chip duration, at least 0.001 (1 us)
   double depth = 0.35;             // rate modulation depth
   double base_rate_pps = 120.0;    // server flow rate toward each client
   std::size_t num_decoys = 8;      // concurrent unmarked client flows
   double threshold_sigmas = 5.0;
   std::uint64_t seed = 7;
-  // Threads for the flow simulation; 0 = hardware concurrency.  The
-  // simulation fans the flows across a process-wide pool, each flow in
-  // one fused pass (tornet::simulate_flow_bins); at 1 it runs inline on
-  // the calling thread.  Detection always runs serially on the calling
+  // The flow simulation's fan-out width (util::parallel_for); 0 = one
+  // per hardware thread.  Each flow runs in one fused pass
+  // (tornet::simulate_flow_bins); at 1 they all run inline on the
+  // calling thread.  Detection always runs serially on the calling
   // thread: one aligned despread per flow takes microseconds.  The
   // result is bit-identical for every thread count: flow i draws only
   // from the counter-derived stream Rng::sub_stream(seed, i), so its
@@ -76,7 +76,7 @@ struct TracebackResult {
 // flow on its own (generate_modulated_poisson -> transit ->
 // bin_arrivals) and despreading it with CorrelationKernel::scan at
 // max_offset 0, whatever detect_threads is.  Safe to call from several
-// threads at once.
+// threads at once.  A chip shorter than 1 us is InvalidArgument.
 [[nodiscard]] Result<TracebackResult> run_streaming_traceback(
     const TracebackConfig& config);
 
@@ -92,7 +92,7 @@ struct MultiflowConfig {
   int gold_degree = 9;            // family of 2^degree + 1 codes
   std::size_t num_accounts = 8;   // concurrently marked flows
   std::size_t true_account = 3;   // which account the observed client is
-  double chip_ms = 400.0;
+  double chip_ms = 400.0;         // at least 0.001 (1 us)
   double depth = 0.35;
   double base_rate_pps = 120.0;
   double threshold_sigmas = 5.0;
@@ -112,6 +112,7 @@ struct MultiflowResult {
 // offset 0 under every account's code as one family scan
 // (watermark::ScanBatch) on the calling thread.  Each correlation is
 // bit-identical to CorrelationKernel::scan(rates, 0) for that account.
+// A chip shorter than 1 us is InvalidArgument.
 [[nodiscard]] Result<MultiflowResult> run_multiflow_traceback(
     const MultiflowConfig& config);
 

@@ -1,108 +1,64 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
-
 namespace lexfor::util {
 
-ThreadPool::ThreadPool(unsigned threads, WorkerInit worker_init) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+unsigned resolve_width(unsigned threads) noexcept {
+  return threads != 0 ? threads
+                      : std::max(1u, std::thread::hardware_concurrency());
+}
+
+ThreadPool& ThreadPool::process_wide() {
+  static ThreadPool* const pool = new ThreadPool(resolve_width(0));
+  return *pool;
+}
+
+void ThreadPool::Job::drain() {
+  for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+       i = next.fetch_add(1, std::memory_order_relaxed)) {
+    run_index(body, i);
   }
+}
+
+ThreadPool::ThreadPool(unsigned threads) {
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, worker_init] {
-      if (worker_init) worker_init();
-      worker_loop();
-    });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
-ThreadPool::~ThreadPool() {
+void ThreadPool::run(Job& job) {
+  const unsigned helpers = job.helpers;
   {
     const std::scoped_lock lock(mu_);
-    stop_ = true;
+    jobs_.push_back(&job);
   }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
+  for (unsigned h = 0; h < helpers; ++h) work_.notify_one();
+  job.drain();
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    const std::scoped_lock lock(mu_);
-    queue_.push_back(std::move(task));
-    if (observer_) observer_(queue_.size());
+  // Every index is claimed.  Take back the helpers that never started,
+  // then wait for the ones still running theirs.
+  std::unique_lock lock(mu_);
+  if (job.helpers != 0) {
+    std::erase(jobs_, &job);
+    job.helpers = 0;
   }
-  cv_.notify_one();
-}
-
-Status ThreadPool::try_submit(std::function<void()>& task,
-                              std::size_t max_depth) {
-  {
-    const std::scoped_lock lock(mu_);
-    if (queue_.size() >= max_depth) {
-      return ResourceExhausted("pool queue full");
-    }
-    queue_.push_back(std::move(task));
-    if (observer_) observer_(queue_.size());
-  }
-  cv_.notify_one();
-  return Status::Ok();
-}
-
-std::size_t ThreadPool::queue_depth() const {
-  const std::scoped_lock lock(mu_);
-  return queue_.size();
-}
-
-void ThreadPool::set_queue_observer(QueueObserver observer) {
-  const std::scoped_lock lock(mu_);
-  observer_ = std::move(observer);
+  job.done.wait(lock, [&job] { return job.running == 0; });
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Drain remaining work even when stopping so ~ThreadPool never
-      // abandons a submitted task.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      if (observer_) observer_(queue_.size());
-    }
-    task();
+    work_.wait(lock, [this] { return !jobs_.empty(); });
+    Job& job = *jobs_.front();
+    if (--job.helpers == 0) jobs_.erase(jobs_.begin());
+    ++job.running;
+    lock.unlock();
+    job.drain();
+    lock.lock();
+    // Notify under the lock: the caller owns `job` on its stack and
+    // cannot see running == 0, and return, before this has finished.
+    if (--job.running == 0) job.done.notify_one();
   }
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(grain, 1);
-  const std::size_t chunks = (n + grain - 1) / grain;
-  if (chunks <= 1 || workers_.empty()) {
-    body(0, n);
-    return;
-  }
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = chunks;
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    const std::size_t end = std::min(begin + grain, n);
-    submit([&, begin, end] {
-      body(begin, end);
-      // Notify under the lock: the waiter owns done_cv/done_mu on its
-      // stack, and this ordering guarantees it cannot return (and
-      // destroy them) until notify_one has completed.
-      const std::scoped_lock lock(done_mu);
-      if (--remaining == 0) done_cv.notify_one();
-    });
-  }
-  std::unique_lock lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace lexfor::util

@@ -1,87 +1,105 @@
-// ThreadPool: a small fixed-size worker pool for fan-out workloads.
+// One worker pool for the whole process, and the one fan-out call over it.
 //
-// LexForensica's hot paths (batch compliance evaluation, future capture
-// pipelines) fan independent work items across cores.  This pool keeps
-// the primitive deliberately simple: N workers, one FIFO queue, blocking
-// submit, and a parallel_for helper that partitions an index range into
-// chunks and waits for all of them.  util sits below obs in the
-// dependency order, so instead of emitting metrics itself the pool
-// exposes queue_depth() and an optional observer callback that higher
-// layers (legal::BatchEvaluator) wire to an obs gauge.
+// Four layers fan independent work across cores: legal::BatchEvaluator,
+// watermark::ScanBatch, the §IV.B traceback's flow simulation and
+// serve::VerdictServer.  Each passes its own thread setting as the
+// `width` of parallel_for(n, width, body), which runs body(i) exactly
+// once for every i in [0, n):
+//
+//   - width <= 1 or n <= 1: inline on the calling thread, in index
+//     order.  The pool is neither created nor touched, and nothing is
+//     allocated.
+//   - otherwise the calling thread claims indices from one atomic
+//     counter alongside at most width - 1 helpers from the process-wide
+//     pool, and the call returns once every index has run.
+//
+// The pool has one worker per hardware thread, is created by the first
+// call that fans out, and is leaked on purpose (like obs::metrics()), so
+// a call from another static object's destructor still finds its
+// workers.  A call queues one entry however wide it is; helpers that
+// have not started by the time the caller has claimed the last index are
+// taken back off the queue, so a call never waits behind another call's
+// work.  Each worker registers its obs ring shard on its first traced
+// event, once per process.
+//
+// body(i) must touch only state that index i owns, and must not throw.
+// Which thread runs which index is unspecified, so a result may depend
+// only on its index for the fan-out to be deterministic.
 
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "util/status.h"
-
 namespace lexfor::util {
+
+// A thread setting as a fan-out width: 0 means one per hardware thread
+// (at least 1), anything else is taken as is.
+[[nodiscard]] unsigned resolve_width(unsigned threads) noexcept;
 
 class ThreadPool {
  public:
-  // Called with the queue depth after every enqueue/dequeue.  Must be
-  // cheap and must not call back into the pool (invoked under the queue
-  // lock).
-  using QueueObserver = std::function<void(std::size_t)>;
+  // The process-wide pool, resolve_width(0) workers, created on first use.
+  [[nodiscard]] static ThreadPool& process_wide();
 
-  // Runs once on each worker thread before it takes any task.  Used by
-  // higher layers to prime per-thread state (e.g. registering the
-  // thread's obs ring shard) outside the hot path.
-  using WorkerInit = std::function<void()>;
-
-  // threads == 0 picks std::thread::hardware_concurrency() (at least 1).
-  explicit ThreadPool(unsigned threads = 0, WorkerInit worker_init = {});
-  // Drains the queue: already-submitted tasks run to completion before
-  // the workers join.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool(const ThreadPool&) = delete;  // its workers hold `this`
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task for execution on some worker.
-  void submit(std::function<void()> task);
-
-  // Bounded-queue submit: enqueues only while fewer than `max_depth`
-  // tasks are already queued, otherwise returns kResourceExhausted and
-  // leaves `task` unmoved (the caller may run it inline or shed it).
-  // max_depth == 0 always refuses — a probe for "is anything queued".
-  // This is how backpressure reaches the pool itself: a verdict server
-  // under overload sheds at admission AND the pool refuses to buffer
-  // unboundedly behind slow workers (serve::VerdictServer degrades to
-  // caller-runs, so accepted work is never lost).
-  [[nodiscard]] Status try_submit(std::function<void()>& task,
-                                  std::size_t max_depth);
-
-  // Splits [0, n) into chunks of at most `grain` indices, runs
-  // body(begin, end) for each chunk on the pool, and blocks until every
-  // chunk has finished.  Runs inline when the range fits one chunk.
-  // Must not be called from inside a pool task (the caller blocks, and
-  // a blocked worker could deadlock the pool).
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
 
   [[nodiscard]] unsigned size() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
-  [[nodiscard]] std::size_t queue_depth() const;
-
-  void set_queue_observer(QueueObserver observer);
 
  private:
+  template <typename Body>
+  friend void parallel_for(std::size_t n, unsigned width, const Body& body);
+
+  // One fanned-out call, on the caller's stack.  `helpers` and `running`
+  // are guarded by the pool's mutex.
+  struct Job {
+    void (*run_index)(const void* body, std::size_t i);
+    const void* body;
+    std::size_t n;
+    std::atomic<std::size_t> next{0};
+    unsigned helpers = 0;  // still to start
+    unsigned running = 0;  // started and not yet finished
+    std::condition_variable done{};
+
+    void drain();  // claims and runs indices until none is left
+  };
+
+  explicit ThreadPool(unsigned threads);
+
+  void run(Job& job);
   void worker_loop();
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  QueueObserver observer_;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;  // last: joins before members die
+  std::mutex mu_;
+  std::condition_variable work_;
+  std::vector<Job*> jobs_;  // calls with helpers still to start, FIFO
+  std::vector<std::thread> workers_;
 };
+
+template <typename Body>
+void parallel_for(std::size_t n, unsigned width, const Body& body) {
+  if (width <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  ThreadPool& pool = ThreadPool::process_wide();
+  ThreadPool::Job job{
+      .run_index =
+          [](const void* b, std::size_t i) {
+            (*static_cast<const Body*>(b))(i);
+          },
+      .body = &body,
+      .n = n,
+      .helpers = static_cast<unsigned>(
+          std::min<std::size_t>({width - 1u, n - 1, pool.size()}))};
+  pool.run(job);
+}
 
 }  // namespace lexfor::util

@@ -18,6 +18,9 @@ Result<MultiBitEmbedder> MultiBitEmbedder::create(
   if (params.chips_per_bit == 0) {
     return InvalidArgument("multibit: chips_per_bit must be positive");
   }
+  if (params.chip_duration.us < 1) {
+    return InvalidArgument("multibit: chip_duration must be at least 1 us");
+  }
   if (bits.size() * params.chips_per_bit > code.length()) {
     return InvalidArgument(
         "multibit: payload needs " +

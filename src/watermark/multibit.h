@@ -21,7 +21,7 @@ namespace lexfor::watermark {
 
 struct MultiBitParams {
   SimTime start;
-  SimDuration chip_duration = SimDuration::from_ms(400.0);
+  SimDuration chip_duration = SimDuration::from_ms(400.0);  // >= 1 us
   double depth = 0.3;
   std::size_t chips_per_bit = 63;  // spreading factor L
 };

@@ -4,29 +4,16 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "obs/obs.h"
+#include "util/thread_pool.h"
 #include "watermark/despread_block.h"
 
 namespace lexfor::watermark {
 
 ScanBatch::ScanBatch(ScanBatchOptions options) : options_(options) {}
-
-util::ThreadPool& ScanBatch::pool() const {
-  std::call_once(pool_once_, [this] {
-    // Workers pre-register their obs ring shard (see legal::BatchEvaluator).
-    pool_ = std::make_unique<util::ThreadPool>(
-        options_.threads, [] { LEXFOR_OBS_WARM_THREAD(); });
-    pool_->set_queue_observer([](std::size_t depth) {
-      LEXFOR_OBS_GAUGE_SET("watermark.scan.pool_queue_depth",
-                           static_cast<std::int64_t>(depth));
-    });
-  });
-  return *pool_;
-}
 
 std::vector<Result<ScanResult>> ScanBatch::run(
     std::span<const ScanJob> jobs) const {
@@ -76,11 +63,8 @@ std::vector<Result<ScanResult>> ScanBatch::run(
                    });
 
   // One task per contiguous code range: a family splits into as many
-  // near-equal ranges as there are workers (fewer if it has fewer codes).
-  const std::size_t width =
-      options_.threads != 0
-          ? options_.threads
-          : std::max(1u, std::thread::hardware_concurrency());
+  // near-equal ranges as the width (fewer if it has fewer codes).
+  const unsigned width = util::resolve_width(options_.threads);
   std::vector<std::pair<std::size_t, std::size_t>> tasks;
   for (std::size_t begin = 0; begin < members.size();) {
     std::size_t end = begin + 1;
@@ -88,7 +72,7 @@ std::vector<Result<ScanResult>> ScanBatch::run(
       ++end;
     }
     const std::size_t size = end - begin;
-    const std::size_t parts = std::min(width, size);
+    const std::size_t parts = std::min<std::size_t>(width, size);
     for (std::size_t p = 0; p < parts; ++p) {
       tasks.emplace_back(begin + size * p / parts,
                          begin + size * (p + 1) / parts);
@@ -126,16 +110,7 @@ std::vector<Result<ScanResult>> ScanBatch::run(
                            (end - begin) * (w.last_offset + 1));
 #endif
   };
-  if (tasks.size() > 1) {
-    pool().parallel_for(tasks.size(), 1,
-                        [&run_task](std::size_t begin, std::size_t end) {
-                          for (std::size_t t = begin; t < end; ++t) {
-                            run_task(t);
-                          }
-                        });
-  } else if (!tasks.empty()) {
-    run_task(0);  // one task: no worker to hand it to
-  }
+  util::parallel_for(tasks.size(), width, run_task);
   return out;
 }
 

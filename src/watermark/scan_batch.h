@@ -6,7 +6,7 @@
 // is pure — CorrelationKernel is immutable after construction and the
 // rate series is read-only — so slot i of the output always answers
 // job i, bit-identical to kernel->scan() on that job alone, whatever
-// the pool size.
+// the width.
 //
 // Families: jobs that scan the same series (same rates.data() and
 // rates.size()) with the same code length over the same offsets form
@@ -14,9 +14,9 @@
 // scan (despread_block.h): each offset block's window sums, means and
 // dens are computed once and shared by every code, which then adds
 // only its own num.  That is a property of the input, not a setting;
-// any other job is a family of one.  With more than one worker a
-// family splits into one contiguous code range per worker, and the
-// ranges of every family fan across the shared util::ThreadPool; a
+// any other job is a family of one.  At a width of more than one
+// thread a family splits into one contiguous code range per thread, and
+// the ranges of every family fan out through util::parallel_for; a
 // batch of one range runs on the calling thread.  Each kernel's chips
 // are read where they are, never copied.
 //
@@ -25,18 +25,14 @@
 // offsets scored by each job that came back ok, and nothing for a job
 // that errored.  The watermark.scan.latency_us histogram keeps one
 // sample per job: a job in a family records the wall time of the task
-// that scanned its code range, and an error job records 0.  The
-// watermark.scan.pool_queue_depth gauge tracks the pool's queue.
+// that scanned its code range, and an error job records 0.
 
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
-#include "util/thread_pool.h"
 #include "watermark/correlate.h"
 
 namespace lexfor::watermark {
@@ -50,9 +46,8 @@ struct ScanJob {
 };
 
 struct ScanBatchOptions {
-  // 0 = std::thread::hardware_concurrency().  The pool is created
-  // lazily on the first run() call that has more than one task, so
-  // single-flow and single-family users never pay for worker threads.
+  // run()'s fan-out width (util::parallel_for); 0 = one per hardware
+  // thread, 1 = inline on the calling thread.
   unsigned threads = 0;
 };
 
@@ -70,11 +65,7 @@ class ScanBatch {
   [[nodiscard]] unsigned threads() const noexcept { return options_.threads; }
 
  private:
-  [[nodiscard]] util::ThreadPool& pool() const;
-
   ScanBatchOptions options_;
-  mutable std::once_flag pool_once_;
-  mutable std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace lexfor::watermark

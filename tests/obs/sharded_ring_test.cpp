@@ -11,6 +11,7 @@
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "util/thread_pool.h"
 
 namespace lexfor::obs {
 namespace {
@@ -271,6 +272,23 @@ TEST(ObsShardedRingTest, WavesOfThreadsKeepTheShardCountAtThePeak) {
   const auto events = ring.drain();
   EXPECT_EQ(events.size(), kWaves * kWidth);
   EXPECT_TRUE(is_time_ordered(events));
+  EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped());
+}
+
+TEST(ObsShardedRingTest, FanOutWorkersRegisterOneShardEach) {
+  // The process-wide pool never exits a worker, so however many calls
+  // fan out, the caller and each pool worker register one shard, once.
+  constexpr std::uint64_t kCalls = 50;
+  constexpr std::uint64_t kIndices = 64;
+  ShardedEventRing ring(4096);
+  for (std::uint64_t call = 0; call < kCalls; ++call) {
+    util::parallel_for(kIndices, 4, [&ring, call](std::size_t i) {
+      ring.push(make_event(call * kIndices + i));
+    });
+  }
+  EXPECT_LE(ring.shard_count(), 1 + util::ThreadPool::process_wide().size());
+  EXPECT_EQ(ring.pushed(), kCalls * kIndices);
+  EXPECT_EQ(ring.drain().size(), kCalls * kIndices);
   EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped());
 }
 

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "legal/scene_table.h"
@@ -97,7 +99,6 @@ TEST(VerdictServerTest, ResponsesComeBackInRequestOrderAcrossWorkerCounts) {
   for (const unsigned workers : {1u, 2u, 4u}) {
     ServerOptions opts;
     opts.workers = workers;
-    opts.grain = 64;
     opts.batch.use_shared_cache = false;
     VerdictServer server(opts);
     Connection conn = server.connect();
@@ -124,7 +125,6 @@ TEST(VerdictServerTest, VerdictsAreIdenticalAcrossWorkerCounts) {
   for (const unsigned workers : {1u, 3u}) {
     ServerOptions opts;
     opts.workers = workers;
-    opts.grain = 32;
     opts.batch.use_shared_cache = false;
     VerdictServer server(opts);
     Connection conn = server.connect();
@@ -140,6 +140,16 @@ TEST(VerdictServerTest, VerdictsAreIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(per_worker[0][i].required_proof,
               per_worker[1][i].required_proof);
   }
+}
+
+TEST(VerdictServerTest, WorkersReportsTheResolvedWidth) {
+  ServerOptions opts;
+  opts.batch.use_shared_cache = false;
+  opts.workers = 0;
+  EXPECT_EQ(VerdictServer(opts).workers(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  opts.workers = 3;
+  EXPECT_EQ(VerdictServer(opts).workers(), 3u);
 }
 
 TEST(VerdictServerTest, OverloadShedsExactlyAndStillAnswersAccepted) {

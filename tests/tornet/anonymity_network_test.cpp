@@ -38,6 +38,19 @@ TEST(CircuitTest, CircuitIdsAreUnique) {
   EXPECT_NE(a.id, b.id);
 }
 
+TEST(CircuitTest, ExpectedShiftIsHopsTimesTheMeanHopDelay) {
+  // Per hop: propagation, plus the mean of the exponential jitter, plus
+  // half the uniform batching quantum.
+  EXPECT_DOUBLE_EQ(expected_circuit_shift_sec(TorConfig{}),
+                   3 * (25.0 + 30.0 + 10.0 / 2) * 1e-3);
+  TorConfig one_hop;
+  one_hop.circuit_length = 1;
+  one_hop.relay_jitter_ms = 0.0;
+  one_hop.relay_batch_ms = 0.0;
+  one_hop.hop_latency_ms = 40.0;
+  EXPECT_DOUBLE_EQ(expected_circuit_shift_sec(one_hop), 0.04);
+}
+
 TEST(TransitTest, DelaysAreAtLeastBaseLatency) {
   TorConfig cfg;
   cfg.circuit_length = 3;

@@ -59,6 +59,18 @@ TEST(ComparisonTest, RejectsZeroTrials) {
   EXPECT_FALSE(run_baseline_comparison(TracebackConfig{}, 0).ok());
 }
 
+TEST(ComparisonTest, RejectsInvalidPnDegree) {
+  // The code length comes from a validated code, so a degree outside
+  // [3, 16] is an error, never a shift by it.
+  for (const int degree : {-1, 2, 17, 64}) {
+    TracebackConfig cfg;
+    cfg.pn_degree = degree;
+    const auto r = run_baseline_comparison(cfg, 1);
+    ASSERT_FALSE(r.ok()) << degree;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << degree;
+  }
+}
+
 TEST(ComparisonTest, BothTechniquesSucceedInCalmConditions) {
   TracebackConfig cfg;
   cfg.pn_degree = 8;

@@ -68,6 +68,20 @@ TEST(MultiflowTest, RejectsUnsupportedGoldDegree) {
   EXPECT_FALSE(run_multiflow_traceback(cfg).ok());
 }
 
+TEST(MultiflowTest, RejectsChipShorterThanOneMicrosecond) {
+  for (const double chip_ms : {0.0, 0.0009, -400.0}) {
+    auto cfg = easy();
+    cfg.chip_ms = chip_ms;
+    const auto r = run_multiflow_traceback(cfg);
+    ASSERT_FALSE(r.ok()) << chip_ms;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << chip_ms;
+  }
+  auto cfg = easy();
+  cfg.gold_degree = 7;
+  cfg.chip_ms = 0.001;
+  EXPECT_TRUE(run_multiflow_traceback(cfg).ok());
+}
+
 TEST(MultiflowTest, ScalesToManyAccounts) {
   auto cfg = easy();
   cfg.num_accounts = 64;

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "watermark/dsss.h"
+#include "watermark/gold_code.h"
+#include "watermark/scan_batch.h"
 
 namespace lexfor::tornet {
 namespace {
@@ -105,6 +107,23 @@ TEST(TracebackTest, InvalidPnDegreeFails) {
   auto cfg = easy_config();
   cfg.pn_degree = 99;
   EXPECT_FALSE(run_streaming_traceback(cfg).ok());
+}
+
+TEST(TracebackTest, RejectsChipShorterThanOneMicrosecond) {
+  // The embedder finds a send's chip by dividing by the chip duration in
+  // whole microseconds, and any chip_ms under 0.001 rounds down to 0.
+  for (const double chip_ms : {0.0, 0.0009, -400.0}) {
+    auto cfg = easy_config();
+    cfg.chip_ms = chip_ms;
+    const auto r = run_streaming_traceback(cfg);
+    ASSERT_FALSE(r.ok()) << chip_ms;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << chip_ms;
+  }
+  auto cfg = easy_config();
+  cfg.pn_degree = 7;
+  cfg.num_decoys = 1;
+  cfg.chip_ms = 0.001;
+  EXPECT_TRUE(run_streaming_traceback(cfg).ok());
 }
 
 TEST(TracebackTest, HeavyJitterDegradesButLongCodeRecovers) {
@@ -306,6 +325,67 @@ TEST(TracebackTest, ConcurrentTracebacksMatchSerial) {
     const std::string where = "round " + std::to_string(round);
     expect_same_verdicts(got_a->value(), want_a, "a " + where);
     expect_same_verdicts(got_b->value(), want_b, "b " + where);
+  }
+}
+
+TEST(TracebackTest, SharesThePoolWithAConcurrentScanBatch) {
+  // A 4-wide traceback and a 4-wide ScanBatch started at once both take
+  // their helpers from the one process-wide pool; each must still match
+  // its serial result bit for bit.
+  auto cfg = easy_config();
+  cfg.pn_degree = 7;
+  cfg.num_decoys = 8;
+  cfg.detect_threads = 1;
+  const auto serial = run_streaming_traceback(cfg).value();
+  std::vector<watermark::DetectionResult> want_flows;
+  for (const FlowVerdict& f : serial.flows) want_flows.push_back(f.detection);
+  cfg.detect_threads = 4;
+
+  // Two series, each scanned under 12 Gold codes over 65 offsets: two
+  // families, each split four ways.
+  const auto family = watermark::GoldCodeFamily::create(7).value();
+  std::vector<watermark::CorrelationKernel> kernels;
+  for (std::size_t c = 0; c < 12; ++c) {
+    kernels.emplace_back(family.code(c), 5.0);
+  }
+  Rng rng{1907};
+  std::vector<std::vector<double>> series(
+      2, std::vector<double>(family.code_length() + 64));
+  for (auto& rates : series) {
+    for (double& x : rates) x = static_cast<double>(rng.poisson(20.0));
+  }
+  std::vector<watermark::ScanJob> jobs;
+  for (const auto& rates : series) {
+    for (const auto& kernel : kernels) jobs.push_back({&kernel, rates, 64});
+  }
+  const auto want_scan =
+      watermark::ScanBatch(watermark::ScanBatchOptions{1}).run(jobs);
+
+  for (int round = 0; round < 3; ++round) {
+    std::optional<Result<TracebackResult>> got_flows;
+    std::vector<Result<watermark::ScanResult>> got_scan;
+    std::thread tracer(
+        [&] { got_flows.emplace(run_streaming_traceback(cfg)); });
+    std::thread scanner([&] {
+      got_scan = watermark::ScanBatch(watermark::ScanBatchOptions{4}).run(jobs);
+    });
+    tracer.join();
+    scanner.join();
+    const std::string where = "round " + std::to_string(round);
+    ASSERT_TRUE(got_flows->ok()) << got_flows->status();
+    expect_same_verdicts(got_flows->value(), want_flows, where);
+    ASSERT_EQ(got_scan.size(), want_scan.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      ASSERT_TRUE(got_scan[j].ok()) << where << " job " << j;
+      const auto& got = got_scan[j].value();
+      const auto& want = want_scan[j].value();
+      EXPECT_EQ(got.offset, want.offset) << where << " job " << j;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.best.correlation),
+                std::bit_cast<std::uint64_t>(want.best.correlation))
+          << where << " job " << j;
+      EXPECT_EQ(got.best.detected, want.best.detected)
+          << where << " job " << j;
+    }
   }
 }
 

@@ -2,167 +2,121 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
-#include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 namespace lexfor::util {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool{2};
-  EXPECT_EQ(pool.size(), 2u);
-  // Counter and notify both under the lock: the waiter can only see
-  // ran == 32 after the final worker is done touching cv, so returning
-  // (and destroying cv) is safe.
-  int ran = 0;
-  std::mutex mu;
-  std::condition_variable cv;
-  for (int i = 0; i < 32; ++i) {
-    pool.submit([&] {
-      const std::scoped_lock lock(mu);
-      if (++ran == 32) cv.notify_one();
-    });
-  }
-  std::unique_lock lock(mu);
-  cv.wait(lock, [&] { return ran == 32; });
-  EXPECT_EQ(ran, 32);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool{1};
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&] { ran.fetch_add(1); });
-    }
-  }  // join: every submitted task must have run
-  EXPECT_EQ(ran.load(), 100);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool{4};
-  std::vector<std::atomic<int>> touched(1000);
-  pool.parallel_for(touched.size(), 7, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  // Width 8 is more than the pool has on a host with fewer than 8
+  // hardware threads; width 0 runs inline like width 1.
+  for (const unsigned width : {0u, 1u, 2u, 8u}) {
+    std::vector<std::size_t> sizes = {0, 1, width, 1000};
+    if (width > 0) sizes.push_back(width - 1);
+    for (const std::size_t n : sizes) {
+      std::vector<std::atomic<int>> runs(n);
+      parallel_for(n, width, [&runs](std::size_t i) { runs[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "width " << width << ", n " << n << ", index " << i;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForHandlesEmptyAndSingleChunk) {
-  ThreadPool pool{2};
   int calls = 0;
-  pool.parallel_for(0, 8, [&](std::size_t, std::size_t) { ++calls; });
+  parallel_for(0, 8, [&calls](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  // n <= grain runs inline as one chunk.
-  std::vector<int> hit(5, 0);
-  pool.parallel_for(hit.size(), 100, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hit[i] = 1;
+  // One index runs inline on the caller, however wide the call.
+  std::thread::id ran_on;
+  parallel_for(1, 8, [&ran_on](std::size_t) {
+    ran_on = std::this_thread::get_id();
   });
-  EXPECT_EQ(std::accumulate(hit.begin(), hit.end(), 0), 5);
-}
-
-TEST(ThreadPoolTest, QueueObserverSeesDepthChanges) {
-  ThreadPool pool{1};
-  std::atomic<std::size_t> max_depth{0};
-  std::atomic<bool> saw_zero{false};
-  pool.set_queue_observer([&](std::size_t depth) {
-    std::size_t cur = max_depth.load();
-    while (depth > cur && !max_depth.compare_exchange_weak(cur, depth)) {
-    }
-    if (depth == 0) saw_zero.store(true);
-  });
-  std::vector<std::atomic<int>> touched(64);
-  pool.parallel_for(touched.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
-  EXPECT_GT(max_depth.load(), 0u);
-  EXPECT_TRUE(saw_zero.load());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, ZeroRequestsHardwareConcurrency) {
-  ThreadPool pool{0};
-  EXPECT_GE(pool.size(), 1u);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(resolve_width(0), hw);
+  EXPECT_EQ(resolve_width(3), 3u);
+  EXPECT_EQ(ThreadPool::process_wide().size(), hw);
 }
 
-TEST(ThreadPoolTest, TrySubmitAcceptsBelowTheBound) {
-  ThreadPool pool{1};
-  std::atomic<int> ran{0};
-  std::function<void()> task = [&] { ran.fetch_add(1); };
-  EXPECT_TRUE(pool.try_submit(task, 8).ok());
-  // The accepted task was moved out of the caller's slot and runs.
-  while (ran.load() == 0) std::this_thread::yield();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, TrySubmitRefusesPastTheBoundAndKeepsTheTask) {
-  ThreadPool pool{1};
-  // Park the single worker so queued tasks stay queued.
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool open = false;
-  pool.submit([&] {
-    std::unique_lock lock(gate_mu);
-    gate_cv.wait(lock, [&] { return open; });
-  });
-  // Give the worker time to take the blocker off the queue.
-  while (pool.queue_depth() != 0) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  std::function<void()> task = [&] { ran.fetch_add(1); };
-  EXPECT_TRUE(pool.try_submit(task, 2).ok());
-  task = [&] { ran.fetch_add(1); };
-  EXPECT_TRUE(pool.try_submit(task, 2).ok());
-
-  // Queue is at the bound: the third submit must refuse WITHOUT
-  // consuming the task, so the caller can run it inline.
-  task = [&] { ran.fetch_add(10); };
-  const Status st = pool.try_submit(task, 2);
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  ASSERT_TRUE(static_cast<bool>(task));  // caller-runs degradation
-  task();
-  EXPECT_GE(ran.load(), 10);
-
-  {
-    const std::scoped_lock lock(gate_mu);
-    open = true;
+TEST(ThreadPoolTest, WidthOneRunsOnTheCallingThread) {
+  // Inline means on the caller and in index order, so a body may even
+  // share unsynchronized state.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const unsigned width : {0u, 1u}) {
+    std::vector<std::size_t> order;
+    std::vector<std::thread::id> ran_on;
+    parallel_for(100, width, [&](std::size_t i) {
+      order.push_back(i);
+      ran_on.push_back(std::this_thread::get_id());
+    });
+    ASSERT_EQ(order.size(), 100u);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(order[i], i) << "width " << width;
+      EXPECT_EQ(ran_on[i], caller) << "width " << width << ", index " << i;
+    }
   }
-  gate_cv.notify_one();
 }
 
-TEST(ThreadPoolTest, TrySubmitZeroDepthAlwaysRefuses) {
-  ThreadPool pool{2};
-  std::function<void()> task = [] {};
-  EXPECT_EQ(pool.try_submit(task, 0).code(),
-            StatusCode::kResourceExhausted);
-  ASSERT_TRUE(static_cast<bool>(task));
-}
-
-TEST(ThreadPoolTest, TrySubmitNotifiesTheQueueObserver) {
-  ThreadPool pool{1};
-  // Park the worker so the observed depth is deterministic.
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool open = false;
-  pool.submit([&] {
-    std::unique_lock lock(gate_mu);
-    gate_cv.wait(lock, [&] { return open; });
-  });
-  while (pool.queue_depth() != 0) std::this_thread::yield();
-
-  std::atomic<std::size_t> last_depth{0};
-  pool.set_queue_observer([&](std::size_t d) { last_depth.store(d); });
-  std::function<void()> task = [] {};
-  EXPECT_TRUE(pool.try_submit(task, 4).ok());
-  EXPECT_EQ(last_depth.load(), 1u);
-
-  {
-    const std::scoped_lock lock(gate_mu);
-    open = true;
+TEST(ThreadPoolTest, FanOutUsesAtMostWidthThreads) {
+  // A call takes at most width - 1 helpers from the pool, whatever the
+  // pool's size: that is the backpressure a wide call cannot escape.
+  for (const unsigned width : {2u, 3u}) {
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    parallel_for(2000, width, [&](std::size_t) {
+      const std::scoped_lock lock(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(threads.size(), width);
   }
-  gate_cv.notify_one();
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndexOnce) {
+  // Four callers share the pool at once, each wider than the others
+  // leave room for; every call still runs each of its indices once.
+  std::vector<std::thread> callers;
+  std::atomic<int> failures{0};
+  for (unsigned c = 0; c < 4; ++c) {
+    callers.emplace_back([&failures, c] {
+      for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> runs(300 + c);
+        parallel_for(runs.size(), 4,
+                     [&runs](std::size_t i) { runs[i].fetch_add(1); });
+        for (const auto& r : runs) {
+          if (r.load() != 1) failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ThreadPoolTest, NestedFanOutCompletes) {
+  // A body that fans out again makes a pool worker a caller, and with
+  // the outer call wider than the pool every worker can be one at once.
+  // A caller claims its own indices and never waits on a helper that has
+  // not started, so nesting cannot deadlock the pool.
+  const unsigned width = ThreadPool::process_wide().size() + 1;
+  const std::size_t outer_n = 4 * width;
+  constexpr std::size_t kInner = 50;
+  std::vector<std::atomic<int>> runs(outer_n * kInner);
+  parallel_for(outer_n, width, [&runs, width](std::size_t outer) {
+    parallel_for(kInner, width, [&runs, outer](std::size_t inner) {
+      runs[outer * kInner + inner].fetch_add(1);
+    });
+  });
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
 }  // namespace

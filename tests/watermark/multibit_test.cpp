@@ -40,6 +40,19 @@ TEST(MultiBitTest, CreateValidatesInputs) {
   EXPECT_TRUE(MultiBitEmbedder::create(code10(), payload16(), params()).ok());
 }
 
+TEST(MultiBitTest, CreateRejectsChipShorterThanOneMicrosecond) {
+  // multiplier() divides by the chip duration in whole microseconds.
+  auto p = params();
+  for (const std::int64_t us : {std::int64_t{0}, std::int64_t{-5}}) {
+    p.chip_duration = SimDuration::from_us(us);
+    const auto r = MultiBitEmbedder::create(code10(), payload16(), p);
+    ASSERT_FALSE(r.ok()) << us;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << us;
+  }
+  p.chip_duration = SimDuration::from_us(1);
+  EXPECT_TRUE(MultiBitEmbedder::create(code10(), payload16(), p).ok());
+}
+
 TEST(MultiBitTest, MultiplierEncodesBitTimesChip) {
   const auto code = code10();
   const auto emb =

@@ -1,8 +1,7 @@
-// ScanBatch: deterministic multi-flow fan-out over the thread pool.
+// ScanBatch: deterministic multi-flow fan-out.
 //
 // The contract under test: slot i of the output always answers job i
-// with bits identical to running the job alone, whatever the pool
-// size; error jobs (null kernel, short series) fill their slot without
+// with bits identical to running the job alone, whatever the width; error jobs (null kernel, short series) fill their slot without
 // aborting the batch; and the watermark.scan.* obs instruments account
 // for exactly the work done.  Jobs that scan one series form a family
 // and run as one family scan; the Family* cases hold every slot of such
@@ -494,30 +493,6 @@ TEST(ScanBatchTest, RejectedJobsAddNoOffsets) {
   EXPECT_EQ(flows_c.value() - flows_before, 3u);
   EXPECT_EQ(offsets.value() - offsets_before, 11u);
   EXPECT_EQ(latency.count() - latency_before, 3u);
-}
-TEST(ScanBatchTest, PoolsThatComeAndGoHandTheirRingShardsOn) {
-  // Every batch below starts four workers, each warm-registering a shard
-  // of the process-wide trace ring, and joins them when it goes away.
-  // The next batch's workers take those shards over instead of adding
-  // four more.
-  Rng rng{1607};
-  const auto code = PnCode::m_sequence(7).value();
-  const CorrelationKernel kernel(code, 5.0);
-  const auto a = marked_flow(code, 2, 5.0, rng);
-  const auto b = marked_flow(code, 5, 5.0, rng);
-  std::vector<ScanJob> jobs(2);  // two series, two tasks: the pool starts
-  jobs[0].kernel = &kernel;
-  jobs[0].rates = a.rates;
-  jobs[1].kernel = &kernel;
-  jobs[1].rates = b.rates;
-  const std::size_t before = obs::tracer().ring().shard_count();
-  for (int i = 0; i < 50; ++i) {
-    const ScanBatch batch(ScanBatchOptions{4});
-    const auto results = batch.run(jobs);
-    ASSERT_TRUE(results[0].ok());
-    ASSERT_TRUE(results[1].ok());
-  }
-  EXPECT_LE(obs::tracer().ring().shard_count(), before + 4);
 }
 #endif  // LEXFOR_OBS
 

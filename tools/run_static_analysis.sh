@@ -9,12 +9,15 @@
 #                                       memory-checked)
 #   3. TSan concurrency stress         (-DLEXFOR_SANITIZE=thread; the obs
 #                                       layer's multi-threaded counter and
-#                                       histogram stress tests, the util
-#                                       thread pool and sharded LRU cache,
-#                                       the legal batch evaluator, the
-#                                       watermark scan batch, the tornet
-#                                       simulation fan-out, and the serve
-#                                       verdict-server worker fan-out)
+#                                       histogram stress tests, the one
+#                                       process-wide pool's fan-out call
+#                                       and the sharded LRU cache, then
+#                                       each layer that fans out through
+#                                       that call: the legal batch
+#                                       evaluator, the watermark scan
+#                                       batch, the tornet simulation (also
+#                                       sharing the pool with a concurrent
+#                                       scan batch) and the verdict server)
 #   4. lint regression                 (the lint_examples suite: the shipped
 #                                       example plans must lint as documented)
 #   5. clang-tidy over src/ bench/     (skipped with a notice when clang-tidy
@@ -92,11 +95,12 @@ stage "full ctest under ASan+UBSan" sanitizer_ctest
 # ----------------------------------------------- 3. TSan concurrency stress
 # ThreadSanitizer checks the concurrent parts of the tree: the obs
 # metrics registry's wait-free update promise (src/obs/metrics.h), the
-# util thread pool and sharded LRU verdict cache, the legal batch
-# evaluator that fans compliance queries across workers, the watermark
-# scan batch (parallel multi-flow despread), and the tornet traceback
-# simulation fan-out.  The rest of the code is single-threaded DES and
-# already covered above.
+# sharded LRU verdict cache, and util::parallel_for, the one fan-out
+# call over the one process-wide worker pool, both on its own and in
+# each layer that uses it: the legal batch evaluator, the watermark scan
+# batch (parallel multi-flow despread), the tornet traceback simulation
+# and the verdict server.  The rest of the code is single-threaded DES
+# and already covered above.
 tsan_build() {
   cmake -B build-tsan -S . "-DLEXFOR_SANITIZE=thread" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
@@ -113,9 +117,13 @@ tsan_stress() {
       --gtest_filter='ObsMetricsThreadTest.*:ObsTracerTest.*:ObsRingTest.*:ObsShardedRingTest.*:ObsProfileTest.*:ObsSnapshotTest.*'
 }
 tsan_pool_cache() {
-  # ArenaTest/SmallFnTest/PoolTest cover the ISSUE-8 allocation
-  # substrate: single-threaded by contract, but instrumented runs also
-  # catch lifetime bugs (use-after-reset, double-destroy in SmallFn).
+  # The ThreadPoolTest cases are the fan-out call's own: every index
+  # once at widths 0, 1, 2 and 8, width 1 on the caller, at most width
+  # threads per call, concurrent callers sharing the pool, and nested
+  # calls.  ArenaTest/SmallFnTest/PoolTest cover the allocation
+  # substrate (util/arena.h, util/small_fn.h): single-threaded by
+  # contract, but instrumented runs also catch lifetime bugs
+  # (use-after-reset, double-destroy in SmallFn).
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/util_test \
       --gtest_filter='ThreadPoolTest.*:LruCacheTest.*:ArenaTest.*:PoolTest.*:SmallFnTest.*'
@@ -148,12 +156,13 @@ tsan_traceback_fanout() {
   # pool (each flow's fused pass writing only its own slice, circuits
   # built on the calling thread), then the single-pass TapRegistry path
   # (which spans legal admission and the despread in one run), across
-  # every detect thread count and with two tracebacks running at once.
+  # every detect thread count, with two tracebacks running at once, and
+  # with a 4-wide traceback sharing the pool with a 4-wide ScanBatch.
   # The composition oracle runs here too, so a race that moved a draw
   # would also fail bit-identity.
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/tornet_test \
-      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:SimulateFlowBinsTest.*'
+      --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:TracebackTest.SharesThePoolWithAConcurrentScanBatch:SimulateFlowBinsTest.*'
 }
 tsan_serve() {
   # The verdict server's fan-out path: worker evaluation into disjoint
@@ -167,12 +176,12 @@ tsan_serve() {
 }
 stage "TSan build (obs_test util_test legal_test watermark_test tornet_test stream_test netsim_test serve_test)" tsan_build
 stage "obs thread-stress under TSan" tsan_stress
-stage "thread pool + sharded LRU cache under TSan" tsan_pool_cache
+stage "fan-out call + sharded LRU cache under TSan" tsan_pool_cache
 stage "calendar queue + packet store under TSan" tsan_calendar_queue
 stage "batch evaluator under TSan" tsan_batch
 stage "watermark scan batch under TSan" tsan_scan_batch
 stage "streaming tap suite under TSan" tsan_stream
-stage "tornet simulation fan-out + tap registry under TSan" tsan_traceback_fanout
+stage "tornet simulation fan-out + shared pool + tap registry under TSan" tsan_traceback_fanout
 stage "verdict server + fleet under TSan" tsan_serve
 
 # ------------------------------------------------------ 4. lint regression
