@@ -359,7 +359,7 @@ void BM_CounterAdd(benchmark::State& state) {
 BENCHMARK(BM_CounterAdd);
 
 void BM_GaugeSet(benchmark::State& state) {
-  std::int64_t v = 0;
+  [[maybe_unused]] std::int64_t v = 0;
   for (auto _ : state) {
     LEXFOR_OBS_GAUGE_SET("bench.obs.gauge", ++v);
   }

@@ -32,7 +32,7 @@ Determination ComplianceEngine::evaluate(const Scenario& s) const {
       applicable_exceptions(s, d.rep, statutes);
 
   d.governing_statutes = statutes.applicable();
-  for (const auto st : d.governing_statutes) {
+  for ([[maybe_unused]] const auto st : d.governing_statutes) {
     LEXFOR_OBS_EVENT(obs::Level::kInfo, "legal", "statute_applies",
                      "statute=" + std::string(to_string(st)),
                      obs::no_sim_time());

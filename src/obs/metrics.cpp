@@ -81,13 +81,28 @@ std::vector<std::int64_t> Histogram::default_latency_bounds_us() {
 }
 
 void Histogram::record(std::int64_t sample) noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), sample);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_of(sample)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(sample, std::memory_order_relaxed);
   atomic_min(min_, sample);
   atomic_max(max_, sample);
+}
+
+void Histogram::Batch::flush() noexcept {
+  if (count_ == 0) return;
+  Histogram& h = histogram_;
+  for (std::size_t i = 0; i < used_; ++i) {
+    h.buckets_[buckets_[i]].fetch_add(hits_[i], std::memory_order_relaxed);
+  }
+  h.count_.fetch_add(count_, std::memory_order_relaxed);
+  h.sum_.fetch_add(static_cast<std::int64_t>(sum_), std::memory_order_relaxed);
+  atomic_min(h.min_, min_);
+  atomic_max(h.max_, max_);
+  used_ = 0;
+  count_ = 0;
+  sum_ = 0;
+  min_ = INT64_MAX;
+  max_ = INT64_MIN;
 }
 
 double Histogram::mean() const noexcept {

@@ -7,7 +7,9 @@
 //   LEXFOR_OBS=1 (default)  macros expand to a runtime-level check (one
 //                           relaxed atomic load) and, when tracing is
 //                           on, an event emission; metric macros expand
-//                           to one cached-reference atomic op.
+//                           to one cached-reference atomic op (a
+//                           histogram batch records into a local and
+//                           publishes once, at the end of its scope).
 //   LEXFOR_OBS=0            macros expand to nothing at all — argument
 //                           expressions are not evaluated, no symbols
 //                           are referenced.  (cmake -DLEXFOR_OBS=OFF)
@@ -98,6 +100,18 @@ namespace lexfor::obs {
     lexfor_obs_histogram.record(sample);                                    \
   } while (false)
 
+// A histogram recorder for a hot loop (obs::Histogram::Batch): declares
+// `var` at this scope, each LEXFOR_OBS_HISTOGRAM_BATCH_RECORD touches
+// only that local, and the histogram is written once, when `var` goes
+// out of scope.  The histogram ends as if each sample had gone
+// through LEXFOR_OBS_HISTOGRAM_RECORD.
+#define LEXFOR_OBS_HISTOGRAM_BATCH(var, name)                               \
+  static ::lexfor::obs::Histogram& LEXFOR_OBS_CONCAT(var, _histogram) =     \
+      ::lexfor::obs::metrics().histogram(name);                             \
+  ::lexfor::obs::Histogram::Batch var(LEXFOR_OBS_CONCAT(var, _histogram))
+
+#define LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(var, sample) (var).record(sample)
+
 // Call-site profiler scope: the site is resolved once per call site
 // like the metric macros; each pass costs one relaxed load (and, when
 // the profiler is enabled, two steady_clock reads folded into the
@@ -119,6 +133,8 @@ namespace lexfor::obs {
 #define LEXFOR_OBS_COUNTER_ADD(name, delta) ((void)0)
 #define LEXFOR_OBS_GAUGE_SET(name, value) ((void)0)
 #define LEXFOR_OBS_HISTOGRAM_RECORD(name, sample) ((void)0)
+#define LEXFOR_OBS_HISTOGRAM_BATCH(var, name) ((void)0)
+#define LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(var, sample) ((void)0)
 #define LEXFOR_OBS_PROFILE(name) ((void)0)
 
 #endif  // LEXFOR_OBS

@@ -49,10 +49,14 @@
 //
 // Obs: serve.requests / serve.sheds / serve.rejected_malformed /
 // serve.rejected_version / serve.responses / serve.cache_{hits,misses}
-// counters, serve.request_latency_ns histogram (p50/p95/p99), a kError
-// overload event on the first shed of a batch (flight-recorder dump
-// when armed), and a kError + flight dump if the admission invariant
-// ever breaks.
+// counters, the serve.request_latency_ns histogram (p50/p95/p99) of the
+// responses' server_ns values, a kError overload event on the first
+// shed of a batch (flight-recorder dump when armed), and a kError +
+// flight dump if the admission invariant ever breaks.  The latency
+// samples stay in a chunk-local obs::Histogram::Batch and reach the
+// histogram once per evaluation chunk, so no request writes a shared
+// histogram line; with LEXFOR_OBS=OFF the recorder compiles out and
+// server_ns is still measured.
 
 #pragma once
 
@@ -163,6 +167,14 @@ class VerdictServer {
   // previous responses are discarded and its arena epoch is reset.
   // Returns the batch's admission stats; the invariant
   // stats.balanced() && responses == accepted holds on every return.
+  //
+  // A response's server_ns is one steady_clock interval on the thread
+  // that evaluated the request: from the previous reading there to this
+  // request's own, taken once its verdict is known.  Each evaluation
+  // chunk reads the clock once at its start, so the first request of a
+  // chunk is timed from there.  The value covers this request's fact
+  // key and table lookup (the engine, on a miss) and the previous
+  // request's latency record, never admission or encoding.
   //
   // Thread-safe across distinct connections; a single Connection must
   // not be served from two threads at once.

@@ -95,7 +95,8 @@ struct Response {
   bool cache_hit = false;
   legal::ProcessKind required_process = legal::ProcessKind::kNone;
   legal::StandardOfProof required_proof = legal::StandardOfProof::kNone;
-  // Server-side handling time for this request, nanoseconds.
+  // Server-side handling time for this request, nanoseconds (what
+  // serve::VerdictServer times is documented at VerdictServer::serve).
   std::uint64_t server_ns = 0;
 };
 
@@ -143,7 +144,8 @@ void encode_request(const legal::Scenario& s, std::uint64_t request_id,
 // malformed/version-skew/valid without paying string assignment.
 [[nodiscard]] Status validate_request(std::span<const std::uint8_t> frame);
 
-// Appends one encoded response frame (fixed kResponseFrameBytes).
+// Appends one encoded response frame (fixed kResponseFrameBytes),
+// built whole and appended in one call.
 void encode_response(const Response& r, std::vector<std::uint8_t>& out);
 
 // Strict decode of exactly one response frame.

@@ -96,7 +96,7 @@ void TapSession::pump(SimTime now) {
     // so streamed bins are bit-identical despread input.
     (void)despreader_.push(static_cast<double>(drain_[i]) / bin_sec);
     ++stats_.bins_scored;
-    const SimTime bin_end =
+    [[maybe_unused]] const SimTime bin_end =
         ring_.start() + ring_.bin_width() *
                             static_cast<std::int64_t>(first_bin + i + 1);
     LEXFOR_OBS_HISTOGRAM_RECORD("stream.tap.bin_latency_us",

@@ -163,6 +163,90 @@ TEST(ObsMetricsTest, AllMassInOverflowInterpolatesWithinObservedRange) {
   }
 }
 
+void expect_same_histogram(const Histogram& a, const Histogram& b) {
+  ASSERT_EQ(a.num_buckets(), b.num_buckets());
+  for (std::size_t i = 0; i < a.num_buckets(); ++i) {
+    EXPECT_EQ(a.bucket_count(i), b.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  for (const double p : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_DOUBLE_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+  }
+}
+
+// A batch publishes exactly what per-sample record() would, including
+// negative samples, samples equal to a bound, overflow samples and more
+// distinct buckets than the batch has slots.
+TEST(ObsMetricsTest, BatchMatchesPerSampleRecord) {
+  MetricsRegistry reg;
+  Histogram& single = reg.histogram("test.single");
+  Histogram& batched = reg.histogram("test.batched");
+  const std::vector<std::int64_t>& bounds = single.bounds();
+  Rng rng(20);
+  std::vector<std::int64_t> samples;
+  for (int i = 0; i < 5'000; ++i) {
+    switch (rng.uniform(4)) {
+      case 0:
+        samples.push_back(-static_cast<std::int64_t>(rng.uniform(1'000)));
+        break;
+      case 1:
+        samples.push_back(bounds[rng.uniform(bounds.size())]);
+        break;
+      case 2:
+        samples.push_back(bounds.back() + 1 +
+                          static_cast<std::int64_t>(rng.uniform(1'000'000)));
+        break;
+      default:
+        samples.push_back(static_cast<std::int64_t>(
+            std::pow(10.0, 6.0 * rng.uniform01())));
+        break;
+    }
+  }
+  Histogram::Batch batch(batched);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    single.record(samples[i]);
+    batch.record(samples[i]);
+    if (i % 97 == 96) batch.flush();
+  }
+  batch.flush();
+  expect_same_histogram(single, batched);
+  EXPECT_LT(batched.min(), 0);
+  EXPECT_GT(batched.bucket_count(batched.num_buckets() - 1), 0u);
+}
+
+TEST(ObsMetricsTest, EmptyOrTwiceFlushedBatchChangesNothing) {
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("test.batch", {10, 100});
+  {
+    Histogram::Batch empty(h);
+    empty.flush();
+  }  // and flushed again by the destructor
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0);
+  EXPECT_EQ(h.min(), 0);
+  EXPECT_EQ(h.max(), 0);
+  std::ostringstream text;
+  reg.to_text(text);
+  EXPECT_EQ(text.str().find("9223372036854775807"), std::string::npos);
+  EXPECT_NE(text.str().find("histogram test.batch count=0"),
+            std::string::npos);
+
+  Histogram& once = reg.histogram("test.once", {10, 100});
+  once.record(7);
+  once.record(150);
+  {
+    Histogram::Batch batch(h);
+    batch.record(7);
+    batch.record(150);
+    batch.flush();
+    batch.flush();
+  }
+  expect_same_histogram(once, h);
+}
+
 TEST(ObsMetricsTest, SampleAccessorsMirrorLiveInstruments) {
   MetricsRegistry reg;
   reg.counter("b.counter").add(3);

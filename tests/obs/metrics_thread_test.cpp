@@ -58,6 +58,35 @@ TEST(ObsMetricsThreadTest, ConcurrentHistogramRecordsAreExact) {
   EXPECT_EQ(h.max(), 2000);
 }
 
+// Threads publishing batches at once, a flush every 64 samples as a
+// server flushes per chunk: the totals are exact, as with record().
+TEST(ObsMetricsThreadTest, ConcurrentBatchPublishesAreExact) {
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("stress.batched", {10, 100, 1000});
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h, t] {
+      Histogram::Batch batch(h);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        batch.record(1 + (t * kOpsPerThread + i) % 2000);
+        if (i % 64 == 63) batch.flush();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  const auto total = static_cast<std::uint64_t>(kThreads) * kOpsPerThread;
+  EXPECT_EQ(h.count(), total);
+  // Each value in [1, 2000] was recorded total / 2000 times.
+  EXPECT_EQ(h.sum(), static_cast<std::int64_t>(total / 2000) * 2000 * 2001 / 2);
+  EXPECT_EQ(h.bucket_count(0), total / 2000 * 10);
+  EXPECT_EQ(h.bucket_count(1), total / 2000 * 90);
+  EXPECT_EQ(h.bucket_count(2), total / 2000 * 900);
+  EXPECT_EQ(h.bucket_count(3), total / 2000 * 1000);
+  EXPECT_EQ(h.min(), 1);
+  EXPECT_EQ(h.max(), 2000);
+}
+
 TEST(ObsMetricsThreadTest, ConcurrentRegistryLookupsYieldOneInstrument) {
   MetricsRegistry reg;
   std::vector<Counter*> seen(kThreads, nullptr);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "legal/scene_table.h"
 #include "legal/table1.h"
+#include "obs/obs.h"
 #include "serve/fleet.h"
 
 namespace lexfor::serve {
@@ -139,6 +141,56 @@ TEST(VerdictServerTest, VerdictsAreIdenticalAcrossWorkerCounts) {
               per_worker[1][i].required_process);
     EXPECT_EQ(per_worker[0][i].required_proof,
               per_worker[1][i].required_proof);
+  }
+}
+
+// Each accepted request adds one serve.request_latency_ns sample, and
+// the samples are the server_ns values its responses carry, whether the
+// chunks run inline or on pool workers.  With obs compiled out the
+// histogram stays still.  Inline, the requests' intervals are disjoint
+// and inside the call, so their sum cannot exceed the call's duration.
+TEST(VerdictServerTest, LatencyHistogramGainsEachAcceptedRequestsServerNs) {
+  FleetOptions fopts;
+  fopts.fleet_size = 2048;
+  const SyntheticFleet fleet(fopts);
+  std::vector<std::uint8_t> wave;
+  fleet.generate_wave(4, wave);
+  const obs::Histogram& latency =
+      obs::metrics().histogram("serve.request_latency_ns");
+
+  for (const unsigned workers : {1u, 4u}) {
+    ServerOptions opts;
+    opts.workers = workers;
+    opts.batch.use_shared_cache = false;
+    VerdictServer server(opts);
+    Connection conn = server.connect();
+    const std::uint64_t count_before = latency.count();
+    const std::int64_t sum_before = latency.sum();
+    const auto t0 = std::chrono::steady_clock::now();
+    const ServeStats stats = server.serve(conn, wave);
+    const auto t1 = std::chrono::steady_clock::now();
+    ASSERT_EQ(stats.accepted, fopts.fleet_size);
+
+    std::uint64_t server_ns = 0;
+    for (const wire::Response& r : decode_all(conn.responses())) {
+      server_ns += r.server_ns;
+    }
+#if LEXFOR_OBS
+    EXPECT_EQ(latency.count() - count_before, stats.accepted) << workers;
+    EXPECT_EQ(static_cast<std::uint64_t>(latency.sum() - sum_before),
+              server_ns)
+        << workers;
+#else
+    EXPECT_EQ(latency.count(), count_before) << workers;
+    EXPECT_EQ(latency.sum(), sum_before) << workers;
+#endif
+    if (workers == 1) {
+      EXPECT_LE(server_ns,
+                static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        t1 - t0)
+                        .count()));
+    }
   }
 }
 

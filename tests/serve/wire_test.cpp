@@ -238,6 +238,74 @@ TEST(WireTest, ResponseRoundTrips) {
   EXPECT_EQ(back.server_ns, r.server_ns);
 }
 
+// Golden bytes for three responses, so an encoder and decoder that
+// drift together still fail.  Between them they set both flag bits, a
+// non-OK status, the largest process and proof values, and a
+// request_id and server_ns whose top bits are set.
+TEST(WireTest, ResponseFramesArePinned) {
+  Response a;
+  a.request_id = 1;
+  a.cache_hit = true;
+  a.required_process = legal::ProcessKind::kSubpoena;
+  a.required_proof = legal::StandardOfProof::kMereSuspicion;
+  a.server_ns = 1234;
+
+  Response b;
+  b.request_id = 0xF0E1D2C3B4A59687ull;
+  b.status = StatusCode::kResourceExhausted;
+  b.needs_process = true;
+  b.cache_hit = true;
+  b.required_process = legal::ProcessKind::kWiretapOrder;
+  b.required_proof = legal::StandardOfProof::kProbableCausePlus;
+  b.server_ns = 0x8899AABBCCDDEEFFull;
+
+  Response c;
+  c.request_id = ~std::uint64_t{0};
+  c.status = StatusCode::kPermissionDenied;
+  c.needs_process = true;
+  c.required_process = legal::ProcessKind::kCourtOrder;
+  c.required_proof = legal::StandardOfProof::kArticulableFacts;
+  c.server_ns = ~std::uint64_t{0};
+
+  // magic "LXSV", version 1, kind 2, reserved 0, frame_len 32, then
+  // request_id, status, flags, process, proof and server_ns.
+  const std::vector<std::uint8_t> golden = {
+      0x4C, 0x58, 0x53, 0x56, 0x01, 0x02, 0x00, 0x00,  // a
+      0x20, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x01,
+      0xD2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x4C, 0x58, 0x53, 0x56, 0x01, 0x02, 0x00, 0x00,  // b
+      0x20, 0x00, 0x00, 0x00, 0x87, 0x96, 0xA5, 0xB4,
+      0xC3, 0xD2, 0xE1, 0xF0, 0x08, 0x03, 0x04, 0x04,
+      0xFF, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99, 0x88,
+      0x4C, 0x58, 0x53, 0x56, 0x01, 0x02, 0x00, 0x00,  // c
+      0x20, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF,
+      0xFF, 0xFF, 0xFF, 0xFF, 0x04, 0x01, 0x02, 0x02,
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+  };
+  const std::vector<Response> responses = {a, b, c};
+  std::vector<std::uint8_t> buf;
+  for (const Response& r : responses) encode_response(r, buf);
+  EXPECT_EQ(buf, golden);
+
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    Response back;
+    ASSERT_TRUE(decode_response(std::span<const std::uint8_t>(golden).subspan(
+                                    i * kResponseFrameBytes,
+                                    kResponseFrameBytes),
+                                back)
+                    .ok())
+        << i;
+    EXPECT_EQ(back.request_id, responses[i].request_id) << i;
+    EXPECT_EQ(back.status, responses[i].status) << i;
+    EXPECT_EQ(back.needs_process, responses[i].needs_process) << i;
+    EXPECT_EQ(back.cache_hit, responses[i].cache_hit) << i;
+    EXPECT_EQ(back.required_process, responses[i].required_process) << i;
+    EXPECT_EQ(back.required_proof, responses[i].required_proof) << i;
+    EXPECT_EQ(back.server_ns, responses[i].server_ns) << i;
+  }
+}
+
 TEST(WireTest, ResponseDecodeIsStrict) {
   Response r;
   std::vector<std::uint8_t> buf;

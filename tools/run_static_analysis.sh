@@ -33,6 +33,11 @@
 #                                       FMA, so glibc runs its other
 #                                       log/exp variant; every gate must
 #                                       give the same answer)
+#   8. obs kill switch                 (-DLEXFOR_OBS=OFF -DLEXFOR_WERROR=ON
+#                                       build + full ctest: with every
+#                                       LEXFOR_OBS_* macro compiled out the
+#                                       tree builds warning-free and every
+#                                       test passes)
 #
 # Usage: tools/run_static_analysis.sh [--skip-tidy] [--jobs N]
 # Exits non-zero if any stage fails.
@@ -240,6 +245,22 @@ host_variance_ctest() {
 }
 stage "tier-1 ctest under glibc's other log/exp (hwcaps -AVX2,-FMA)" \
       host_variance_ctest
+
+# ---------------------------------------------------- 8. obs kill switch
+# LEXFOR_OBS=OFF erases every LEXFOR_OBS_* macro (src/obs/obs.h).  A
+# variable that only instrumentation reads then goes unused, and a test
+# that reads an obs counter no longer sees it move, so the switch is
+# built with -Werror and the whole suite runs against it.
+obs_off_build() {
+  cmake -B build-obsoff -S . -DLEXFOR_OBS=OFF -DLEXFOR_WERROR=ON \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
+  cmake --build build-obsoff -j "${JOBS}"
+}
+obs_off_ctest() {
+  ctest --test-dir build-obsoff --output-on-failure -j "${JOBS}"
+}
+stage "obs kill-switch build (LEXFOR_OBS=OFF, LEXFOR_WERROR=ON)" obs_off_build
+stage "full ctest with obs compiled out" obs_off_ctest
 
 # ------------------------------------------------------------------ report
 note "static analysis summary"
