@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/crc32.h"
-#include "crypto/md5.h"
 #include "crypto/sha256.h"
 #include "util/rng.h"
 
@@ -28,15 +27,6 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Range(64, 1 << 20);
-
-void BM_Md5(benchmark::State& state) {
-  const Bytes data = random_bytes(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Md5::hash(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Md5)->Range(64, 1 << 20);
 
 void BM_Crc32(benchmark::State& state) {
   const Bytes data = random_bytes(static_cast<std::size_t>(state.range(0)));

@@ -9,13 +9,12 @@
 //       malformed and version-skewed frames injected into the flood:
 //       accepted + shed_queue_full + rejected_malformed +
 //       rejected_version == offered,
-//   (3) the steady state is arena-flat: after a warm-up batch, the
-//       connection's arena never grows a chunk, slot/response
-//       capacities never move, and — on the workers==1 inline path —
-//       a batch performs ZERO heap allocations on the serving thread (a
-//       global operator new override counts them per thread and
-//       process-wide); fan-out batches stay under a fixed bound,
-//       counted process-wide,
+//   (3) the steady state is flat: after a warm-up batch, the
+//       connection's slot/response capacities never move, and — on
+//       the workers==1 inline path — a batch performs ZERO heap
+//       allocations on the serving thread (a global operator new
+//       override counts them per thread and process-wide); fan-out
+//       batches stay under a fixed bound, counted process-wide,
 //   (4) the serve.request_latency_ns histogram carries the samples the
 //       throughput run produced (count == verdicts served).
 // It reports verdicts/s and p50/p95/p99 per worker count, as
@@ -207,7 +206,7 @@ int main() {
     std::printf("accepted + shed + malformed + version == offered: exact\n");
   }
 
-  // Gate 3: arena-flat, zero-alloc steady state.
+  // Gate 3: flat, zero-alloc steady state.
   {
     FleetOptions fopts;
     fopts.fleet_size = 4096;
@@ -215,8 +214,7 @@ int main() {
     std::vector<std::uint8_t> wave;
     fleet.generate_wave(3, wave);
 
-    std::printf("\n%8s %14s %12s %12s\n", "workers", "allocs/batch",
-                "arena chunks", "arena bytes");
+    std::printf("\n%8s %14s\n", "workers", "allocs/batch");
     bool flat = true;
     std::uint64_t inline_allocs = 0;
     for (const unsigned workers : {1u, 4u}) {
@@ -225,8 +223,6 @@ int main() {
       // Two warm-up batches: grow capacities, warm the verdict table.
       server.serve(conn, wave);
       server.serve(conn, wave);
-      const std::size_t chunks = conn.arena().chunk_count();
-      const std::size_t reserved = conn.arena().bytes_reserved();
       const std::size_t slot_cap = conn.slot_capacity();
       const std::size_t resp_cap = conn.response_capacity();
 
@@ -247,13 +243,10 @@ int main() {
         max_batch_allocs =
             batch_allocs > max_batch_allocs ? batch_allocs : max_batch_allocs;
       }
-      flat = flat && conn.arena().chunk_count() == chunks &&
-             conn.arena().bytes_reserved() == reserved &&
-             conn.slot_capacity() == slot_cap &&
+      flat = flat && conn.slot_capacity() == slot_cap &&
              conn.response_capacity() == resp_cap;
-      std::printf("%8u %14llu %12zu %12zu\n", workers,
-                  static_cast<unsigned long long>(max_batch_allocs), chunks,
-                  reserved);
+      std::printf("%8u %14llu\n", workers,
+                  static_cast<unsigned long long>(max_batch_allocs));
       if (workers == 1) {
         inline_allocs = max_batch_allocs;
       } else {

@@ -1,5 +1,6 @@
 #include "capture/filter.h"
 
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -81,6 +82,11 @@ bool Filter::matches(const netsim::PacketHeader& header) const {
 
 namespace {
 
+// How deep '(' and 'not' may nest, counted together.  The parser
+// recurses once per level, so without a bound a long enough scope
+// string overflows the stack.
+constexpr std::size_t kMaxNesting = 64;
+
 // Recursive-descent parser over a token vector.
 class Parser {
  public:
@@ -130,34 +136,48 @@ class Parser {
 
   Result<Filter> factor() {
     if (at_end()) return InvalidArgument("filter parse: unexpected end");
-    if (peek() == "not") {
-      take();
-      auto inner = factor();
-      if (!inner.ok()) return inner;
-      return !inner.value();
+    if (peek() != "not" && peek() != "(") return atom();
+    if (depth_ == kMaxNesting) {
+      return InvalidArgument("filter parse: '(' and 'not' nest deeper than " +
+                             std::to_string(kMaxNesting));
     }
-    if (peek() == "(") {
-      take();
-      auto inner = expr();
-      if (!inner.ok()) return inner;
-      if (at_end() || peek() != ")") {
-        return InvalidArgument("filter parse: missing ')'");
-      }
-      take();
-      return inner;
+    ++depth_;
+    auto inner = take() == "not" ? negated() : parenthesized();
+    --depth_;
+    return inner;
+  }
+
+  Result<Filter> negated() {
+    auto inner = factor();
+    if (!inner.ok()) return inner;
+    return !inner.value();
+  }
+
+  Result<Filter> parenthesized() {
+    auto inner = expr();
+    if (!inner.ok()) return inner;
+    if (at_end() || peek() != ")") {
+      return InvalidArgument("filter parse: missing ')'");
     }
-    return atom();
+    take();
+    return inner;
   }
 
   Result<std::uint64_t> number() {
     if (at_end()) return InvalidArgument("filter parse: expected a number");
     const std::string tok = take();
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t v = 0;
     for (const char c : tok) {
       if (c < '0' || c > '9') {
         return InvalidArgument("filter parse: '" + tok + "' is not a number");
       }
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
+      const auto digit = static_cast<std::uint64_t>(c - '0');
+      if (v > (kMax - digit) / 10) {
+        return InvalidArgument("filter parse: '" + tok +
+                               "' exceeds 2^64 - 1");
+      }
+      v = v * 10 + digit;
     }
     return v;
   }
@@ -192,6 +212,9 @@ class Parser {
     if (kw == "maxsize") {
       auto n = number();
       if (!n.ok()) return n.status();
+      if (n.value() > std::numeric_limits<std::uint32_t>::max()) {
+        return InvalidArgument("filter parse: maxsize out of range");
+      }
       return Filter::max_size(static_cast<std::uint32_t>(n.value()));
     }
     return InvalidArgument("filter parse: unknown keyword '" + kw + "'");
@@ -199,6 +222,7 @@ class Parser {
 
   std::vector<std::string> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // '(' and 'not' currently open
 };
 
 std::vector<std::string> tokenize(const std::string& s) {

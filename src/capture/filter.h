@@ -52,6 +52,9 @@ class Filter {
   //   factor := 'not' factor | '(' expr ')' | atom
   //   atom   := ('host'|'src'|'dst') NUM | ('port'|'dstport') NUM
   //           | 'proto' ('tcp'|'udp') | 'maxsize' NUM | 'any'
+  // InvalidArgument for a NUM above 2^64 - 1, a port above 65535, a
+  // maxsize above 2^32 - 1, and '(' and 'not' nested more than 64 deep
+  // (counted together).
   static Result<Filter> parse(const std::string& expression);
 
  private:

@@ -1,7 +1,5 @@
 #include "netsim/network.h"
 
-#include <algorithm>
-#include <deque>
 #include <limits>
 #include <sstream>
 
@@ -75,34 +73,7 @@ std::optional<std::string> Network::node_name(NodeId id) const {
 
 std::vector<NodeId> Network::shortest_path(NodeId src, NodeId dst) const {
   if (!valid_node(src) || !valid_node(dst)) return {};
-  if (src == dst) return {src};
-
-  std::vector<NodeId> parent(nodes_.size());
-  std::vector<bool> seen(nodes_.size(), false);
-  std::deque<NodeId> frontier{src};
-  seen[src.value()] = true;
-
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const auto& adj : adjacency_[u.value()]) {
-      if (seen[adj.neighbor.value()]) continue;
-      seen[adj.neighbor.value()] = true;
-      parent[adj.neighbor.value()] = u;
-      if (adj.neighbor == dst) {
-        std::vector<NodeId> path{dst};
-        NodeId cur = dst;
-        while (cur != src) {
-          cur = parent[cur.value()];
-          path.push_back(cur);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      frontier.push_back(adj.neighbor);
-    }
-  }
-  return {};  // unreachable
+  return netsim::shortest_path(adjacency_, src, dst);
 }
 
 Result<PacketId> Network::send(FlowId flow, PacketHeader header, Bytes payload) {

@@ -8,7 +8,7 @@
 //
 // ISSUE 8 made the hot path data-oriented: in-flight packets live in a
 // PacketStore (SoA slot pool, 32-bit handles), routes come from a
-// RouteCache (memoized per-source BFS trees + shared refcounted paths,
+// RouteCache (one BFS per (src, dst) pair, shared refcounted paths,
 // invalidated on connect/disconnect), and hop callbacks capture only
 // handles — so scheduling a hop moves a few words, never a payload.
 // The observable model is unchanged: a packet's path is frozen at
@@ -118,8 +118,8 @@ class Network {
     return dropped_;
   }
 
-  // Computes the BFS path from `src`; exposed for tests.  send() uses
-  // the memoized RouteCache, which reproduces these paths exactly.
+  // The BFS path src -> dst (empty if unreachable or unknown).  send()
+  // routes through the RouteCache, which memoizes this same BFS.
   [[nodiscard]] std::vector<NodeId> shortest_path(NodeId src, NodeId dst) const;
 
   // --- introspection (tests, A-NETSIM gate) ---------------------------

@@ -1,6 +1,7 @@
 #include "netsim/routing.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace lexfor::netsim {
 namespace {
@@ -13,6 +14,39 @@ namespace {
 
 }  // namespace
 
+std::vector<NodeId> shortest_path(const AdjacencyList& adj, NodeId src,
+                                  NodeId dst) {
+  if (src == dst) return {src};
+
+  std::vector<NodeId> parent(adj.size());
+  std::vector<bool> seen(adj.size(), false);
+  std::vector<NodeId> frontier;
+  frontier.reserve(adj.size());
+  frontier.push_back(src);
+  seen[src.value()] = true;
+
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    const NodeId u = frontier[i];
+    for (const Adjacency& a : adj[u.value()]) {
+      if (seen[a.neighbor.value()]) continue;
+      seen[a.neighbor.value()] = true;
+      parent[a.neighbor.value()] = u;
+      if (a.neighbor == dst) {
+        std::vector<NodeId> path{dst};
+        NodeId cur = dst;
+        while (cur != src) {
+          cur = parent[cur.value()];
+          path.push_back(cur);
+        }
+        std::reverse(path.begin(), path.end());
+        return path;
+      }
+      frontier.push_back(a.neighbor);
+    }
+  }
+  return {};  // unreachable
+}
+
 RouteCache::PathRef RouteCache::acquire(NodeId src, NodeId dst,
                                         const AdjacencyList& adj) {
   const std::uint64_t key = pair_key(src, dst);
@@ -22,22 +56,15 @@ RouteCache::PathRef RouteCache::acquire(NodeId src, NodeId dst,
     return it->second;
   }
 
-  const Tree& tree = tree_for(src, adj);
-  if (dst.value() >= tree.nodes || tree.seen[dst.value()] == 0) {
+  std::vector<NodeId> hops = shortest_path(adj, src, dst);
+  ++bfs_runs_;
+  if (hops.empty()) {
     lookup_.emplace(key, kNull);
     return kNull;
   }
-
   const PathRef p = paths_.acquire();
   PathRec& rec = paths_[p];
-  rec.hops.clear();  // slot recycled: capacity retained, contents stale
-  rec.hops.push_back(dst);
-  NodeId cur = dst;
-  while (cur != src) {
-    cur = tree.parent[cur.value()];
-    rec.hops.push_back(cur);
-  }
-  std::reverse(rec.hops.begin(), rec.hops.end());
+  rec.hops = std::move(hops);
   rec.refs = 2;  // one for the lookup table, one for the caller
   lookup_.emplace(key, p);
   return p;
@@ -55,41 +82,6 @@ void RouteCache::invalidate() {
     if (p != kNull) release(p);
   }
   lookup_.clear();
-  trees_.clear();
-  arena_.reset();
-}
-
-const RouteCache::Tree& RouteCache::tree_for(NodeId src,
-                                             const AdjacencyList& adj) {
-  const auto it = trees_.find(src.value());
-  if (it != trees_.end()) return it->second;
-  if (trees_.size() >= kMaxTrees) invalidate();
-
-  const std::size_t n = adj.size();
-  Tree tree;
-  tree.nodes = n;
-  tree.parent = arena_.alloc_array<NodeId>(n);
-  tree.seen = arena_.alloc_array<std::uint8_t>(n);
-  std::fill(tree.seen, tree.seen + n, std::uint8_t{0});
-
-  // Full BFS from src.  Identical discovery order to
-  // Network::shortest_path: FIFO frontier, adjacency order, parent =
-  // first discoverer — so a path read off this tree matches the path
-  // the per-packet BFS used to build, node for node.
-  frontier_.clear();
-  frontier_.push_back(src);
-  tree.seen[src.value()] = 1;
-  for (std::size_t i = 0; i < frontier_.size(); ++i) {
-    const NodeId u = frontier_[i];
-    for (const Adjacency& a : adj[u.value()]) {
-      if (tree.seen[a.neighbor.value()] != 0) continue;
-      tree.seen[a.neighbor.value()] = 1;
-      tree.parent[a.neighbor.value()] = u;
-      frontier_.push_back(a.neighbor);
-    }
-  }
-  ++bfs_runs_;
-  return trees_.emplace(src.value(), tree).first->second;
 }
 
 }  // namespace lexfor::netsim

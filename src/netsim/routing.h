@@ -1,26 +1,14 @@
-// Memoized BFS routing with shared, reference-counted paths.
+// BFS shortest paths, memoized per (src, dst) pair with shared,
+// reference-counted path records.
 //
-// The pre-ISSUE-8 Network::send ran a fresh O(V+E) BFS and built a
-// fresh path vector for EVERY packet — then moved that vector into the
-// hop closure, where the old event queue deep-copied it per event.
-// RouteCache memoizes both layers:
-//
-//  - per-source BFS next-hop trees, built lazily once per (source,
-//    topology version) in an epoch util::Arena — the tree lives exactly
-//    as long as the topology it describes, and invalidate() drops every
-//    tree in O(1) by resetting the arena;
-//  - materialized (src, dst) paths, built once from the tree and shared
-//    by every packet on that pair through a reference-counted
-//    util::Pool handle.  A packet in flight holds a reference, so a
-//    topology change (which invalidates the cache) never yanks a path
-//    out from under it: the old path survives until its last packet
-//    delivers or drops, preserving the frozen-path drop semantics the
-//    accounting tests lock down.
-//
-// The BFS is bit-identical to Network::shortest_path (same adjacency
-// order, same FIFO frontier, same parent = first-discoverer rule), so
-// memoized routing produces exactly the routes the unmemoized code
-// produced — every seeded simulation replays unchanged.
+// shortest_path() is the one BFS: Network::shortest_path calls it
+// directly, and RouteCache runs it once per (src, dst) pair per
+// topology version.  Each materialized path is shared by every packet on
+// that pair through a reference-counted util::Pool handle.  A packet in
+// flight holds a reference, so a topology change (which invalidates the
+// cache) never yanks a path out from under it: the old path survives
+// until its last packet delivers or drops, preserving the frozen-path
+// drop semantics the accounting tests lock down.
 
 #pragma once
 
@@ -28,8 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/ids.h"
+#include "util/pool.h"
 
 namespace lexfor::netsim {
 
@@ -39,6 +27,13 @@ struct Adjacency {
   std::uint32_t link_index;
 };
 using AdjacencyList = std::vector<std::vector<Adjacency>>;
+
+// The BFS path src -> dst (inclusive of both endpoints), or empty if
+// dst is unreachable.  FIFO frontier in adjacency order, parent = first
+// discoverer, so ties on length resolve the same way on every run.
+// Both ids must index `adj`.
+[[nodiscard]] std::vector<NodeId> shortest_path(const AdjacencyList& adj,
+                                                NodeId src, NodeId dst);
 
 class RouteCache {
  public:
@@ -60,17 +55,14 @@ class RouteCache {
     return paths_[p].hops;
   }
 
-  // Topology changed: drop every memoized tree (arena reset) and the
-  // (src, dst) lookup's references.  Paths still referenced by
-  // in-flight packets survive until their refcounts drain.
+  // Topology changed: drop the (src, dst) lookup's references.  Paths
+  // still referenced by in-flight packets survive until their refcounts
+  // drain.
   void invalidate();
 
   // --- introspection (tests, A-NETSIM gate) -------------------------
   [[nodiscard]] std::size_t cached_pairs() const noexcept {
     return lookup_.size();
-  }
-  [[nodiscard]] std::size_t cached_trees() const noexcept {
-    return trees_.size();
   }
   [[nodiscard]] std::size_t live_paths() const noexcept {
     return paths_.live();
@@ -85,28 +77,11 @@ class RouteCache {
     std::vector<NodeId> hops;
     std::uint32_t refs = 0;
   };
-  // Arena-backed per-source BFS tree: parent[i] is the first discoverer
-  // of node i, seen[i] whether i is reachable from the source.
-  struct Tree {
-    NodeId* parent = nullptr;
-    std::uint8_t* seen = nullptr;
-    std::size_t nodes = 0;
-  };
-
-  // Keeps epoch memory bounded when a pathological workload sends from
-  // very many distinct sources: past this many memoized trees the epoch
-  // is recycled wholesale.
-  static constexpr std::size_t kMaxTrees = 512;
-
-  [[nodiscard]] const Tree& tree_for(NodeId src, const AdjacencyList& adj);
 
   util::Pool<PathRec> paths_;
   // (src << 32 | dst) -> PathRef (or kNull for memoized unreachability);
   // each non-null entry holds one reference.
   std::unordered_map<std::uint64_t, PathRef> lookup_;
-  std::unordered_map<std::uint64_t, Tree> trees_;
-  util::Arena arena_;                      // epoch storage for trees
-  std::vector<NodeId> frontier_;           // reusable BFS queue
   std::uint64_t bfs_runs_ = 0;
 };
 

@@ -1,9 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "obs/sink.h"  // append_json_escaped
 
 namespace lexfor::obs {
 namespace {
@@ -208,78 +205,6 @@ std::vector<HistogramSample> MetricsRegistry::histogram_samples() const {
     out.push_back(std::move(s));
   }
   return out;
-}
-
-void MetricsRegistry::to_text(std::ostream& os) const {
-  const std::scoped_lock lock(mu_);
-  for (const Counter* c : sorted_by_name(counters_)) {
-    os << "counter   " << c->name() << " = " << c->value() << '\n';
-  }
-  for (const Gauge* g : sorted_by_name(gauges_)) {
-    os << "gauge     " << g->name() << " = " << g->value() << '\n';
-  }
-  for (const Histogram* h : sorted_by_name(histograms_)) {
-    os << "histogram " << h->name() << " count=" << h->count();
-    if (h->count() > 0) {
-      os << " min=" << h->min() << " mean=" << h->mean()
-         << " p50=" << h->percentile(50) << " p95=" << h->percentile(95)
-         << " p99=" << h->percentile(99) << " max=" << h->max();
-    }
-    os << '\n';
-  }
-}
-
-void MetricsRegistry::to_json(std::ostream& os) const {
-  const std::scoped_lock lock(mu_);
-  std::string out;
-  out += "{\"counters\":{";
-  bool first = true;
-  for (const Counter* c : sorted_by_name(counters_)) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_json_escaped(out, c->name());
-    out += "\":";
-    out += std::to_string(c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const Gauge* g : sorted_by_name(gauges_)) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_json_escaped(out, g->name());
-    out += "\":";
-    out += std::to_string(g->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const Histogram* h : sorted_by_name(histograms_)) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_json_escaped(out, h->name());
-    out += "\":{\"count\":";
-    out += std::to_string(h->count());
-    if (h->count() > 0) {
-      char buf[64];
-      out += ",\"min\":";
-      out += std::to_string(h->min());
-      out += ",\"max\":";
-      out += std::to_string(h->max());
-      std::snprintf(buf, sizeof buf, ",\"mean\":%.3f", h->mean());
-      out += buf;
-      std::snprintf(buf, sizeof buf, ",\"p50\":%.3f", h->percentile(50));
-      out += buf;
-      std::snprintf(buf, sizeof buf, ",\"p95\":%.3f", h->percentile(95));
-      out += buf;
-      std::snprintf(buf, sizeof buf, ",\"p99\":%.3f", h->percentile(99));
-      out += buf;
-    }
-    out += '}';
-  }
-  out += "}}";
-  os << out << '\n';
 }
 
 void MetricsRegistry::reset() {

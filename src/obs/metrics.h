@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -236,14 +235,10 @@ class MetricsRegistry {
 
   // Point-in-time copies of every instrument, sorted by name.  Each
   // instrument is read atomically field-by-field (the registry stays
-  // live), which is the same consistency the renderers below provide.
+  // live).  obs::Snapshot renders them (Prometheus text and JSON).
   [[nodiscard]] std::vector<CounterSample> counter_samples() const;
   [[nodiscard]] std::vector<GaugeSample> gauge_samples() const;
   [[nodiscard]] std::vector<HistogramSample> histogram_samples() const;
-
-  // Renders every instrument, sorted by name within each kind.
-  void to_text(std::ostream& os) const;
-  void to_json(std::ostream& os) const;
 
   // Zeroes counters/gauges and drops histograms' samples; instruments
   // themselves (and cached references) stay registered.

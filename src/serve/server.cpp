@@ -44,34 +44,34 @@ Connection VerdictServer::connect() const {
   return Connection(options_.queue_capacity);
 }
 
-void VerdictServer::evaluate_range(Connection& conn, Pending* pending,
-                                   std::size_t begin, std::size_t end) const {
+void VerdictServer::evaluate_range(Connection& conn, std::size_t begin,
+                                   std::size_t end) const {
   // One clock read per request, plus this one per chunk (what server_ns
   // covers is documented at serve()); the histogram is written once.
   LEXFOR_OBS_HISTOGRAM_BATCH(latency, "serve.request_latency_ns");
   auto last = Clock::now();
   for (std::size_t i = begin; i < end; ++i) {
-    const wire::Request& req = conn.slots_[i];
-    const legal::FactKey key = legal::fact_key(req.scenario);
-    Pending& p = pending[i];
+    Connection::Slot& slot = conn.slots_[i];
+    const legal::FactKey key = legal::fact_key(slot.request.scenario);
     if (const auto hit = table_.get(key)) {
-      p.verdict = *hit;
-      p.cache_hit = 1;
+      slot.verdict = *hit;
+      slot.cache_hit = true;
     } else {
       // Miss: derive through the BatchEvaluator so the full
       // Determination lands in the shared verdict cache too.
-      const legal::Determination d = batch_.evaluate(req.scenario);
-      p.verdict.needs_process = d.needs_process ? 1 : 0;
-      p.verdict.required_process =
+      const legal::Determination d = batch_.evaluate(slot.request.scenario);
+      slot.verdict.needs_process = d.needs_process ? 1 : 0;
+      slot.verdict.required_process =
           static_cast<std::uint8_t>(d.required_process);
-      p.verdict.required_proof = static_cast<std::uint8_t>(d.required_proof);
-      p.cache_hit = 0;
-      table_.put(key, p.verdict);
+      slot.verdict.required_proof =
+          static_cast<std::uint8_t>(d.required_proof);
+      slot.cache_hit = false;
+      table_.put(key, slot.verdict);
     }
     const auto now = Clock::now();
-    p.server_ns = clamp_ns(now - last);
+    slot.server_ns = clamp_ns(now - last);
     last = now;
-    LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(latency, p.server_ns);
+    LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(latency, slot.server_ns);
   }
 }
 
@@ -81,8 +81,6 @@ ServeStats VerdictServer::serve(Connection& conn,
                   std::to_string(frames.size()) + " bytes",
                   obs::no_sim_time());
   ServeStats stats;
-  stats.batches = 1;
-  conn.arena_.reset();
   conn.responses_.clear();
 
   // --- Admission: walk the frame stream, classify every frame. ------
@@ -126,7 +124,8 @@ ServeStats VerdictServer::serve(Connection& conn,
     }
 
     if (accepted == conn.slots_.size()) conn.slots_.emplace_back();
-    const Status s = wire::decode_request(frame, conn.slots_[accepted]);
+    const Status s =
+        wire::decode_request(frame, conn.slots_[accepted].request);
     if (s.ok()) {
       ++accepted;
       ++stats.accepted;
@@ -138,36 +137,33 @@ ServeStats VerdictServer::serve(Connection& conn,
   }
 
   // --- Evaluation fan-out. ------------------------------------------
-  Pending* pending = conn.arena_.alloc_array<Pending>(accepted);
-  for (std::size_t i = 0; i < accepted; ++i) pending[i] = Pending{};
-
   // A few chunks per thread, as in BatchEvaluator::evaluate_batch.  At
   // one worker the chunks run inline: strictly zero heap traffic in
-  // steady state (the A-SERVE arena-flat gate runs here).
+  // steady state (the A-SERVE zero-allocation gate runs here).
   const unsigned width = options_.workers;
   const std::size_t grain =
       std::max<std::size_t>(1, accepted / (std::size_t{width} * 8));
   util::parallel_for(
       (accepted + grain - 1) / grain, width, [&](std::size_t chunk) {
         const std::size_t begin = chunk * grain;
-        evaluate_range(conn, pending, begin, std::min(begin + grain, accepted));
+        evaluate_range(conn, begin, std::min(begin + grain, accepted));
       });
 
   // --- Responses, in request order. ---------------------------------
   wire::Response resp;
   for (std::size_t i = 0; i < accepted; ++i) {
-    const Pending& p = pending[i];
-    resp.request_id = conn.slots_[i].request_id;
+    const Connection::Slot& slot = conn.slots_[i];
+    resp.request_id = slot.request.request_id;
     resp.status = StatusCode::kOk;
-    resp.needs_process = p.verdict.needs_process != 0;
-    resp.cache_hit = p.cache_hit != 0;
+    resp.needs_process = slot.verdict.needs_process != 0;
+    resp.cache_hit = slot.cache_hit;
     resp.required_process =
-        static_cast<legal::ProcessKind>(p.verdict.required_process);
+        static_cast<legal::ProcessKind>(slot.verdict.required_process);
     resp.required_proof =
-        static_cast<legal::StandardOfProof>(p.verdict.required_proof);
-    resp.server_ns = p.server_ns;
+        static_cast<legal::StandardOfProof>(slot.verdict.required_proof);
+    resp.server_ns = slot.server_ns;
     wire::encode_response(resp, conn.responses_);
-    if (p.cache_hit != 0) {
+    if (slot.cache_hit) {
       ++stats.cache_hits;
     } else {
       ++stats.cache_misses;
@@ -204,31 +200,7 @@ ServeStats VerdictServer::serve(Connection& conn,
     LEXFOR_OBS_COUNTER_ADD("serve.cache_misses", stats.cache_misses);
   }
 
-  tot_offered_.fetch_add(stats.offered, std::memory_order_relaxed);
-  tot_accepted_.fetch_add(stats.accepted, std::memory_order_relaxed);
-  tot_shed_.fetch_add(stats.shed_queue_full, std::memory_order_relaxed);
-  tot_malformed_.fetch_add(stats.rejected_malformed,
-                           std::memory_order_relaxed);
-  tot_version_.fetch_add(stats.rejected_version, std::memory_order_relaxed);
-  tot_responses_.fetch_add(stats.responses, std::memory_order_relaxed);
-  tot_hits_.fetch_add(stats.cache_hits, std::memory_order_relaxed);
-  tot_misses_.fetch_add(stats.cache_misses, std::memory_order_relaxed);
-  tot_batches_.fetch_add(1, std::memory_order_relaxed);
   return stats;
-}
-
-ServeStats VerdictServer::stats() const {
-  ServeStats s;
-  s.offered = tot_offered_.load(std::memory_order_relaxed);
-  s.accepted = tot_accepted_.load(std::memory_order_relaxed);
-  s.shed_queue_full = tot_shed_.load(std::memory_order_relaxed);
-  s.rejected_malformed = tot_malformed_.load(std::memory_order_relaxed);
-  s.rejected_version = tot_version_.load(std::memory_order_relaxed);
-  s.responses = tot_responses_.load(std::memory_order_relaxed);
-  s.cache_hits = tot_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = tot_misses_.load(std::memory_order_relaxed);
-  s.batches = tot_batches_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace lexfor::serve

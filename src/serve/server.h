@@ -25,12 +25,13 @@
 // allocation-free validate path, so garbage offered during overload is
 // still counted as garbage, not as load.
 //
-// Zero-alloc steady state: each Connection owns a util::Arena (epoch
-// reset per batch) carrying the pending-verdict scratch, a recycled
-// slot vector whose decoded Requests keep their string capacity, and a
-// response buffer that keeps its bytes.  Once the fleet's scenario mix
-// is warm in the compact verdict table, a batch performs no heap
-// traffic at all on the single-worker inline path (gated by A-SERVE).
+// Zero-alloc steady state: each Connection owns a recycled slot vector
+// (one slot per accepted request: the decoded Request, which keeps its
+// string capacity, plus the verdict, hit flag and server_ns its
+// response carries) and a response buffer that keeps its bytes.  Once
+// the fleet's scenario mix is warm in the compact verdict table, a
+// batch performs no heap traffic at all on the single-worker inline
+// path (gated by A-SERVE).
 //
 // The compact verdict table is the serving layer's own cache: an LRU
 // of 3-byte verdicts keyed by legal::FactKey, in front of the shared
@@ -60,7 +61,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -68,7 +68,6 @@
 
 #include "legal/batch.h"
 #include "serve/wire.h"
-#include "util/arena.h"
 #include "util/lru_cache.h"
 
 namespace lexfor::serve {
@@ -81,7 +80,7 @@ enum class Admission : std::uint8_t {
   kRejectedVersion,
 };
 
-// Per-batch (and, summed, per-server) admission accounting.
+// One batch's admission accounting; callers that want totals sum these.
 struct ServeStats {
   std::uint64_t offered = 0;
   std::uint64_t accepted = 0;
@@ -91,7 +90,6 @@ struct ServeStats {
   std::uint64_t responses = 0;       // == accepted, always
   std::uint64_t cache_hits = 0;      // compact verdict-table hits
   std::uint64_t cache_misses = 0;    // engine evaluations
-  std::uint64_t batches = 0;
 
   [[nodiscard]] bool balanced() const noexcept {
     return accepted + shed_queue_full + rejected_malformed +
@@ -131,7 +129,6 @@ class Connection {
   [[nodiscard]] const std::vector<std::uint8_t>& responses() const noexcept {
     return responses_;
   }
-  [[nodiscard]] const util::Arena& arena() const noexcept { return arena_; }
   [[nodiscard]] std::size_t slot_capacity() const noexcept {
     return slots_.capacity();
   }
@@ -146,9 +143,17 @@ class Connection {
   friend class VerdictServer;
   explicit Connection(std::size_t queue_capacity);
 
-  util::Arena arena_;
-  std::vector<wire::Request> slots_;       // decoded requests, recycled
-  std::vector<std::uint8_t> responses_;    // encoded response frames
+  // One accepted request: decoded at admission, then given the fields
+  // its response carries by evaluation.  Recycled across batches.
+  struct Slot {
+    wire::Request request;
+    CompactVerdict verdict;
+    bool cache_hit = false;
+    std::uint32_t server_ns = 0;  // clamped; 4.2s dwarfs any eval
+  };
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint8_t> responses_;  // encoded response frames
   std::uint64_t batches_served_ = 0;
 };
 
@@ -164,9 +169,9 @@ class VerdictServer {
   // request order (one response frame per ACCEPTED request, none for
   // shed/rejected ones — a real transport would carry the shed signal
   // out of band, and the stats carry it here).  The connection's
-  // previous responses are discarded and its arena epoch is reset.
-  // Returns the batch's admission stats; the invariant
-  // stats.balanced() && responses == accepted holds on every return.
+  // previous responses are discarded.  Returns the batch's admission
+  // stats; the invariant stats.balanced() && responses == accepted
+  // holds on every return.
   //
   // A response's server_ns is one steady_clock interval on the thread
   // that evaluated the request: from the previous reading there to this
@@ -180,9 +185,6 @@ class VerdictServer {
   // not be served from two threads at once.
   ServeStats serve(Connection& conn, std::span<const std::uint8_t> frames);
 
-  // Cumulative accounting across all batches and connections.
-  [[nodiscard]] ServeStats stats() const;
-
   [[nodiscard]] const ServerOptions& options() const noexcept {
     return options_;
   }
@@ -193,15 +195,7 @@ class VerdictServer {
   }
 
  private:
-  // Scratch slot for one accepted request, carved from the connection
-  // arena per batch (trivially destructible by design).
-  struct Pending {
-    CompactVerdict verdict;
-    std::uint8_t cache_hit = 0;
-    std::uint32_t server_ns = 0;  // clamped; 4.2s dwarfs any eval
-  };
-
-  void evaluate_range(Connection& conn, Pending* pending, std::size_t begin,
+  void evaluate_range(Connection& conn, std::size_t begin,
                       std::size_t end) const;
 
   ServerOptions options_;
@@ -212,17 +206,6 @@ class VerdictServer {
                                 legal::FactKeyHash>
       table_;
 
-  // Cumulative stats; relaxed atomics, folded into a ServeStats copy
-  // by stats().
-  mutable std::atomic<std::uint64_t> tot_offered_{0};
-  mutable std::atomic<std::uint64_t> tot_accepted_{0};
-  mutable std::atomic<std::uint64_t> tot_shed_{0};
-  mutable std::atomic<std::uint64_t> tot_malformed_{0};
-  mutable std::atomic<std::uint64_t> tot_version_{0};
-  mutable std::atomic<std::uint64_t> tot_responses_{0};
-  mutable std::atomic<std::uint64_t> tot_hits_{0};
-  mutable std::atomic<std::uint64_t> tot_misses_{0};
-  mutable std::atomic<std::uint64_t> tot_batches_{0};
 };
 
 }  // namespace lexfor::serve

@@ -103,10 +103,12 @@ class SmallFn {
       // Trivially relocatable: blit the whole buffer.  The tail beyond
       // sizeof(Fn) is indeterminate and copying it is deliberate (the
       // exact size was erased at construction); std::byte makes that
-      // well-defined, so quiet GCC's -Wuninitialized here.
+      // well-defined, so quiet GCC's -Wuninitialized and (under
+      // sanitizer instrumentation) -Wmaybe-uninitialized here.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
       std::memcpy(buf_, other.buf_, kInlineBytes);
 #if defined(__GNUC__) && !defined(__clang__)

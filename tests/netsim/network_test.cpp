@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "netsim/topology.h"
+
 namespace lexfor::netsim {
 namespace {
 
@@ -443,6 +450,99 @@ TEST(NetworkTest, UnreachabilityIsMemoizedWithoutLeaking) {
   EXPECT_EQ(net.route_cache().live_paths(), 0u);
   EXPECT_EQ(net.packet_store().live(), 0u);
   EXPECT_EQ(net.packets_sent(), 0u);
+}
+
+// Sends one packet on every ordered pair of `nodes` (each source to
+// every other node) and checks that the hops each packet crosses are
+// exactly shortest_path(src, dst).  `crossed` maps packet id to hops;
+// the caller's taps on every live link fill it.  Returns the number of
+// pairs that had a route.
+std::size_t expect_every_pair_routes_along_shortest_path(
+    Network& net, const std::vector<NodeId>& nodes,
+    std::map<std::uint64_t, std::vector<NodeId>>& crossed) {
+  crossed.clear();
+  std::map<std::uint64_t, std::vector<NodeId>> expected;  // packet id
+  for (const NodeId src : nodes) {
+    for (const NodeId dst : nodes) {
+      if (src == dst) continue;
+      PacketHeader h;
+      h.src = src;
+      h.dst = dst;
+      const auto id = net.send(FlowId{1}, h, to_bytes("route"));
+      const std::vector<NodeId> path = net.shortest_path(src, dst);
+      EXPECT_EQ(id.ok(), !path.empty()) << src << " -> " << dst;
+      if (id.ok()) expected[id.value().value()] = path;
+    }
+  }
+  net.run();
+  EXPECT_EQ(crossed, expected);
+  return expected.size();
+}
+
+// Memoized routing must pick the same route as the BFS on every pair,
+// including pairs whose routes tie on length (the chords of a random
+// graph make many), and again after a link is removed and restored,
+// which moves it to the end of both endpoints' adjacency lists and so
+// can change how ties break.
+TEST(NetworkTest, SendRoutesEveryPairAlongShortestPath) {
+  Network net{9};
+  const std::vector<NodeId> nodes = make_random(net, 14, 0.25, 17);
+
+  // The topology has ties: some pair has two shortest routes, counted
+  // by BFS layers over the adjacency that one-hop routes reveal.
+  std::size_t tied_pairs = 0;
+  for (const NodeId src : nodes) {
+    std::vector<std::size_t> dist(nodes.size());
+    std::vector<std::uint64_t> routes(nodes.size(), 0);
+    for (const NodeId v : nodes) {
+      dist[v.value()] = net.shortest_path(src, v).size();
+    }
+    std::vector<NodeId> by_dist = nodes;
+    std::sort(by_dist.begin(), by_dist.end(), [&](NodeId a, NodeId b) {
+      return dist[a.value()] < dist[b.value()];
+    });
+    routes[src.value()] = 1;
+    for (const NodeId v : by_dist) {
+      for (const NodeId u : nodes) {
+        if (dist[u.value()] + 1 == dist[v.value()] &&
+            net.shortest_path(u, v).size() == 2) {
+          routes[v.value()] += routes[u.value()];
+        }
+      }
+      if (routes[v.value()] > 1) ++tied_pairs;
+    }
+  }
+  ASSERT_GT(tied_pairs, 0u);
+
+  std::map<std::uint64_t, std::vector<NodeId>> crossed;  // packet id
+  std::map<std::pair<NodeId, NodeId>, LinkId> link_between;
+  const auto tap = [&](const TapEvent& ev) {
+    std::vector<NodeId>& hops = crossed[ev.packet.id.value()];
+    if (hops.empty()) hops.push_back(ev.from);
+    EXPECT_EQ(hops.back(), ev.from);
+    hops.push_back(ev.to);
+    link_between[{ev.from, ev.to}] = ev.link;
+  };
+  for (std::size_t l = 0; l < net.link_count(); ++l) {
+    ASSERT_TRUE(net.add_link_tap(LinkId{l}, tap).ok());
+  }
+  const std::size_t pairs = nodes.size() * (nodes.size() - 1);
+  EXPECT_EQ(expect_every_pair_routes_along_shortest_path(net, nodes, crossed),
+            pairs);
+
+  // Remove the first link of the last node's route to the first, then
+  // restore it.
+  const std::vector<NodeId> route =
+      net.shortest_path(nodes.back(), nodes.front());
+  ASSERT_GE(route.size(), 2u);
+  ASSERT_TRUE(net.disconnect(link_between.at({route[0], route[1]})).ok());
+  expect_every_pair_routes_along_shortest_path(net, nodes, crossed);
+
+  const LinkId restored = net.connect(route[0], route[1]).value();
+  ASSERT_TRUE(net.add_link_tap(restored, tap).ok());
+  EXPECT_EQ(expect_every_pair_routes_along_shortest_path(net, nodes, crossed),
+            pairs);
+  EXPECT_EQ(net.packets_sent(), net.packets_delivered());
 }
 
 TEST(NetworkTest, PacketSlotsRecycleAcrossBursts) {

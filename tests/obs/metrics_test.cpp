@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/snapshot.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -59,26 +60,38 @@ TEST(ObsMetricsTest, EmptyHistogramReportsZeroes) {
   EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
 }
 
+// Both exposition formats of a registry holding `name` as an empty
+// histogram: neither may carry the INT64_MAX / INT64_MIN seed
+// sentinels, and JSON must omit the stats an empty histogram lacks.
+void expect_empty_histogram_exposed_without_sentinels(
+    const MetricsRegistry& reg, const std::string& name) {
+  const Snapshot snap = Snapshot::capture(reg);
+  std::ostringstream json;
+  snap.to_json(json);
+  std::ostringstream prom;
+  snap.to_prometheus(prom);
+  for (const std::string& out : {json.str(), prom.str()}) {
+    EXPECT_EQ(out.find("9223372036854775807"), std::string::npos) << out;
+    EXPECT_EQ(out.find("9223372036854775808"), std::string::npos) << out;
+  }
+  EXPECT_NE(json.str().find("\"" + name + "\":{\"count\":0,\"sum\":0}"),
+            std::string::npos)
+      << json.str();
+  std::string family = name;
+  std::replace(family.begin(), family.end(), '.', '_');
+  EXPECT_NE(prom.str().find(family + "_count 0\n"), std::string::npos)
+      << prom.str();
+}
+
 // Regression: an unrecorded histogram used to surface its INT64_MAX /
 // INT64_MIN seed sentinels through min()/max().  While empty the
-// accessors must report 0 and the renderers must omit the stats.
+// accessors must report 0 and the exposition must omit the stats.
 TEST(ObsMetricsTest, EmptyHistogramDoesNotLeakSentinels) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("test.empty", {10, 100});
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.max(), 0);
-
-  std::ostringstream text;
-  reg.to_text(text);
-  // 9223372036854775807 == INT64_MAX, the old leaked sentinel.
-  EXPECT_EQ(text.str().find("9223372036854775807"), std::string::npos);
-  EXPECT_NE(text.str().find("histogram test.empty count=0"),
-            std::string::npos);
-
-  std::ostringstream json;
-  reg.to_json(json);
-  EXPECT_NE(json.str().find("\"test.empty\":{\"count\":0}"),
-            std::string::npos);
+  expect_empty_histogram_exposed_without_sentinels(reg, "test.empty");
 
   // reset() re-seeds the sentinels; the empty-state reporting must
   // survive a record/reset cycle.
@@ -228,11 +241,7 @@ TEST(ObsMetricsTest, EmptyOrTwiceFlushedBatchChangesNothing) {
   EXPECT_EQ(h.sum(), 0);
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.max(), 0);
-  std::ostringstream text;
-  reg.to_text(text);
-  EXPECT_EQ(text.str().find("9223372036854775807"), std::string::npos);
-  EXPECT_NE(text.str().find("histogram test.batch count=0"),
-            std::string::npos);
+  expect_empty_histogram_exposed_without_sentinels(reg, "test.batch");
 
   Histogram& once = reg.histogram("test.once", {10, 100});
   once.record(7);
@@ -271,39 +280,6 @@ TEST(ObsMetricsTest, SampleAccessorsMirrorLiveInstruments) {
   EXPECT_EQ(hists[0].buckets[0], 1u);
   EXPECT_EQ(hists[0].buckets[1], 1u);
   EXPECT_DOUBLE_EQ(hists[0].percentile(99), h.percentile(99));
-}
-
-TEST(ObsMetricsTest, TextRenderingListsEveryInstrument) {
-  MetricsRegistry reg;
-  reg.counter("b.count").add(2);
-  reg.counter("a.count").add(1);
-  reg.gauge("depth").set(3);
-  reg.histogram("lat", {10}).record(5);
-  std::ostringstream os;
-  reg.to_text(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("counter   a.count = 1"), std::string::npos);
-  EXPECT_NE(text.find("counter   b.count = 2"), std::string::npos);
-  EXPECT_NE(text.find("gauge     depth = 3"), std::string::npos);
-  EXPECT_NE(text.find("histogram lat count=1"), std::string::npos);
-  // Sorted by name: a.count before b.count.
-  EXPECT_LT(text.find("a.count"), text.find("b.count"));
-}
-
-TEST(ObsMetricsTest, JsonRenderingIsWellFormed) {
-  MetricsRegistry reg;
-  reg.counter("hits").add(7);
-  reg.gauge("depth").set(-2);
-  reg.histogram("lat", {10, 100}).record(42);
-  std::ostringstream os;
-  reg.to_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"counters\":{\"hits\":7}"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\":{\"depth\":-2}"), std::string::npos);
-  EXPECT_NE(json.find("\"lat\":{\"count\":1"), std::string::npos);
-  // Balanced braces (no nested strings contain braces here).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
 }
 
 TEST(ObsMetricsTest, ResetZeroesValuesButKeepsInstruments) {

@@ -3,10 +3,12 @@
 #
 # Stages (each gates the exit code):
 #   1. warnings-as-errors build        (-DLEXFOR_WERROR=ON)
-#   2. ASan+UBSan build + full ctest   (-DLEXFOR_SANITIZE=address;undefined;
-#                                       includes the serve wire-format fuzz
-#                                       suite, so every mutation path runs
-#                                       memory-checked)
+#   2. ASan+UBSan build + full ctest   (-DLEXFOR_SANITIZE=address;undefined
+#                                       -DLEXFOR_WERROR=ON; includes the
+#                                       serve wire-format fuzz suite, so
+#                                       every mutation path runs
+#                                       memory-checked, and the sanitized
+#                                       build must be warning-free)
 #   3. TSan concurrency stress         (-DLEXFOR_SANITIZE=thread; the obs
 #                                       layer's multi-threaded counter and
 #                                       histogram stress tests, the one
@@ -86,7 +88,7 @@ stage "warnings-as-errors build (LEXFOR_WERROR=ON)" werror_build
 # ------------------------------------------------------- 2. sanitizer ctest
 sanitizer_build() {
   cmake -B build-asan -S . "-DLEXFOR_SANITIZE=address;undefined" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
+        -DLEXFOR_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
   cmake --build build-asan -j "${JOBS}"
 }
 sanitizer_ctest() {
@@ -94,7 +96,7 @@ sanitizer_ctest() {
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 }
-stage "ASan+UBSan build" sanitizer_build
+stage "ASan+UBSan build (LEXFOR_WERROR=ON)" sanitizer_build
 stage "full ctest under ASan+UBSan" sanitizer_ctest
 
 # ----------------------------------------------- 3. TSan concurrency stress
@@ -125,13 +127,13 @@ tsan_pool_cache() {
   # The ThreadPoolTest cases are the fan-out call's own: every index
   # once at widths 0, 1, 2 and 8, width 1 on the caller, at most width
   # threads per call, concurrent callers sharing the pool, and nested
-  # calls.  ArenaTest/SmallFnTest/PoolTest cover the allocation
-  # substrate (util/arena.h, util/small_fn.h): single-threaded by
-  # contract, but instrumented runs also catch lifetime bugs
-  # (use-after-reset, double-destroy in SmallFn).
+  # calls.  SmallFnTest/PoolTest cover the allocation substrate
+  # (util/small_fn.h, util/pool.h): single-threaded by contract, but
+  # instrumented runs also catch lifetime bugs (double-destroy in
+  # SmallFn, a slot reused while still live).
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/util_test \
-      --gtest_filter='ThreadPoolTest.*:LruCacheTest.*:ArenaTest.*:PoolTest.*:SmallFnTest.*'
+      --gtest_filter='ThreadPoolTest.*:LruCacheTest.*:PoolTest.*:SmallFnTest.*'
 }
 tsan_calendar_queue() {
   # The calendar queue + packet store under instrumentation, including
@@ -171,7 +173,7 @@ tsan_traceback_fanout() {
 }
 tsan_serve() {
   # The verdict server's fan-out path: worker evaluation into disjoint
-  # Pending slots through the shared verdict cache, plus the fleet's
+  # connection slots through the shared verdict cache, plus the fleet's
   # order-independent wave generation.  Runs the multi-worker server
   # tests and the fleet suite (the wire codec is single-threaded and
   # covered under ASan by serve_fuzz).
