@@ -259,6 +259,64 @@ TEST(ObsSnapshotTest, JsonIsBalancedAndCoversEverySection) {
   EXPECT_NE(json.find("\"site.a\""), std::string::npos);
 }
 
+TEST(ObsSnapshotTest, ExpositionListsInstrumentsSortedByName) {
+  MetricsRegistry reg;
+  reg.counter("b.count").add(2);
+  reg.counter("a.count").add(1);
+  reg.gauge("depth").set(3);
+  reg.histogram("lat", {10}).record(5);
+  const Snapshot snap = Snapshot::capture(reg);
+
+  std::ostringstream prom;
+  snap.to_prometheus(prom);
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("\na_count 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nb_count 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ndepth 3\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nlat_count 1\n"), std::string::npos) << text;
+  EXPECT_LT(text.find("a_count"), text.find("b_count"));
+
+  std::ostringstream json;
+  snap.to_json(json);
+  EXPECT_NE(json.str().find("\"counters\":{\"a.count\":1,\"b.count\":2}"),
+            std::string::npos)
+      << json.str();
+}
+
+TEST(ObsSnapshotTest, JsonCarriesGaugeSignAndHistogramStats) {
+  MetricsRegistry reg;
+  reg.counter("hits").add(7);
+  reg.gauge("depth").set(-2);
+  reg.histogram("lat", {10, 100}).record(42);
+  std::ostringstream os;
+  Snapshot::capture(reg).to_json(os);
+  const std::string json = os.str();
+  EXPECT_TRUE(json_balanced(json)) << json;
+  EXPECT_NE(json.find("\"counters\":{\"hits\":7}"), std::string::npos);
+  EXPECT_NE(json.find("\"gauges\":{\"depth\":-2}"), std::string::npos);
+  EXPECT_NE(json.find("\"histograms\":{\"lat\":{\"count\":1,\"sum\":42,"
+                      "\"min\":42,\"max\":42,\"mean\":42.000,"
+                      "\"p50\":42.000,\"p95\":42.000,\"p99\":42.000}}"),
+            std::string::npos)
+      << json;
+}
+
+// Label suffixes put quotes in instrument names; JSON escapes them.
+TEST(ObsSnapshotTest, JsonEscapesLabelledNames) {
+  MetricsRegistry reg;
+  populated_registry(reg);
+  std::ostringstream os;
+  Snapshot::capture(reg).to_json(os);
+  const std::string json = os.str();
+  EXPECT_TRUE(json_balanced(json)) << json;
+  EXPECT_NE(json.find(R"("obs.ring.dropped{shard=\"0\"}":3)"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("obs.ring.dropped{shard=\"1\"}":5)"),
+            std::string::npos)
+      << json;
+}
+
 TEST(ObsSnapshotTest, GlobalCaptureIncludesRingStats) {
   const Snapshot snap = Snapshot::capture();
   // The exhaustive invariant holds for whatever shards exist.
