@@ -16,9 +16,10 @@
 //
 //   gate 1  8-thread sharded-ring stress through a Tracer: every
 //           emitted event drains exactly once, merged strictly
-//           (wall_ns, seq)-ordered, per-thread streams intact;
-//   gate 2  overflow accounting: emitted == drained + dropped on a
-//           deliberately tiny ring;
+//           (wall_ns, seq)-ordered, per-thread streams intact (each
+//           event names its thread and carries its index there);
+//   gate 2  overflow accounting: 1000 instants on a deliberately tiny
+//           ring give pushed == 1000 == drained + dropped;
 //   gate 3  disabled-path tracing stays within noise of the
 //           uninstrumented workload (generous 15% bound, best of 5
 //           trials — single-core CI makes tight timing gates flaky).
@@ -70,15 +71,14 @@ bool gate_stress_merge() {
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&tracer, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        tracer.counter(obs::Level::kDebug, "stress",
-                       "t" + std::to_string(t),
-                       static_cast<std::int64_t>(i));
+        tracer.instant(obs::Level::kDebug, "stress", "t" + std::to_string(t),
+                       "i=" + std::to_string(i));
       }
     });
   }
   for (auto& w : workers) w.join();
 
-  const std::vector<obs::TraceEvent> events = tracer.drain();
+  const std::vector<obs::TraceEvent> events = tracer.ring().drain();
   if (events.size() != kThreads * kPerThread) {
     std::fprintf(stderr,
                  "GATE FAIL stress-merge: drained %zu of %llu events\n",
@@ -87,7 +87,7 @@ bool gate_stress_merge() {
     return false;
   }
   std::set<std::uint64_t> seqs;
-  std::vector<std::int64_t> last(kThreads, -1);
+  std::vector<long long> last(kThreads, -1);
   for (std::size_t i = 0; i < events.size(); ++i) {
     const obs::TraceEvent& ev = events[i];
     if (i > 0) {
@@ -107,16 +107,17 @@ bool gate_stress_merge() {
                    static_cast<unsigned long long>(ev.seq));
       return false;
     }
-    const std::size_t t = ev.name[1] - '0';  // "tK" counter name
-    if (ev.value != last[t] + 1) {
+    // Name "tK" is the thread, args "i=N" its index in that stream.
+    const std::size_t t = ev.name[1] - '0';
+    const long long index = std::stoll(ev.args.substr(2));
+    if (index != last[t] + 1) {
       std::fprintf(stderr,
                    "GATE FAIL stress-merge: thread %zu stream reordered "
                    "(saw %lld after %lld)\n",
-                   t, static_cast<long long>(ev.value),
-                   static_cast<long long>(last[t]));
+                   t, index, last[t]);
       return false;
     }
-    last[t] = ev.value;
+    last[t] = index;
   }
   std::fprintf(stderr,
                "gate stress-merge OK: %zu events, %zu shards, strict "
@@ -126,31 +127,23 @@ bool gate_stress_merge() {
 }
 
 bool gate_overflow_accounting() {
+  constexpr std::uint64_t kEvents = 1'000;
   obs::Tracer tracer(/*ring_capacity=*/32);
   tracer.set_level(obs::Level::kDebug);
-  for (int i = 0; i < 1'000; ++i) {
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
     tracer.instant(obs::Level::kInfo, "overflow", "e");
   }
-  (void)tracer.drain();
-  const obs::ShardedEventRing& ring = tracer.ring();
-  if (ring.pushed() != ring.drained() + ring.dropped() ||
-      ring.pushed() != tracer.events_emitted()) {
-    std::fprintf(stderr,
-                 "GATE FAIL overflow-accounting: emitted=%llu pushed=%llu "
-                 "!= drained=%llu + dropped=%llu\n",
-                 static_cast<unsigned long long>(tracer.events_emitted()),
-                 static_cast<unsigned long long>(ring.pushed()),
-                 static_cast<unsigned long long>(ring.drained()),
-                 static_cast<unsigned long long>(ring.dropped()));
-    return false;
-  }
+  (void)tracer.ring().drain();
+  const obs::RingCounts c = tracer.ring().counts();
+  const bool ok = c.pushed == kEvents && c.pushed == c.drained + c.dropped;
   std::fprintf(stderr,
-               "gate overflow-accounting OK: emitted %llu == drained %llu "
-               "+ dropped %llu\n",
-               static_cast<unsigned long long>(tracer.events_emitted()),
-               static_cast<unsigned long long>(ring.drained()),
-               static_cast<unsigned long long>(ring.dropped()));
-  return true;
+               "gate overflow-accounting %s: pushed %llu (of %llu) == "
+               "drained %llu + dropped %llu\n",
+               ok ? "OK" : "FAIL", static_cast<unsigned long long>(c.pushed),
+               static_cast<unsigned long long>(kEvents),
+               static_cast<unsigned long long>(c.drained),
+               static_cast<unsigned long long>(c.dropped));
+  return ok;
 }
 
 double time_loop_ns(bool instrumented) {
@@ -283,10 +276,11 @@ void BM_Workload_ProfileEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_Workload_ProfileEnabled);
 
-// Enabled paths: event emission into the emitting thread's ring shard
-// (no sinks attached), so this isolates stamp + seq + shard push.  The
-// threaded variants show what sharding buys: v1's global spinlock made
-// this serialize; now each thread writes its own shard.
+// Enabled paths: event emission into the emitting thread's ring shard,
+// the only place an accepted event goes: stamp + seq + shard push.
+// The threaded variants show what sharding buys: each thread writes
+// its own shard, and the only shared write left is the ring's sequence
+// counter.
 void BM_EventEnabled_NoArgs(benchmark::State& state) {
   static obs::Tracer* tracer = [] {
     auto* t = new obs::Tracer();
@@ -298,7 +292,7 @@ void BM_EventEnabled_NoArgs(benchmark::State& state) {
   }
   if (state.thread_index() == 0) {
     state.counters["events"] =
-        benchmark::Counter(static_cast<double>(tracer->events_emitted()),
+        benchmark::Counter(static_cast<double>(tracer->ring().pushed()),
                            benchmark::Counter::kIsRate);
   }
 }
@@ -345,7 +339,7 @@ void BM_TracerDrain(benchmark::State& state) {
       tracer.instant(obs::Level::kDebug, "bench", "fill");
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(tracer.drain());
+    benchmark::DoNotOptimize(tracer.ring().drain());
   }
 }
 BENCHMARK(BM_TracerDrain);

@@ -3,7 +3,8 @@
 // Runs the pipeline — facts, court order, pen/trap capture on a
 // simulated network, evidence custody, compliance verdicts, suppression
 // audit — with the observability layer turned all the way up, and
-// writes obs_trace.json in Chrome trace_event format.  Load it in
+// renders the tracer's ring as obs_trace.json in Chrome trace_event
+// format.  Load it in
 // chrome://tracing or https://ui.perfetto.dev to see custody, authority
 // and acquisition events interleaved on the simulation timeline, plus a
 // metrics summary on stdout.
@@ -36,10 +37,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Everything below runs under the DES clock, so put the Chrome trace
-  // on the simulation timeline; kDebug admits even per-packet events.
-  obs::ChromeTraceSink chrome(out, obs::ChromeTraceSink::TimeBase::kSim);
-  obs::tracer().add_sink(&chrome);
+  // kDebug admits even per-packet events into the tracer's ring.
   obs::tracer().set_level(obs::Level::kDebug);
 
   // v2: profile the instrumented hot paths (engine evaluate, batch
@@ -125,8 +123,11 @@ int main(int argc, char** argv) {
                                inv.authority(order.value()));
   const auto audit = inv.admissibility_audit();
 
-  obs::tracer().flush();
-  chrome.finish();
+  // The case ran under the DES clock, so put the Chrome trace on the
+  // simulation timeline.  A snapshot leaves the ring intact for the
+  // flight record below.
+  obs::write_chrome_trace(out, obs::tracer().ring().snapshot(),
+                          obs::TimeBase::kSim);
 
   // --- summary --------------------------------------------------------
   std::cout << "case:       " << investigation::case_report(inv) << '\n';
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
   const bool dumped = obs::dump_flight_record("obs_trace-demo");
   obs::flight_recorder().disarm();
 
-  std::cout << "\ntrace events emitted: " << obs::tracer().events_emitted()
+  std::cout << "\ntrace events emitted: " << obs::tracer().ring().pushed()
             << "\nChrome trace written to " << out_path
             << " (load in chrome://tracing or ui.perfetto.dev)"
             << "\nmetrics snapshot written to obs_metrics.json\n";

@@ -1,15 +1,29 @@
 #include "capture/filter.h"
 
+#include <algorithm>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/string_util.h"
 
 namespace lexfor::capture {
 
+struct Filter::Node {
+  Op op = Op::kAtom;
+  Pred atom;                     // kAtom
+  std::vector<Filter> operands;  // kNot: one; kAnd, kOr: two or more
+  std::string text;
+};
+
+Filter::Filter(Node node)
+    : node_(std::make_shared<const Node>(std::move(node))) {}
+
+Filter::Filter(Pred pred, std::string text)
+    : Filter(Node{Op::kAtom, std::move(pred), {}, std::move(text)}) {}
+
 Filter::Filter()
-    : pred_([](const netsim::PacketHeader&) { return true; }), text_("any") {}
+    : Filter([](const netsim::PacketHeader&) { return true; }, "any") {}
 
 Filter Filter::host(NodeId node) {
   return Filter(
@@ -56,28 +70,44 @@ Filter Filter::max_size(std::uint32_t bytes) {
       "maxsize " + std::to_string(bytes));
 }
 
+Filter Filter::chain(Op op, std::vector<Filter> operands) {
+  const std::string_view joiner = op == Op::kAnd ? " and " : " or ";
+  std::string text(operands.size() - 1, '(');
+  text += operands.front().str();
+  for (std::size_t i = 1; i < operands.size(); ++i) {
+    text += joiner;
+    text += operands[i].str();
+    text += ')';
+  }
+  return Filter(Node{op, {}, std::move(operands), std::move(text)});
+}
+
 Filter Filter::operator&&(const Filter& other) const {
-  Pred a = pred_, b = other.pred_;
-  return Filter(
-      [a, b](const netsim::PacketHeader& h) { return a(h) && b(h); },
-      "(" + text_ + " and " + other.text_ + ")");
+  return chain(Op::kAnd, {*this, other});
 }
 
 Filter Filter::operator||(const Filter& other) const {
-  Pred a = pred_, b = other.pred_;
-  return Filter(
-      [a, b](const netsim::PacketHeader& h) { return a(h) || b(h); },
-      "(" + text_ + " or " + other.text_ + ")");
+  return chain(Op::kOr, {*this, other});
 }
 
 Filter Filter::operator!() const {
-  Pred a = pred_;
-  return Filter([a](const netsim::PacketHeader& h) { return !a(h); },
-                "(not " + text_ + ")");
+  return Filter(Node{Op::kNot, {}, {*this}, "(not " + str() + ")"});
 }
 
+const std::string& Filter::str() const noexcept { return node_->text; }
+
 bool Filter::matches(const netsim::PacketHeader& header) const {
-  return pred_(header);
+  const Node& n = *node_;
+  const auto match = [&header](const Filter& f) { return f.matches(header); };
+  switch (n.op) {
+    case Op::kAtom: return n.atom(header);
+    case Op::kNot: return !match(n.operands.front());
+    case Op::kAnd:
+      return std::all_of(n.operands.begin(), n.operands.end(), match);
+    case Op::kOr:
+      return std::any_of(n.operands.begin(), n.operands.end(), match);
+  }
+  return false;
 }
 
 namespace {
@@ -87,8 +117,11 @@ namespace {
 // string overflows the stack.
 constexpr std::size_t kMaxNesting = 64;
 
-// Recursive-descent parser over a token vector.
-class Parser {
+}  // namespace
+
+// Recursive-descent parser over a token vector.  Each flat `and`/`or`
+// chain becomes one node, so a chain costs one pass and one level.
+class Filter::Parser {
  public:
   explicit Parser(std::vector<std::string> tokens)
       : tokens_(std::move(tokens)) {}
@@ -108,30 +141,24 @@ class Parser {
   [[nodiscard]] const std::string& peek() const { return tokens_[pos_]; }
   std::string take() { return tokens_[pos_++]; }
 
-  Result<Filter> expr() {
-    auto left = term();
-    if (!left.ok()) return left;
-    Filter acc = std::move(left).value();
-    while (!at_end() && peek() == "or") {
-      take();
-      auto right = term();
-      if (!right.ok()) return right;
-      acc = acc || right.value();
-    }
-    return acc;
+  Result<Filter> expr() { return chain_of(Op::kOr, "or", &Parser::term); }
+  Result<Filter> term() {
+    return chain_of(Op::kAnd, "and", &Parser::factor);
   }
 
-  Result<Filter> term() {
-    auto left = factor();
-    if (!left.ok()) return left;
-    Filter acc = std::move(left).value();
-    while (!at_end() && peek() == "and") {
+  // operand (joiner operand)*
+  Result<Filter> chain_of(Op op, std::string_view joiner,
+                          Result<Filter> (Parser::*operand)()) {
+    std::vector<Filter> operands;
+    while (true) {
+      auto next = (this->*operand)();
+      if (!next.ok()) return next;
+      operands.push_back(std::move(next).value());
+      if (at_end() || peek() != joiner) break;
       take();
-      auto right = factor();
-      if (!right.ok()) return right;
-      acc = acc && right.value();
     }
-    return acc;
+    if (operands.size() == 1) return std::move(operands.front());
+    return Filter::chain(op, std::move(operands));
   }
 
   Result<Filter> factor() {
@@ -224,6 +251,8 @@ class Parser {
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  // '(' and 'not' currently open
 };
+
+namespace {
 
 std::vector<std::string> tokenize(const std::string& s) {
   std::vector<std::string> out;

@@ -4,16 +4,22 @@
 // particular crime" — a warrant that authorizes capturing traffic
 // between two endpoints on one service does not authorize vacuuming the
 // link.  Filter is a small combinator language (host/port/protocol/
-// size predicates, and/or/not) compiled to a predicate over packet
-// headers; CaptureDevice applies it before retention, and the filter
-// can be parsed from a warrant-scope string so the instrument itself
-// carries the technical scope.
+// size predicates, and/or/not) over packet headers; CaptureDevice
+// applies it before retention, and the filter can be parsed from a
+// warrant-scope string so the instrument itself carries the technical
+// scope.
+//
+// A Filter is an immutable tree of shared nodes, so copying one and
+// combining two never copy the operands.  parse() builds one node per
+// flat `and`/`or` chain, so parsing is linear in the expression and
+// matches() recurses only as deep as '(' and 'not' nest.
 
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "netsim/packet.h"
 #include "util/status.h"
@@ -42,8 +48,9 @@ class Filter {
   // Evaluation.
   [[nodiscard]] bool matches(const netsim::PacketHeader& header) const;
 
-  // Human-readable form ("(host #3 and dst_port 80)").
-  [[nodiscard]] const std::string& str() const noexcept { return text_; }
+  // Human-readable form, left-nested: "((host 3 and dstport 80) and
+  // proto tcp)".
+  [[nodiscard]] const std::string& str() const noexcept;
 
   // Parses a scope expression.  Grammar (whitespace-separated, with
   // parentheses):
@@ -58,12 +65,18 @@ class Filter {
   static Result<Filter> parse(const std::string& expression);
 
  private:
+  class Parser;
+  struct Node;
+  enum class Op : std::uint8_t { kAtom, kNot, kAnd, kOr };
   using Pred = std::function<bool(const netsim::PacketHeader&)>;
-  Filter(Pred pred, std::string text)
-      : pred_(std::move(pred)), text_(std::move(text)) {}
 
-  Pred pred_;
-  std::string text_;
+  Filter(Pred pred, std::string text);
+  explicit Filter(Node node);
+  // `op` (kAnd or kOr) over two or more operands, left to right; str()
+  // is the left-nested form of applying the binary operator in turn.
+  static Filter chain(Op op, std::vector<Filter> operands);
+
+  std::shared_ptr<const Node> node_;
 };
 
 }  // namespace lexfor::capture

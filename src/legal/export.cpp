@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "obs/sink.h"
+#include "obs/export.h"
 
 namespace lexfor::legal {
 namespace {

@@ -74,11 +74,24 @@ Result<Trace> Trace::deserialize(const Bytes& data) {
     pos += 2;
     r.header.dst_port = read_u16(data, pos);
     pos += 2;
-    r.header.protocol = static_cast<Protocol>(data[pos]);
+    // Only the canonical encodings decode, so two byte strings (two
+    // custody digests) never decode to one trace.
+    const std::uint8_t protocol = data[pos];
+    if (protocol != static_cast<std::uint8_t>(Protocol::kTcp) &&
+        protocol != static_cast<std::uint8_t>(Protocol::kUdp)) {
+      return InvalidArgument("trace: unknown protocol " +
+                             std::to_string(protocol));
+    }
+    r.header.protocol = static_cast<Protocol>(protocol);
     pos += 1;
     r.header.payload_size = read_u32(data, pos);
     pos += 4;
-    const bool has_payload = data[pos] != 0;
+    const std::uint8_t payload_flag = data[pos];
+    if (payload_flag > 1) {
+      return InvalidArgument("trace: payload flag " +
+                             std::to_string(payload_flag) + " is not 0 or 1");
+    }
+    const bool has_payload = payload_flag == 1;
     pos += 1;
     if (has_payload) {
       if (pos + 4 > body_end) return InvalidArgument("trace: truncated length");

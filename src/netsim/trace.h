@@ -41,7 +41,9 @@ class Trace {
   // trailing CRC-32 over everything before it.
   [[nodiscard]] Bytes serialize() const;
 
-  // Parses a serialized trace; verifies magic, version and CRC.
+  // Parses a serialized trace; verifies magic, version and CRC, and
+  // accepts only what serialize() writes: a protocol byte of 6 or 17
+  // and a payload flag of 0 or 1 (InvalidArgument otherwise).
   static Result<Trace> deserialize(const Bytes& data);
 
   // Total payload bytes retained across records.

@@ -50,7 +50,6 @@ enum class Phase : char {
   kBegin = 'B',    // span opened
   kEnd = 'E',      // span closed
   kInstant = 'i',  // point event
-  kCounter = 'C',  // sampled numeric value
 };
 
 // Sentinel for "the emitter was not running under a simulation clock".
@@ -71,10 +70,11 @@ struct TraceEvent {
   // kept as a view so hot-path events never allocate for it.
   std::string_view category;
   std::string name;  // short names stay in the SSO buffer
-  // Optional "key=value,key=value" payload; sinks expand it to JSON.
+  // Optional "key=value,key=value" payload; the renderers in
+  // obs/export.h expand it to JSON.
   // Keys and values must not contain ',' or '='.
   std::string args;
-  std::int64_t value = 0;  // kCounter payload; duration_ns on kEnd
+  std::int64_t value = 0;  // duration_ns on kEnd
 
   [[nodiscard]] bool has_sim_time() const noexcept {
     return sim_us != kNoSimTime;

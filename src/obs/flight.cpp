@@ -5,20 +5,12 @@
 #include <utility>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/sink.h"
 #include "obs/snapshot.h"
 #include "obs/tracer.h"
 
 namespace lexfor::obs {
-namespace {
-
-// Re-entrancy latch: a dump must never trigger another dump on the
-// same thread (e.g. if a sink attached to the tracer ever emits a
-// kError event while we hold the recorder mutex).
-thread_local bool t_in_dump = false;
-
-}  // namespace
 
 void FlightRecorder::configure(FlightRecorderConfig cfg) {
   const std::scoped_lock lock(mu_);
@@ -37,8 +29,7 @@ std::string FlightRecorder::path() const {
 }
 
 bool FlightRecorder::dump(std::string_view reason) {
-  if (!armed() || t_in_dump) return false;
-  t_in_dump = true;
+  if (!armed()) return false;
   bool ok = false;
   {
     const std::scoped_lock lock(mu_);
@@ -80,18 +71,7 @@ bool FlightRecorder::dump(std::string_view reason) {
     dumps_.fetch_add(1, std::memory_order_relaxed);
     metrics().counter("obs.flight.dumps").add(1);
   }
-  t_in_dump = false;
   return ok;
-}
-
-void FlightRecorder::on_error_event() {
-  if (!armed()) return;
-  bool dump_on_error = false;
-  {
-    const std::scoped_lock lock(mu_);
-    dump_on_error = cfg_.dump_on_error;
-  }
-  if (dump_on_error) (void)dump("error-event");
 }
 
 FlightRecorder& flight_recorder() {

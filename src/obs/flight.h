@@ -1,19 +1,23 @@
 // Flight recorder: post-mortem dump of the last N events + metrics.
 //
-// The ring already keeps the recent past per thread; the flight
-// recorder turns that into a file the moment something goes wrong.
-// Once armed (configure(), or the LEXFOR_FLIGHT_PATH environment
-// variable at first use), a dump is triggered by any kError-level
-// trace event (hooked in Tracer::emit, after the event lands in the
-// ring so the dump contains it), by check::DifferentialChecker
-// violations, or explicitly via obs::dump_flight_record().
+// The tracer's ring already keeps the recent past per thread; the
+// flight recorder turns that into a file the moment something goes
+// wrong.  Once armed (configure(), or the LEXFOR_FLIGHT_PATH
+// environment variable at first use), a dump is triggered by every
+// kError-level trace event a tracer accepts (hooked in Tracer::emit,
+// after the event lands in that tracer's ring), by
+// check::DifferentialChecker violations, or explicitly via
+// obs::dump_flight_record().  A dump reads the process-wide tracer's
+// ring without draining it (ring().snapshot()), so it contains an
+// error traced there.
 //
 // Dump format is JSONL, appended per dump so repeated incidents stack
 // in one file:
 //   {"type":"flight","reason":"...","wall_ns":...,"events":N}
-//   {"type":"event", <JsonlSink line body>}     x N, time-ordered
+//   {"type":"event", <append_event_jsonl body>}  x N, time-ordered
 //   {"type":"metrics","snapshot":{...}}          obs::Snapshot JSON
-// Every line greps/jq's like a live JSONL trace.
+// Every line is one JSON object, so the file greps and jq's line by
+// line.
 
 #pragma once
 
@@ -29,8 +33,6 @@ struct FlightRecorderConfig {
   std::string path = "lexfor_flight.jsonl";
   // Newest events kept per dump (merged across all ring shards).
   std::size_t last_events = 256;
-  // Dump automatically when a kError-level event is emitted.
-  bool dump_on_error = true;
 };
 
 class FlightRecorder {
@@ -52,13 +54,9 @@ class FlightRecorder {
     return dumps_.load(std::memory_order_relaxed);
   }
 
-  // Writes one dump; returns false when disarmed, re-entered, or the
-  // file cannot be opened.  Bumps the obs.flight.dumps counter on
-  // success.
+  // Writes one dump; returns false when disarmed or the file cannot be
+  // opened.  Bumps the obs.flight.dumps counter on success.
   bool dump(std::string_view reason);
-
-  // Hook called by Tracer::emit for kError events.
-  void on_error_event();
 
  private:
   mutable std::mutex mu_;

@@ -21,12 +21,12 @@
 #pragma once
 
 #include "obs/event.h"
+#include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/ring.h"
 #include "obs/sharded_ring.h"
-#include "obs/sink.h"
 #include "obs/snapshot.h"
 #include "obs/tracer.h"
 #include "util/sim_time.h"
@@ -64,15 +64,6 @@ namespace lexfor::obs {
   do {                                                                      \
     if (::lexfor::obs::tracer().enabled(level)) {                           \
       ::lexfor::obs::tracer().instant((level), (category), (name), (args),  \
-                                      (sim));                               \
-    }                                                                       \
-  } while (false)
-
-// Sampled numeric value rendered as a counter track in trace viewers.
-#define LEXFOR_OBS_TRACK(level, category, name, value, sim)                 \
-  do {                                                                      \
-    if (::lexfor::obs::tracer().enabled(level)) {                           \
-      ::lexfor::obs::tracer().counter((level), (category), (name), (value), \
                                       (sim));                               \
     }                                                                       \
   } while (false)
@@ -129,7 +120,6 @@ namespace lexfor::obs {
 
 #define LEXFOR_OBS_SPAN(level, category, name, args, sim) ((void)0)
 #define LEXFOR_OBS_EVENT(level, category, name, args, sim) ((void)0)
-#define LEXFOR_OBS_TRACK(level, category, name, value, sim) ((void)0)
 #define LEXFOR_OBS_COUNTER_ADD(name, delta) ((void)0)
 #define LEXFOR_OBS_GAUGE_SET(name, value) ((void)0)
 #define LEXFOR_OBS_HISTOGRAM_RECORD(name, sample) ((void)0)

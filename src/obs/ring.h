@@ -5,20 +5,20 @@
 // consumer), or it was dropped (overwritten by a newer event before any
 // drain saw it).  The ring tracks all three so the invariant
 //
-//   pushed() == drained() + dropped() + size()
+//   pushed == drained + dropped + size
 //
 // holds at every instant — the same closed-world discipline
-// stream::RateRing applies to bins and netsim applies to packets.  v1
-// silently overwrote on wraparound; the dropped() counter is the fix
-// (ISSUE 7 satellite) and is surfaced per shard as the
-// obs.ring.dropped{shard} metrics by Tracer::publish_ring_metrics().
+// stream::RateRing applies to bins and netsim applies to packets.
+// counts() reads all four under the ring's lock, so a reading taken
+// while another thread pushes still satisfies the invariant; each
+// shard's reading reaches obs::Snapshot::ring.
 //
 // One EventRing is the per-thread shard of a ShardedEventRing
 // (obs/sharded_ring.h).  The spinlock is therefore uncontended on the
-// hot path — the owning thread is the only producer; a drain/snapshot
-// pass from another thread is the only other party — which keeps the
-// common push to a handful of instructions without the cross-thread
-// cache-line fights of the v1 single global ring.
+// hot path — the owning thread is the only producer; a drain, snapshot
+// or counts() call from another thread is the only other party — which
+// keeps the common push to a handful of instructions without the
+// cross-thread cache-line fights of one shared ring.
 
 #pragma once
 
@@ -32,6 +32,14 @@
 
 namespace lexfor::obs {
 
+// One consistent reading of a ring's disposal accounting.
+struct RingCounts {
+  std::uint64_t pushed = 0;   // events ever pushed
+  std::uint64_t drained = 0;  // handed out through drain()
+  std::uint64_t dropped = 0;  // overwritten before any drain saw them
+  std::uint64_t size = 0;     // retained now
+};
+
 class EventRing {
  public:
   explicit EventRing(std::size_t capacity = 4096)
@@ -39,38 +47,32 @@ class EventRing {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
-  // Total events ever pushed.
+  [[nodiscard]] RingCounts counts() const noexcept {
+    lock();
+    const RingCounts c{pushed_, drained_, dropped_, retained()};
+    unlock();
+    return c;
+  }
   [[nodiscard]] std::uint64_t pushed() const noexcept {
-    return pushed_.load(std::memory_order_relaxed);
+    return counts().pushed;
   }
-
-  // Events handed out through drain().
   [[nodiscard]] std::uint64_t drained() const noexcept {
-    return drained_.load(std::memory_order_relaxed);
+    return counts().drained;
   }
-
-  // Events overwritten on wraparound before any drain consumed them.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
+    return counts().dropped;
   }
-
-  // Events currently retained (pushed - drained - dropped).
   [[nodiscard]] std::size_t size() const noexcept {
-    return static_cast<std::size_t>(pushed() - drained() - dropped());
+    return static_cast<std::size_t>(counts().size);
   }
 
   void push(TraceEvent ev) {
     lock();
-    const std::uint64_t seq = pushed_.load(std::memory_order_relaxed);
-    // consumed = events no longer retained; when the ring is full the
-    // oldest retained event (seq `consumed`) is overwritten unseen.
-    const std::uint64_t consumed = drained_.load(std::memory_order_relaxed) +
-                                   dropped_.load(std::memory_order_relaxed);
-    if (seq - consumed == slots_.size()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    slots_[static_cast<std::size_t>(seq % slots_.size())] = std::move(ev);
-    pushed_.store(seq + 1, std::memory_order_relaxed);
+    // When the ring is full the oldest retained event is overwritten
+    // unseen.
+    if (retained() == slots_.size()) ++dropped_;
+    slots_[static_cast<std::size_t>(pushed_ % slots_.size())] = std::move(ev);
+    ++pushed_;
     unlock();
   }
 
@@ -78,11 +80,8 @@ class EventRing {
   [[nodiscard]] std::vector<TraceEvent> snapshot() const {
     std::vector<TraceEvent> out;
     lock();
-    const std::uint64_t n = pushed_.load(std::memory_order_relaxed);
-    const std::uint64_t first = drained_.load(std::memory_order_relaxed) +
-                                dropped_.load(std::memory_order_relaxed);
-    out.reserve(static_cast<std::size_t>(n - first));
-    for (std::uint64_t i = first; i < n; ++i) {
+    out.reserve(static_cast<std::size_t>(retained()));
+    for (std::uint64_t i = drained_ + dropped_; i < pushed_; ++i) {
       out.push_back(slots_[static_cast<std::size_t>(i % slots_.size())]);
     }
     unlock();
@@ -90,19 +89,17 @@ class EventRing {
   }
 
   // Moves every retained event (oldest-to-newest) into `out` and marks
-  // them drained.  Returns the number of events appended.
+  // them drained.  Returns the number of events appended.  `out` grows
+  // geometrically: reserving exactly would reallocate it, under the
+  // lock, on every drain into the same vector.
   std::size_t drain(std::vector<TraceEvent>& out) {
     lock();
-    const std::uint64_t n = pushed_.load(std::memory_order_relaxed);
-    const std::uint64_t first = drained_.load(std::memory_order_relaxed) +
-                                dropped_.load(std::memory_order_relaxed);
-    const auto taken = static_cast<std::size_t>(n - first);
-    out.reserve(out.size() + taken);
-    for (std::uint64_t i = first; i < n; ++i) {
+    const auto taken = static_cast<std::size_t>(retained());
+    for (std::uint64_t i = drained_ + dropped_; i < pushed_; ++i) {
       out.push_back(
           std::move(slots_[static_cast<std::size_t>(i % slots_.size())]));
     }
-    drained_.fetch_add(taken, std::memory_order_relaxed);
+    drained_ += taken;
     unlock();
     return taken;
   }
@@ -110,13 +107,16 @@ class EventRing {
   // Resets the ring to empty, forgetting all accounting.
   void clear() {
     lock();
-    pushed_.store(0, std::memory_order_relaxed);
-    drained_.store(0, std::memory_order_relaxed);
-    dropped_.store(0, std::memory_order_relaxed);
+    pushed_ = drained_ = dropped_ = 0;
     unlock();
   }
 
  private:
+  // Caller holds the lock.
+  [[nodiscard]] std::uint64_t retained() const noexcept {
+    return pushed_ - drained_ - dropped_;
+  }
+
   void lock() const noexcept {
     while (busy_.test_and_set(std::memory_order_acquire)) {
     }
@@ -124,9 +124,9 @@ class EventRing {
   void unlock() const noexcept { busy_.clear(std::memory_order_release); }
 
   mutable std::atomic_flag busy_ = ATOMIC_FLAG_INIT;
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> drained_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  std::uint64_t pushed_ = 0;
+  std::uint64_t drained_ = 0;
+  std::uint64_t dropped_ = 0;
   std::vector<TraceEvent> slots_;
 };
 

@@ -101,27 +101,15 @@ std::vector<TraceEvent> ShardedEventRing::drain() {
   return out;
 }
 
-std::size_t ShardedEventRing::size() const {
-  std::size_t total = 0;
-  for_each_shard([&total](const EventRing& s) { total += s.size(); });
-  return total;
-}
-
-std::uint64_t ShardedEventRing::pushed() const {
-  std::uint64_t total = 0;
-  for_each_shard([&total](const EventRing& s) { total += s.pushed(); });
-  return total;
-}
-
-std::uint64_t ShardedEventRing::drained() const {
-  std::uint64_t total = 0;
-  for_each_shard([&total](const EventRing& s) { total += s.drained(); });
-  return total;
-}
-
-std::uint64_t ShardedEventRing::dropped() const {
-  std::uint64_t total = 0;
-  for_each_shard([&total](const EventRing& s) { total += s.dropped(); });
+RingCounts ShardedEventRing::counts() const {
+  RingCounts total;
+  for_each_shard([&total](const EventRing& s) {
+    const RingCounts c = s.counts();
+    total.pushed += c.pushed;
+    total.drained += c.drained;
+    total.dropped += c.dropped;
+    total.size += c.size;
+  });
   return total;
 }
 

@@ -1,10 +1,10 @@
-// Per-thread sharded event ring: the v2 always-on sink of last resort.
+// Per-thread sharded event ring: where every accepted trace event goes.
 //
-// v1 funneled every trace write through one spinlocked EventRing, so
-// fan-out workers (BatchEvaluator, ScanBatch, the verdict server)
-// serialized on a single cache line per event.  v2 gives each emitting
-// thread its own fixed-capacity EventRing shard, registered on first
-// use and cached in a thread-local table, so the hot path is:
+// One spinlocked EventRing for every thread would make fan-out workers
+// (BatchEvaluator, ScanBatch, the verdict server) serialize on a single
+// cache line per event.  Instead each emitting thread gets its own
+// fixed-capacity EventRing shard, registered on first use and cached in
+// a thread-local table, so the hot path is:
 //
 //   1. one relaxed fetch_add on the global sequence (stamps
 //      TraceEvent::seq, the merge tiebreaker),
@@ -15,10 +15,12 @@
 //
 // drain()/snapshot() merge all shards into one globally time-ordered
 // stream, sorted by (wall_ns, seq): wall time is the timeline, the
-// claim sequence breaks ties deterministically.  Disposal accounting is
-// exhaustive per shard and in aggregate:
+// claim sequence breaks ties deterministically.  Consumers take events
+// only from here: obs::write_chrome_trace renders a snapshot() or a
+// drain(), and the flight recorder dumps the newest of a snapshot().
+// Disposal accounting is exhaustive per shard and in aggregate:
 //
-//   pushed() == drained() + dropped() + size()
+//   pushed == drained + dropped + size
 //
 // A thread that exits leaves its shard (and any undrained events) in
 // place, so what an exited worker traced stays visible to snapshot()
@@ -76,11 +78,15 @@ class ShardedEventRing {
   // merged, globally (wall_ns, seq)-ordered stream.
   [[nodiscard]] std::vector<TraceEvent> drain();
 
-  // Aggregate disposal accounting across shards.
-  [[nodiscard]] std::size_t size() const;       // retained
-  [[nodiscard]] std::uint64_t pushed() const;
-  [[nodiscard]] std::uint64_t drained() const;
-  [[nodiscard]] std::uint64_t dropped() const;
+  // Aggregate disposal accounting: the sum of each shard's counts(),
+  // so the invariant holds for the total as it does for each shard.
+  [[nodiscard]] RingCounts counts() const;
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(counts().size);
+  }
+  [[nodiscard]] std::uint64_t pushed() const { return counts().pushed; }
+  [[nodiscard]] std::uint64_t drained() const { return counts().drained; }
+  [[nodiscard]] std::uint64_t dropped() const { return counts().dropped; }
 
   [[nodiscard]] std::size_t shard_count() const;
   [[nodiscard]] std::size_t shard_capacity() const noexcept {

@@ -1,10 +1,9 @@
 #include "obs/snapshot.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <string_view>
 
-#include "obs/sink.h"  // append_json_escaped
+#include "obs/export.h"  // append_json_escaped
 #include "obs/tracer.h"
 
 namespace lexfor::obs {
@@ -12,9 +11,10 @@ namespace {
 
 // --- Prometheus naming -------------------------------------------------
 // Instrument names use dotted lowercase ("legal.verdict.count") and may
-// carry a literal label suffix ("obs.ring.dropped{shard=\"0\"}").  The
-// exposition name is the part before '{' with every character outside
-// [A-Za-z0-9_:] mapped to '_'; the label braces pass through verbatim.
+// carry a literal label suffix ("serve.rejected{reason=\"overload\"}").
+// The exposition name is the part before '{' with every character
+// outside [A-Za-z0-9_:] mapped to '_'; the label braces pass through
+// verbatim.
 
 std::string prom_family(std::string_view raw) {
   const std::size_t brace = raw.find('{');
@@ -68,17 +68,15 @@ void append_double(std::string& out, double v) {
 
 Snapshot Snapshot::capture() {
   Tracer& t = tracer();
-  t.publish_ring_metrics();
   Snapshot s = capture(metrics(), &profiler());
   s.wall_ns = t.wall_now_ns();
-  s.events_emitted = t.events_emitted();
-  ShardedEventRing& ring = t.ring();
+  const ShardedEventRing& ring = t.ring();
   const std::size_t shards = ring.shard_count();
   s.ring.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    const EventRing& shard = ring.shard(i);
-    s.ring.push_back(RingShardStats{i, shard.pushed(), shard.drained(),
-                                    shard.dropped(), shard.size()});
+    const RingCounts c = ring.shard(i).counts();
+    s.ring.push_back(
+        RingShardStats{i, c.pushed, c.drained, c.dropped, c.size});
   }
   return s;
 }
@@ -91,81 +89,6 @@ Snapshot Snapshot::capture(const MetricsRegistry& reg,
   s.histograms = reg.histogram_samples();
   if (prof != nullptr) s.profile = prof->samples();
   return s;
-}
-
-Snapshot Snapshot::since(const Snapshot& prev) const {
-  Snapshot out;
-  out.wall_ns = wall_ns;
-  out.events_emitted = events_emitted >= prev.events_emitted
-                           ? events_emitted - prev.events_emitted
-                           : events_emitted;
-
-  // All sample vectors are sorted by name, so each lookup is a binary
-  // search in the previous snapshot.
-  const auto find_prev = [](const auto& items, const std::string& name) ->
-      typename std::decay_t<decltype(items)>::const_pointer {
-    auto it = std::lower_bound(
-        items.begin(), items.end(), name,
-        [](const auto& item, const std::string& n) { return item.name < n; });
-    if (it == items.end() || it->name != name) return nullptr;
-    return &*it;
-  };
-
-  out.counters.reserve(counters.size());
-  for (const CounterSample& c : counters) {
-    const CounterSample* p = find_prev(prev.counters, c.name);
-    const std::uint64_t base = (p != nullptr && p->value <= c.value)
-                                   ? p->value
-                                   : 0;  // reset guard
-    out.counters.push_back(CounterSample{c.name, c.value - base});
-  }
-
-  out.gauges = gauges;  // gauges are levels, not rates: report current
-
-  out.histograms.reserve(histograms.size());
-  for (const HistogramSample& h : histograms) {
-    const HistogramSample* p = find_prev(prev.histograms, h.name);
-    const bool deltable = p != nullptr && p->count <= h.count &&
-                          p->bounds == h.bounds &&
-                          p->buckets.size() == h.buckets.size();
-    if (!deltable) {
-      out.histograms.push_back(h);
-      continue;
-    }
-    HistogramSample d = h;  // keep current observed min/max
-    d.count = h.count - p->count;
-    d.sum = h.sum - p->sum;
-    for (std::size_t i = 0; i < d.buckets.size(); ++i) {
-      d.buckets[i] =
-          p->buckets[i] <= h.buckets[i] ? h.buckets[i] - p->buckets[i] : 0;
-    }
-    out.histograms.push_back(std::move(d));
-  }
-
-  out.profile.reserve(profile.size());
-  for (const ProfileSample& s : profile) {
-    const ProfileSample* p = find_prev(prev.profile, s.name);
-    ProfileSample d = s;  // min/max stay at the current reading
-    if (p != nullptr && p->count <= s.count && p->total_ns <= s.total_ns) {
-      d.count = s.count - p->count;
-      d.total_ns = s.total_ns - p->total_ns;
-    }
-    out.profile.push_back(std::move(d));
-  }
-
-  out.ring.reserve(ring.size());
-  for (const RingShardStats& r : ring) {
-    RingShardStats d = r;  // size is a level: report current
-    for (const RingShardStats& p : prev.ring) {
-      if (p.shard != r.shard) continue;
-      if (p.pushed <= r.pushed) d.pushed = r.pushed - p.pushed;
-      if (p.drained <= r.drained) d.drained = r.drained - p.drained;
-      if (p.dropped <= r.dropped) d.dropped = r.dropped - p.dropped;
-      break;
-    }
-    out.ring.push_back(d);
-  }
-  return out;
 }
 
 void Snapshot::to_prometheus(std::ostream& os) const {
@@ -202,6 +125,13 @@ void Snapshot::to_prometheus(std::ostream& os) const {
     if (!labels.empty()) os << '{' << labels << '}';
     os << ' ' << h.count << '\n';
   }
+  if (!ring.empty()) {
+    os << "# TYPE obs_ring_dropped counter\n";
+    for (const RingShardStats& r : ring) {
+      os << "obs_ring_dropped{shard=\"" << r.shard << "\"} " << r.dropped
+         << '\n';
+    }
+  }
   if (!profile.empty()) {
     os << "# TYPE lexfor_profile_hits counter\n";
     for (const ProfileSample& p : profile) {
@@ -229,8 +159,6 @@ void Snapshot::to_prometheus(std::ostream& os) const {
 void Snapshot::append_json(std::string& out) const {
   out += "{\"wall_ns\":";
   out += std::to_string(wall_ns);
-  out += ",\"events_emitted\":";
-  out += std::to_string(events_emitted);
   out += ",\"counters\":{";
   bool first = true;
   for (const CounterSample& c : counters) {

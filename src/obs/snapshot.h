@@ -1,14 +1,11 @@
-// Point-in-time metrics snapshots with delta support and exposition.
+// Point-in-time metrics snapshots and their exposition.
 //
 // A Snapshot copies every counter, gauge, histogram, profiler site and
 // ring-shard stat into plain structs, detached from the live registry:
-// safe to hold, diff and serialize while the instruments keep moving.
-// `since(prev)` turns two snapshots into a monotonic delta (counter
-// increments, histogram bucket increments, profiler hit deltas) with a
-// reset guard, which is what benchmark reports and the A-OBS2
-// experiment consume.  Two writers cover the export paths: Prometheus
-// text exposition (`to_prometheus`) for scrape-style consumption, and
-// a single-line JSON object (`to_json` / `append_json`) that
+// safe to hold and serialize while the instruments keep moving.  Two
+// writers cover the export paths: Prometheus text exposition
+// (`to_prometheus`) for scrape-style consumption, and a single-line
+// JSON object (`to_json` / `append_json`) that
 // tools/run_benchmarks.sh embeds into BENCH_<date>.json and the flight
 // recorder embeds into its dump.
 
@@ -24,7 +21,8 @@
 
 namespace lexfor::obs {
 
-// Per-shard ring accounting at capture time.  The exhaustive invariant
+// Per-shard ring accounting at capture time, read under the shard's
+// lock (EventRing::counts), so the exhaustive invariant
 // pushed == drained + dropped + size holds for each entry.
 struct RingShardStats {
   std::size_t shard = 0;
@@ -37,7 +35,6 @@ struct RingShardStats {
 struct Snapshot {
   // Tracer wall clock at capture (0 for registry-only captures).
   std::uint64_t wall_ns = 0;
-  std::uint64_t events_emitted = 0;
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
@@ -45,8 +42,7 @@ struct Snapshot {
   std::vector<RingShardStats> ring;
 
   // Captures the process-wide instruments: metrics() + profiler() +
-  // tracer() ring stats.  Publishes ring drop counters first so the
-  // counter section already reflects obs.ring.dropped{shard="k"}.
+  // tracer() ring stats.
   [[nodiscard]] static Snapshot capture();
 
   // Captures an explicit registry (and optionally a profiler); no
@@ -54,17 +50,11 @@ struct Snapshot {
   [[nodiscard]] static Snapshot capture(const MetricsRegistry& reg,
                                         const ProfileRegistry* prof = nullptr);
 
-  // Monotonic delta `*this - prev`: counter values, histogram bucket
-  // counts/sums, profiler hits and ring pushed/drained/dropped become
-  // increments since `prev`; gauges, sizes and observed min/max stay at
-  // their current reading.  Instruments absent from `prev` — or whose
-  // count went backwards (a reset) — report their full current value.
-  [[nodiscard]] Snapshot since(const Snapshot& prev) const;
-
   // Prometheus text exposition: `# TYPE` per family, names sanitized
   // (`.` -> `_`), label braces in instrument names passed through, and
   // histograms expanded to cumulative `_bucket{le=...}` series plus
-  // `_sum` / `_count`.  Profiler sites export as
+  // `_sum` / `_count`.  Each ring shard's drops export as
+  // obs_ring_dropped{shard="k"} and profiler sites as
   // lexfor_profile_*{site="..."} families.
   void to_prometheus(std::ostream& os) const;
 

@@ -1,9 +1,6 @@
 #include "obs/tracer.h"
 
-#include <cstdio>
-
 #include "obs/flight.h"
-#include "obs/metrics.h"
 
 namespace lexfor::obs {
 
@@ -36,20 +33,6 @@ void Tracer::instant(Level level, std::string_view category, std::string name,
   emit(std::move(ev));
 }
 
-void Tracer::counter(Level level, std::string_view category, std::string name,
-                     std::int64_t value, SimTime sim) {
-  if (!enabled(level)) return;
-  TraceEvent ev;
-  ev.wall_ns = wall_now_ns();
-  ev.sim_us = sim.us;
-  ev.level = level;
-  ev.phase = Phase::kCounter;
-  ev.category = category;
-  ev.name = std::move(name);
-  ev.value = value;
-  emit(std::move(ev));
-}
-
 Span Tracer::span(Level level, std::string_view category, std::string name,
                   std::string args, SimTime sim) {
   if (!enabled(level)) return Span{};
@@ -71,54 +54,10 @@ Span Tracer::span(Level level, std::string_view category, std::string name,
 
 void Tracer::emit(TraceEvent ev) {
   ev.tid = this_thread_ordinal();
-  emitted_.fetch_add(1, std::memory_order_relaxed);
   const Level level = ev.level;
-  lock_sinks();
-  for (TraceSink* sink : sinks_) sink->write(ev);
-  unlock_sinks();
   ring_.push(std::move(ev));
   // After the push, so a dump triggered by this event includes it.
-  if (level == Level::kError) flight_recorder().on_error_event();
-}
-
-std::vector<TraceEvent> Tracer::drain() {
-  std::vector<TraceEvent> out = ring_.drain();
-  publish_ring_metrics();
-  return out;
-}
-
-void Tracer::publish_ring_metrics() {
-  const std::scoped_lock lock(publish_mu_);
-  const std::size_t shards = ring_.shard_count();
-  if (published_dropped_.size() < shards) published_dropped_.resize(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    const std::uint64_t dropped = ring_.shard(i).dropped();
-    if (dropped > published_dropped_[i]) {
-      char name[48];
-      std::snprintf(name, sizeof name, "obs.ring.dropped{shard=\"%zu\"}", i);
-      metrics().counter(name).add(dropped - published_dropped_[i]);
-      published_dropped_[i] = dropped;
-    }
-  }
-}
-
-void Tracer::add_sink(TraceSink* sink) {
-  if (sink == nullptr) return;
-  lock_sinks();
-  sinks_.push_back(sink);
-  unlock_sinks();
-}
-
-void Tracer::clear_sinks() {
-  lock_sinks();
-  sinks_.clear();
-  unlock_sinks();
-}
-
-void Tracer::flush() {
-  lock_sinks();
-  for (TraceSink* sink : sinks_) sink->flush();
-  unlock_sinks();
+  if (level == Level::kError) (void)flight_recorder().dump("error-event");
 }
 
 Tracer& tracer() {

@@ -1,31 +1,30 @@
-// The tracer: runtime-filtered event router with RAII spans.
+// The tracer: runtime-filtered event source with RAII spans.
 //
 // One process-wide tracer (obs::tracer()) accepts events whose level
 // passes the runtime filter, stamps them with the dual clocks and the
-// emitting thread's ordinal, keeps the last N per emitting thread in a
-// ShardedEventRing, and fans them out to attached sinks.  The filter
-// check is a single relaxed atomic load, so instrumentation left in
-// release builds costs one predictable branch while tracing is off;
-// the LEXFOR_OBS=0 compile toggle (obs/obs.h) removes even that.
+// emitting thread's ordinal, and keeps the last N per emitting thread
+// in a ShardedEventRing.  The ring is the only way events leave the
+// tracer: consumers take ring().snapshot() or ring().drain() and render
+// them (obs/export.h).  The filter check is a single relaxed atomic
+// load, so instrumentation left in release builds costs one predictable
+// branch while tracing is off; the LEXFOR_OBS=0 compile toggle
+// (obs/obs.h) removes even that.
 //
 // kError events additionally wake the flight recorder (obs/flight.h)
-// after they land in the ring, so a dump triggered by an error always
-// contains the error event itself.
+// after they land in the ring, so a dump triggered by an error on the
+// process-wide tracer contains the error event itself.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "obs/event.h"
 #include "obs/sharded_ring.h"
-#include "obs/sink.h"
 #include "util/sim_time.h"
 
 namespace lexfor::obs {
@@ -98,33 +97,13 @@ class Tracer {
   // --- emission ---------------------------------------------------------
   void instant(Level level, std::string_view category, std::string name,
                std::string args = {}, SimTime sim = SimTime{kNoSimTime});
-  void counter(Level level, std::string_view category, std::string name,
-               std::int64_t value, SimTime sim = SimTime{kNoSimTime});
   [[nodiscard]] Span span(Level level, std::string_view category,
                           std::string name, std::string args = {},
                           SimTime sim = SimTime{kNoSimTime});
 
-  // --- sinks & ring -----------------------------------------------------
-  // Sinks are borrowed, not owned; callers keep them alive while attached.
-  void add_sink(TraceSink* sink);
-  void clear_sinks();
-  void flush();
-
+  // Every accepted event, per emitting thread; its counts() are the
+  // tracer's emission accounting.
   [[nodiscard]] ShardedEventRing& ring() noexcept { return ring_; }
-
-  // Consumes every retained event across all shards, merged into one
-  // globally time-ordered stream; also publishes the per-shard drop
-  // counters (see publish_ring_metrics).
-  [[nodiscard]] std::vector<TraceEvent> drain();
-
-  // Publishes each shard's cumulative drop count to the global metrics
-  // registry as obs.ring.dropped{shard="k"} counters.  Deltas only:
-  // safe to call repeatedly (drain() calls it for you).
-  void publish_ring_metrics();
-
-  [[nodiscard]] std::uint64_t events_emitted() const noexcept {
-    return emitted_.load(std::memory_order_relaxed);
-  }
 
   // Nanoseconds of wall clock since this tracer was constructed.
   [[nodiscard]] std::uint64_t wall_now_ns() const noexcept {
@@ -140,27 +119,9 @@ class Tracer {
   void emit(TraceEvent ev);
 
   std::atomic<std::uint8_t> level_{static_cast<std::uint8_t>(Level::kOff)};
-  std::atomic<std::uint64_t> emitted_{0};
   std::atomic<std::uint64_t> next_span_id_{1};
   ShardedEventRing ring_;
   std::chrono::steady_clock::time_point start_;
-
-  // Drop counts already pushed to the metrics registry, per shard index
-  // (publish_ring_metrics publishes only the delta since last call).
-  std::mutex publish_mu_;
-  std::vector<std::uint64_t> published_dropped_;
-
-  // Sink list guarded by a spinlock: attach/detach are rare, emission
-  // must not allocate or take a blocking mutex.
-  void lock_sinks() const noexcept {
-    while (sinks_busy_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  void unlock_sinks() const noexcept {
-    sinks_busy_.clear(std::memory_order_release);
-  }
-  mutable std::atomic_flag sinks_busy_ = ATOMIC_FLAG_INIT;
-  std::vector<TraceSink*> sinks_;
 };
 
 // The process-wide tracer used by the LEXFOR_OBS_* macros.  Never

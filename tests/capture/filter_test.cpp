@@ -228,6 +228,84 @@ TEST(FilterParseTest, SiblingGroupsDoNotAddUpTheirDepth) {
   EXPECT_FALSE(both.matches(header(3, 2, 1000, 80)));
 }
 
+// str() renders each binary operator applied in turn, left-nested.
+TEST(FilterParseTest, StrIsLeftNestedLikeTheOperators) {
+  const auto str = [](const std::string& e) {
+    return Filter::parse(e).value().str();
+  };
+  EXPECT_EQ(str("(host 1)"), "host 1");
+  EXPECT_EQ(str("not host 1"), "(not host 1)");
+  EXPECT_EQ(str("host 1 and host 2 and host 3"),
+            "((host 1 and host 2) and host 3)");
+  EXPECT_EQ(str("src 1 or src 2 and dstport 80"),
+            "(src 1 or (src 2 and dstport 80))");
+  EXPECT_EQ(str("host 1 or host 2 or host 3 and host 4 and host 5 or "
+                "not not host 6"),
+            "(((host 1 or host 2) or ((host 3 and host 4) and host 5)) or "
+            "(not (not host 6)))");
+  EXPECT_EQ(str("((host 1 and host 2) or (host 3 and host 4)) and "
+                "(host 5 or host 6)"),
+            "(((host 1 and host 2) or (host 3 and host 4)) and "
+            "(host 5 or host 6))");
+  // The operators build the same text the parser does.
+  const Filter built =
+      ((Filter::host(NodeId{1}) || Filter::host(NodeId{2})) ||
+       (Filter::host(NodeId{3}) && Filter::host(NodeId{4}))) &&
+      !Filter::port(80);
+  EXPECT_EQ(built.str(),
+            str("(host 1 or host 2 or host 3 and host 4) and not port 80"));
+}
+
+// `terms` atoms joined by `joiner`, and the left-nested text str()
+// renders for them.
+struct Chain {
+  std::string expression;
+  std::string text;
+};
+Chain flat_chain(std::size_t terms, const std::string& joiner,
+                 const std::string& atom_prefix, const std::string& open,
+                 const std::string& close) {
+  Chain c;
+  c.text.assign(terms - 1, '(');
+  for (std::size_t i = 1; i <= terms; ++i) {
+    const std::string atom = atom_prefix + std::to_string(i);
+    if (i > 1) {
+      c.expression += ' ' + joiner + ' ';
+      c.text += ' ' + joiner + ' ';
+    }
+    c.expression += atom;
+    c.text += open + atom + close;
+    if (i > 1) c.text += ')';
+  }
+  return c;
+}
+
+// A 100,000-term chain parses in one pass and matches without
+// recursing once per term; every term still counts.
+TEST(FilterParseTest, HundredThousandTermAndChainMatchesEveryTerm) {
+  constexpr std::size_t kTerms = 100'000;
+  const Chain c = flat_chain(kTerms, "and", "not host ", "(", ")");
+  const auto f = Filter::parse(c.expression);
+  ASSERT_TRUE(f.ok()) << f.status();
+  EXPECT_EQ(f.value().str(), c.text);
+  EXPECT_TRUE(f.value().matches(header(kTerms + 1, kTerms + 2)));
+  EXPECT_FALSE(f.value().matches(header(1, kTerms + 1)));
+  EXPECT_FALSE(f.value().matches(header(kTerms + 1, kTerms / 2)));
+  EXPECT_FALSE(f.value().matches(header(kTerms + 1, kTerms)));
+}
+
+TEST(FilterParseTest, HundredThousandTermOrChainMatchesEveryTerm) {
+  constexpr std::size_t kTerms = 100'000;
+  const Chain c = flat_chain(kTerms, "or", "host ", "", "");
+  const auto f = Filter::parse(c.expression);
+  ASSERT_TRUE(f.ok()) << f.status();
+  EXPECT_EQ(f.value().str(), c.text);
+  EXPECT_FALSE(f.value().matches(header(kTerms + 1, kTerms + 2)));
+  EXPECT_TRUE(f.value().matches(header(1, kTerms + 1)));
+  EXPECT_TRUE(f.value().matches(header(kTerms + 1, kTerms / 2)));
+  EXPECT_TRUE(f.value().matches(header(kTerms, kTerms + 1)));
+}
+
 TEST(FilterScopedCaptureTest, OutOfScopeTrafficNeverRetained) {
   // A warrant scoped to traffic between node 0 and node 2 on port 80:
   // the device observes everything at the tap but retains only in-scope.

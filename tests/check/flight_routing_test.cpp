@@ -26,7 +26,6 @@ TEST(CheckFlightRoutingTest, ArmedRecorderDumpsWithRuleInReason) {
   std::remove(path.c_str());
   obs::FlightRecorderConfig cfg;
   cfg.path = path;
-  cfg.dump_on_error = false;
   obs::flight_recorder().configure(cfg);
   const std::uint64_t before = obs::flight_recorder().dumps();
 

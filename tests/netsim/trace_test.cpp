@@ -22,6 +22,20 @@ TraceRecord record(std::int64_t us, std::uint64_t src, std::uint64_t dst,
   return r;
 }
 
+// Rewrites the trailing CRC over the (edited) body, so a test reaches
+// the checks behind the CRC.
+void reseal(Bytes& data) {
+  const std::uint32_t crc = crypto::crc32(data.data(), data.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    data[data.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+// Offsets in a serialized trace: a 10-byte header, then each record's
+// 34-byte fixed part (at, src, dst, ports, protocol, size, flag).
+constexpr std::size_t kFirstProtocol = 10 + 8 + 8 + 8 + 2 + 2;
+constexpr std::size_t kFirstPayloadFlag = kFirstProtocol + 1 + 4;
+
 TEST(TraceTest, EmptyTraceRoundTrips) {
   Trace t;
   const auto data = t.serialize();
@@ -85,12 +99,7 @@ TEST(TraceTest, BadMagicIsRejected) {
   auto data = t.serialize();
   // Rewrite the magic and fix up the CRC so only the magic is wrong.
   data[0] ^= 0x01;
-  Bytes body(data.begin(), data.end() - 4);
-  const std::uint32_t crc = crypto::crc32(body);
-  data[data.size() - 4] = static_cast<std::uint8_t>(crc);
-  data[data.size() - 3] = static_cast<std::uint8_t>(crc >> 8);
-  data[data.size() - 2] = static_cast<std::uint8_t>(crc >> 16);
-  data[data.size() - 1] = static_cast<std::uint8_t>(crc >> 24);
+  reseal(data);
   const auto back = Trace::deserialize(data);
   EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
 }
@@ -108,6 +117,68 @@ TEST(TraceTest, ManyRecordsRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().size(), 1000u);
   EXPECT_EQ(back.value().payload_bytes(), t.payload_bytes());
+}
+
+TEST(TraceTest, ProtocolByteOtherThanTcpOrUdpIsRejected) {
+  Trace t;
+  t.add(record(1000, 1, 2));
+  const Bytes good = t.serialize();
+  ASSERT_EQ(good[kFirstProtocol], 6);
+  for (int v = 0; v < 256; ++v) {
+    Bytes data = good;
+    data[kFirstProtocol] = static_cast<std::uint8_t>(v);
+    reseal(data);
+    const auto back = Trace::deserialize(data);
+    if (v == 6 || v == 17) {
+      ASSERT_TRUE(back.ok()) << v;
+      EXPECT_EQ(back.value().records()[0].header.protocol,
+                static_cast<Protocol>(v));
+    } else {
+      EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument) << v;
+    }
+  }
+}
+
+TEST(TraceTest, PayloadFlagOtherThanZeroOrOneIsRejected) {
+  Trace t;
+  t.add(record(1000, 1, 2, to_bytes("ab")));  // flag 1, then the payload
+  const Bytes good = t.serialize();
+  ASSERT_EQ(good[kFirstPayloadFlag], 1);
+  ASSERT_TRUE(Trace::deserialize(good).ok());
+  for (int v = 2; v < 256; ++v) {
+    Bytes data = good;
+    data[kFirstPayloadFlag] = static_cast<std::uint8_t>(v);
+    reseal(data);
+    EXPECT_EQ(Trace::deserialize(data).status().code(),
+              StatusCode::kInvalidArgument)
+        << v;
+  }
+}
+
+// Every single-byte edit of a small trace, CRC resealed, is either
+// rejected or decodes to a trace that serializes back to exactly the
+// edited bytes: no two encodings share a decoded trace.
+TEST(TraceTest, EveryAcceptedSingleByteEditReserializesToItself) {
+  Trace t;
+  t.add(record(1000, 1, 2, to_bytes("ab")));
+  t.add(record(2000, 2, 1));
+  const Bytes good = t.serialize();
+  std::size_t accepted = 0;
+  for (std::size_t pos = 0; pos + 4 < good.size(); ++pos) {
+    for (int v = 0; v < 256; ++v) {
+      if (v == good[pos]) continue;
+      Bytes data = good;
+      data[pos] = static_cast<std::uint8_t>(v);
+      reseal(data);
+      const auto back = Trace::deserialize(data);
+      if (!back.ok()) continue;
+      ++accepted;
+      ASSERT_EQ(back.value().serialize(), data)
+          << "byte " << pos << " set to " << v;
+    }
+  }
+  // Times, node ids, ports, sizes and payload bytes take any value.
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

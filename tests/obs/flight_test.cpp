@@ -57,7 +57,6 @@ TEST_F(ObsFlightTest, DumpWritesHeaderEventsAndMetricsSnapshot) {
 
   FlightRecorderConfig cfg;
   cfg.path = path_;
-  cfg.dump_on_error = false;
   flight_recorder().configure(cfg);
   ASSERT_TRUE(flight_recorder().armed());
   EXPECT_EQ(flight_recorder().path(), path_);
@@ -125,7 +124,6 @@ TEST_F(ObsFlightTest, LastEventsLimitKeepsOnlyTheNewest) {
   FlightRecorderConfig cfg;
   cfg.path = path_;
   cfg.last_events = 2;
-  cfg.dump_on_error = false;
   flight_recorder().configure(cfg);
   ASSERT_TRUE(dump_flight_record("limited"));
 
@@ -145,7 +143,6 @@ TEST_F(ObsFlightTest, LastEventsLimitKeepsOnlyTheNewest) {
 TEST_F(ObsFlightTest, RepeatedDumpsAppendToOneFile) {
   FlightRecorderConfig cfg;
   cfg.path = path_;
-  cfg.dump_on_error = false;
   flight_recorder().configure(cfg);
   ASSERT_TRUE(dump_flight_record("first"));
   ASSERT_TRUE(dump_flight_record("second"));

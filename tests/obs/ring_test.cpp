@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace lexfor::obs {
 namespace {
 
@@ -101,6 +105,40 @@ TEST(ObsRingTest, SnapshotDoesNotConsume) {
   EXPECT_EQ(ring.snapshot().size(), 1u);
   EXPECT_EQ(ring.drained(), 0u);
   EXPECT_EQ(ring.size(), 1u);
+}
+
+// counts() is one reading under the ring's lock: while another thread
+// pushes and this one drains, every reading satisfies the identity and
+// never shows more retained events than the ring holds.
+TEST(ObsRingTest, CountsAreOneConsistentReadingWhileAnotherThreadPushes) {
+  constexpr std::uint64_t kPushes = 50'000;
+  EventRing ring(8);
+  std::atomic<bool> done{false};
+  std::thread pusher([&] {
+    for (std::uint64_t i = 0; i < kPushes; ++i) ring.push(make_event(i));
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<TraceEvent> out;
+  std::uint64_t last_pushed = 0;
+  std::size_t readings = 0;
+  std::size_t broken = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    const RingCounts c = ring.counts();
+    ++readings;
+    if (c.pushed != c.drained + c.dropped + c.size || c.size > 8 ||
+        c.pushed < last_pushed) {
+      ++broken;
+    }
+    last_pushed = c.pushed;
+    if (readings % 16 == 0) (void)ring.drain(out);
+  }
+  pusher.join();
+  (void)ring.drain(out);
+  EXPECT_EQ(broken, 0u) << broken << " of " << readings << " readings";
+  const RingCounts c = ring.counts();
+  EXPECT_EQ(c.pushed, kPushes);
+  EXPECT_EQ(c.pushed, c.drained + c.dropped);
+  EXPECT_EQ(out.size(), c.drained);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/thread_pool.h"
 
@@ -199,31 +198,12 @@ TEST(ObsShardedRingTest, EightThreadOverflowKeepsAccountingExhaustive) {
   EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped());
 }
 
-TEST(ObsShardedRingTest, TracerPublishesPerShardDropCounters) {
-  Tracer t(/*ring_capacity=*/4);
-  t.set_level(Level::kDebug);
-  const std::uint64_t before =
-      metrics().counter("obs.ring.dropped{shard=\"0\"}").value();
-  for (int i = 0; i < 10; ++i) {
-    t.instant(Level::kInfo, "test", "overflow");
-  }
-  const auto events = t.drain();  // drains + publishes drop metrics
-  EXPECT_EQ(events.size(), 4u);
-  const std::uint64_t after =
-      metrics().counter("obs.ring.dropped{shard=\"0\"}").value();
-  EXPECT_EQ(after - before, 6u);
-  // Repeat publication without new drops adds nothing (delta-based).
-  t.publish_ring_metrics();
-  EXPECT_EQ(metrics().counter("obs.ring.dropped{shard=\"0\"}").value(),
-            after);
-}
-
 TEST(ObsShardedRingTest, TracerDrainMergesAndEmptiesRing) {
   Tracer t;
   t.set_level(Level::kDebug);
   t.instant(Level::kInfo, "test", "one");
   t.instant(Level::kInfo, "test", "two");
-  const auto events = t.drain();
+  const auto events = t.ring().drain();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_TRUE(is_time_ordered(events));
   EXPECT_EQ(t.ring().size(), 0u);

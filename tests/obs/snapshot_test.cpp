@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include "obs/tracer.h"
 
 namespace lexfor::obs {
 namespace {
 
-// Minimal structural JSON check shared with sink_test: quotes-aware
+// Minimal structural JSON check shared with export_test: quotes-aware
 // bracket/brace balance.
 bool json_balanced(const std::string& text) {
   int braces = 0;
@@ -78,8 +83,8 @@ PromDoc must_parse(const std::string& text) {
 
 MetricsRegistry& populated_registry(MetricsRegistry& reg) {
   reg.counter("legal.evaluations").add(42);
-  reg.counter("obs.ring.dropped{shard=\"0\"}").add(3);
-  reg.counter("obs.ring.dropped{shard=\"1\"}").add(5);
+  reg.counter("serve.rejected{reason=\"overload\"}").add(3);
+  reg.counter("serve.rejected{reason=\"malformed\"}").add(5);
   reg.gauge("netsim.queue_depth").set(-7);
   Histogram& h = reg.histogram("eval.latency_us", {10, 100, 1000});
   h.record(4);
@@ -121,70 +126,6 @@ TEST(ObsSnapshotTest, SampledPercentileMatchesLiveHistogram) {
   }
 }
 
-TEST(ObsSnapshotTest, SinceComputesCounterDeltasAndKeepsGaugesCurrent) {
-  MetricsRegistry reg;
-  reg.counter("c").add(10);
-  reg.gauge("g").set(5);
-  const Snapshot before = Snapshot::capture(reg);
-  reg.counter("c").add(7);
-  reg.gauge("g").set(9);
-  const Snapshot after = Snapshot::capture(reg);
-  const Snapshot delta = after.since(before);
-  ASSERT_EQ(delta.counters.size(), 1u);
-  EXPECT_EQ(delta.counters[0].value, 7u);
-  ASSERT_EQ(delta.gauges.size(), 1u);
-  EXPECT_EQ(delta.gauges[0].value, 9);  // level, not rate
-}
-
-TEST(ObsSnapshotTest, SinceGuardsAgainstResets) {
-  MetricsRegistry reg;
-  reg.counter("c").add(100);
-  const Snapshot before = Snapshot::capture(reg);
-  reg.reset();
-  reg.counter("c").add(2);
-  const Snapshot after = Snapshot::capture(reg);
-  const Snapshot delta = after.since(before);
-  ASSERT_EQ(delta.counters.size(), 1u);
-  // Counter went backwards: report the full current value, never wrap.
-  EXPECT_EQ(delta.counters[0].value, 2u);
-}
-
-TEST(ObsSnapshotTest, SinceDeltasHistogramsBucketwise) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat", {10, 100});
-  h.record(5);
-  h.record(50);
-  const Snapshot before = Snapshot::capture(reg);
-  h.record(50);
-  h.record(500);
-  const Snapshot after = Snapshot::capture(reg);
-  const Snapshot delta = after.since(before);
-  ASSERT_EQ(delta.histograms.size(), 1u);
-  const HistogramSample& d = delta.histograms[0];
-  EXPECT_EQ(d.count, 2u);
-  EXPECT_EQ(d.sum, 550);
-  ASSERT_EQ(d.buckets.size(), 3u);
-  EXPECT_EQ(d.buckets[0], 0u);
-  EXPECT_EQ(d.buckets[1], 1u);
-  EXPECT_EQ(d.buckets[2], 1u);
-}
-
-TEST(ObsSnapshotTest, SinceIncludesInstrumentsAbsentFromPrev) {
-  MetricsRegistry reg;
-  reg.counter("old").add(1);
-  const Snapshot before = Snapshot::capture(reg);
-  reg.counter("brand.new").add(9);
-  const Snapshot delta = Snapshot::capture(reg).since(before);
-  bool found = false;
-  for (const CounterSample& c : delta.counters) {
-    if (c.name == "brand.new") {
-      found = true;
-      EXPECT_EQ(c.value, 9u);
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(ObsSnapshotTest, PrometheusRoundTripMatchesRegistryState) {
   MetricsRegistry reg;
   populated_registry(reg);
@@ -195,9 +136,13 @@ TEST(ObsSnapshotTest, PrometheusRoundTripMatchesRegistryState) {
   // Counters: dotted names sanitized, label braces passed through.
   EXPECT_EQ(doc.types.at("legal_evaluations"), "counter");
   EXPECT_DOUBLE_EQ(doc.samples.at("legal_evaluations"), 42.0);
-  EXPECT_EQ(doc.types.at("obs_ring_dropped"), "counter");
-  EXPECT_DOUBLE_EQ(doc.samples.at("obs_ring_dropped{shard=\"0\"}"), 3.0);
-  EXPECT_DOUBLE_EQ(doc.samples.at("obs_ring_dropped{shard=\"1\"}"), 5.0);
+  EXPECT_EQ(doc.types.at("serve_rejected"), "counter");
+  EXPECT_DOUBLE_EQ(doc.samples.at("serve_rejected{reason=\"overload\"}"),
+                   3.0);
+  EXPECT_DOUBLE_EQ(doc.samples.at("serve_rejected{reason=\"malformed\"}"),
+                   5.0);
+  // A registry-only capture has no ring section.
+  EXPECT_EQ(doc.types.count("obs_ring_dropped"), 0u);
 
   // Gauges keep sign.
   EXPECT_EQ(doc.types.at("netsim_queue_depth"), "gauge");
@@ -309,10 +254,10 @@ TEST(ObsSnapshotTest, JsonEscapesLabelledNames) {
   Snapshot::capture(reg).to_json(os);
   const std::string json = os.str();
   EXPECT_TRUE(json_balanced(json)) << json;
-  EXPECT_NE(json.find(R"("obs.ring.dropped{shard=\"0\"}":3)"),
+  EXPECT_NE(json.find(R"("serve.rejected{reason=\"overload\"}":3)"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find(R"("obs.ring.dropped{shard=\"1\"}":5)"),
+  EXPECT_NE(json.find(R"("serve.rejected{reason=\"malformed\"}":5)"),
             std::string::npos)
       << json;
 }
@@ -326,6 +271,77 @@ TEST(ObsSnapshotTest, GlobalCaptureIncludesRingStats) {
   std::ostringstream os;
   snap.to_json(os);
   EXPECT_TRUE(json_balanced(os.str()));
+}
+
+// The process-wide tracer at kDebug for one test, restored after.
+class ScopedGlobalLevel {
+ public:
+  explicit ScopedGlobalLevel(Level level) : saved_(tracer().level()) {
+    tracer().set_level(level);
+  }
+  ~ScopedGlobalLevel() { tracer().set_level(saved_); }
+  ScopedGlobalLevel(const ScopedGlobalLevel&) = delete;
+  ScopedGlobalLevel& operator=(const ScopedGlobalLevel&) = delete;
+
+ private:
+  Level saved_;
+};
+
+TEST(ObsSnapshotTest, PrometheusRingDropLinesEqualSnapshotRing) {
+  const ScopedGlobalLevel debug(Level::kDebug);
+  // Overflow this thread's shard so at least one drop count is nonzero.
+  const std::size_t overflow = tracer().ring().shard_capacity() + 10;
+  for (std::size_t i = 0; i < overflow; ++i) {
+    tracer().instant(Level::kDebug, "test", "overflow");
+  }
+  const Snapshot snap = Snapshot::capture();
+  std::ostringstream os;
+  snap.to_prometheus(os);
+  const PromDoc doc = must_parse(os.str());
+
+  ASSERT_FALSE(snap.ring.empty());
+  EXPECT_EQ(doc.types.at("obs_ring_dropped"), "counter");
+  std::size_t lines = 0;
+  for (const auto& [name, value] : doc.samples) {
+    if (name.rfind("obs_ring_dropped{", 0) == 0) ++lines;
+  }
+  EXPECT_EQ(lines, snap.ring.size());
+  std::uint64_t dropped = 0;
+  for (const RingShardStats& r : snap.ring) {
+    const std::string name =
+        "obs_ring_dropped{shard=\"" + std::to_string(r.shard) + "\"}";
+    EXPECT_DOUBLE_EQ(doc.samples.at(name), static_cast<double>(r.dropped))
+        << name;
+    dropped += r.dropped;
+  }
+  EXPECT_GE(dropped, 10u);
+}
+
+TEST(ObsSnapshotTest, RingStatsHoldTheirIdentityWhileThreadsTrace) {
+  const ScopedGlobalLevel debug(Level::kDebug);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < 2; ++k) {
+    threads.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        tracer().instant(Level::kDebug, "test", "busy");
+      }
+    });
+  }
+  std::size_t entries = 0;
+  std::size_t torn = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    for (const RingShardStats& r : Snapshot::capture().ring) {
+      ++entries;
+      if (r.pushed != r.drained + r.dropped + r.size) ++torn;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& th : threads) th.join();
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(torn, 0u) << torn << " of " << entries
+                      << " shard entries broke pushed == drained + "
+                         "dropped + size";
 }
 
 }  // namespace

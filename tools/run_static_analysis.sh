@@ -117,11 +117,13 @@ tsan_build() {
 }
 tsan_stress() {
   # Covers the v2 sharded ring (8-thread merge stress), the call-site
-  # profiler's concurrent record path, and snapshot capture racing
-  # live instrument updates, alongside the v1 counter/histogram stress.
+  # profiler's concurrent record path, snapshot capture racing live
+  # instrument updates and tracing threads, and the Chrome export of
+  # events drained from four threads, alongside the v1
+  # counter/histogram stress.
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/obs_test \
-      --gtest_filter='ObsMetricsThreadTest.*:ObsTracerTest.*:ObsRingTest.*:ObsShardedRingTest.*:ObsProfileTest.*:ObsSnapshotTest.*'
+      --gtest_filter='ObsMetricsThreadTest.*:ObsTracerTest.*:ObsRingTest.*:ObsShardedRingTest.*:ObsProfileTest.*:ObsSnapshotTest.*:ObsExportTest.*'
 }
 tsan_pool_cache() {
   # The ThreadPoolTest cases are the fan-out call's own: every index
