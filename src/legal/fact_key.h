@@ -18,7 +18,10 @@
 // BatchEvaluator's Determination cache and serve's compact verdict
 // table.  Building a key takes under 20 ns, against 0.7-1.1 us for the
 // SHA-256 fingerprint, which stays the audit digest (legal/batch.h);
-// bench_engine's BM_FactKey and BM_Fingerprint measure both.
+// bench_engine's BM_FactKey and BM_Fingerprint measure both.  The
+// packing rule is pack_fact_key, over the facts in their wire layout:
+// fact_key feeds it a Scenario's facts, and serve::wire::key_request a
+// validated request frame's bytes, with no Scenario built.
 //
 // Enum facts must hold a declared enumerator; the wire decoder rejects
 // any other byte.
@@ -28,6 +31,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "legal/jurisdiction.h"
 #include "legal/scenario.h"
@@ -55,13 +59,23 @@ inline constexpr unsigned kFactKeyBits =
         static_cast<unsigned>(std::bit_width(kUnlistedJurisdiction));
 static_assert(kFactKeyBits <= 64, "the fact key no longer fits 64 bits");
 
+// The one packing rule, over the facts as the wire carries them: the
+// enum facts one byte each in LEXFOR_FACT_LIST order, the flag word
+// (flag_word's layout) and the jurisdiction code.  fact_key and
+// serve::wire::key_request both call it, so a key packed from a request
+// frame equals the key of the scenario that frame decodes to.
+[[nodiscard]] FactKey pack_fact_key(const std::uint8_t* enum_bytes,
+                                    std::uint32_t flags,
+                                    std::string_view jurisdiction) noexcept;
+
 [[nodiscard]] FactKey fact_key(const Scenario& s) noexcept;
 
 struct FactKeyHash {
   // util::ShardedLruCache takes the shard from the high bits of
-  // hash * golden ratio and the bucket from the low bits; the raw
-  // packed bits cluster in both, so fold the high bits down and
-  // multiply before handing the key over.
+  // hash * golden ratio and the bucket from the low bits, and
+  // serve::VerdictTable its set from the high bits; the raw packed bits
+  // cluster in both, so fold the high bits down and multiply before
+  // handing the key over.
   [[nodiscard]] std::size_t operator()(FactKey k) const noexcept {
     return static_cast<std::size_t>((k.bits ^ (k.bits >> 29)) *
                                     0xbf58476d1ce4e5b9ULL);

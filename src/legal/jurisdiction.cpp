@@ -32,6 +32,14 @@ constexpr Entry kTable[] = {
     {"CO", "Colorado", ConsentRegime::kOneParty},
 };
 static_assert(std::size(kTable) == kJurisdictionCount);
+static_assert(
+    [] {
+      for (const Entry& e : kTable) {
+        if (e.code.size() != 2) return false;
+      }
+      return true;
+    }(),
+    "jurisdiction_index compares two-letter codes");
 
 }  // namespace
 
@@ -47,8 +55,13 @@ const std::vector<Jurisdiction>& jurisdictions() {
 }
 
 std::size_t jurisdiction_index(std::string_view code) noexcept {
+  // Every listed code has two letters, so two byte compares decide an
+  // entry and any other length is unlisted.
+  if (code.size() != 2) return kUnlistedJurisdiction;
   for (std::size_t i = 0; i < kJurisdictionCount; ++i) {
-    if (kTable[i].code == code) return i;
+    if (kTable[i].code[0] == code[0] && kTable[i].code[1] == code[1]) {
+      return i;
+    }
   }
   return kUnlistedJurisdiction;
 }

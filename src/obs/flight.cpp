@@ -29,13 +29,17 @@ std::string FlightRecorder::path() const {
 }
 
 bool FlightRecorder::dump(std::string_view reason) {
+  return dump(reason, tracer());
+}
+
+bool FlightRecorder::dump(std::string_view reason, Tracer& source) {
   if (!armed()) return false;
   bool ok = false;
   {
     const std::scoped_lock lock(mu_);
     // Non-consuming snapshot of the merged, time-ordered recent past;
     // keep only the newest last_events.
-    std::vector<TraceEvent> events = tracer().ring().snapshot();
+    std::vector<TraceEvent> events = source.ring().snapshot();
     if (events.size() > cfg_.last_events) {
       events.erase(events.begin(),
                    events.end() - static_cast<std::ptrdiff_t>(
@@ -48,7 +52,7 @@ bool FlightRecorder::dump(std::string_view reason) {
       line += "{\"type\":\"flight\",\"reason\":\"";
       append_json_escaped(line, reason);
       line += "\",\"wall_ns\":";
-      line += std::to_string(tracer().wall_now_ns());
+      line += std::to_string(source.wall_now_ns());
       line += ",\"events\":";
       line += std::to_string(events.size());
       line += "}\n";

@@ -7,9 +7,10 @@
 // kError-level trace event a tracer accepts (hooked in Tracer::emit,
 // after the event lands in that tracer's ring), by
 // check::DifferentialChecker violations, or explicitly via
-// obs::dump_flight_record().  A dump reads the process-wide tracer's
-// ring without draining it (ring().snapshot()), so it contains an
-// error traced there.
+// obs::dump_flight_record().  A dump reads one tracer's ring without
+// draining it (ring().snapshot()): the tracer whose error triggered it,
+// private or process-wide, so the dump contains that error; explicit
+// dumps read the process-wide tracer.
 //
 // Dump format is JSONL, appended per dump so repeated incidents stack
 // in one file:
@@ -28,6 +29,8 @@
 #include <string_view>
 
 namespace lexfor::obs {
+
+class Tracer;
 
 struct FlightRecorderConfig {
   std::string path = "lexfor_flight.jsonl";
@@ -54,9 +57,11 @@ class FlightRecorder {
     return dumps_.load(std::memory_order_relaxed);
   }
 
-  // Writes one dump; returns false when disarmed or the file cannot be
-  // opened.  Bumps the obs.flight.dumps counter on success.
+  // Writes one dump of `source`'s recent events (the process-wide
+  // tracer's, by default); returns false when disarmed or the file
+  // cannot be opened.  Bumps the obs.flight.dumps counter on success.
   bool dump(std::string_view reason);
+  bool dump(std::string_view reason, Tracer& source);
 
  private:
   mutable std::mutex mu_;

@@ -50,7 +50,8 @@ EventRing& ShardedEventRing::shard_for_this_thread() {
   {
     const std::scoped_lock lock(register_mu_);
     for (Shard& s : shards_) {
-      // An exited thread's shard, unless full (see sharded_ring.h).
+      // An exited thread's shard, unless full; this thread's pushes
+      // may still wrap it (see sharded_ring.h).
       if (!s.held->load(std::memory_order_acquire) &&
           s.ring.size() < s.ring.capacity()) {
         s.held->store(true, std::memory_order_relaxed);

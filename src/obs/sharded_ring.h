@@ -23,12 +23,15 @@
 //   pushed == drained + dropped + size
 //
 // A thread that exits leaves its shard (and any undrained events) in
-// place, so what an exited worker traced stays visible to snapshot()
-// and drain().  The next thread to register takes that shard over
-// instead of adding one, unless the shard is full: then its next push
-// would overwrite an event the exited thread left undrained, so it
-// waits until a drain empties it.  Threads that come and go (one per
-// concurrent traceback, say) therefore keep the shard count at the peak
+// place.  The next thread to register takes that shard over instead of
+// adding one, unless the shard is full, in which case it gets another
+// shard.  So what an exited thread traced stays visible to snapshot()
+// and drain() until the shard's new holder wraps the ring: the events
+// its pushes then overwrite count as dropped, like any wraparound
+// (four threads in turn pushing 500 events each at 1,024 per shard
+// drain 1,524 and drop 476).  Handing over only empty shards would keep
+// every event, but threads that come and go without a drain would then
+// add a shard each.  As it is, they keep the shard count at the peak
 // number of live threads, not at the number of threads ever started;
 // the process-wide util::ThreadPool never exits a worker, so each of
 // its workers registers once per process, on its first traced event.

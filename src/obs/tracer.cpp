@@ -56,8 +56,11 @@ void Tracer::emit(TraceEvent ev) {
   ev.tid = this_thread_ordinal();
   const Level level = ev.level;
   ring_.push(std::move(ev));
-  // After the push, so a dump triggered by this event includes it.
-  if (level == Level::kError) (void)flight_recorder().dump("error-event");
+  // After the push, and from this tracer's ring, so a dump triggered
+  // by this event includes it.
+  if (level == Level::kError) {
+    (void)flight_recorder().dump("error-event", *this);
+  }
 }
 
 Tracer& tracer() {

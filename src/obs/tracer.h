@@ -11,8 +11,9 @@
 // (obs/obs.h) removes even that.
 //
 // kError events additionally wake the flight recorder (obs/flight.h)
-// after they land in the ring, so a dump triggered by an error on the
-// process-wide tracer contains the error event itself.
+// after they land in the ring, and the dump reads the ring of the
+// tracer that accepted the error, so it contains the error event
+// itself, on the process-wide tracer or a private one.
 
 #pragma once
 

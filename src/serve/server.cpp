@@ -32,10 +32,7 @@ Connection::Connection(std::size_t queue_capacity) {
 VerdictServer::VerdictServer(ServerOptions options)
     : options_(options),
       batch_(options.batch),
-      table_(options.verdict_table_capacity == 0
-                 ? 1
-                 : options.verdict_table_capacity,
-             options.verdict_table_shards) {
+      table_(options.verdict_table_capacity) {
   options_.workers = util::resolve_width(options_.workers);
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
 }
@@ -52,13 +49,15 @@ void VerdictServer::evaluate_range(Connection& conn, std::size_t begin,
   auto last = Clock::now();
   for (std::size_t i = begin; i < end; ++i) {
     Connection::Slot& slot = conn.slots_[i];
-    const legal::FactKey key = legal::fact_key(slot.request.scenario);
-    if (const auto hit = table_.get(key)) {
+    if (const auto hit = table_.get(slot.key)) {
       slot.verdict = *hit;
       slot.cache_hit = true;
     } else {
-      // Miss: derive through the BatchEvaluator so the full
-      // Determination lands in the shared verdict cache too.
+      // Miss: decode the frame admission keyed (it passed the same
+      // checks there, so this succeeds) and derive through the
+      // BatchEvaluator so the full Determination lands in the shared
+      // verdict cache too.
+      (void)wire::decode_request(slot.frame, slot.request);
       const legal::Determination d = batch_.evaluate(slot.request.scenario);
       slot.verdict.needs_process = d.needs_process ? 1 : 0;
       slot.verdict.required_process =
@@ -66,7 +65,7 @@ void VerdictServer::evaluate_range(Connection& conn, std::size_t begin,
       slot.verdict.required_proof =
           static_cast<std::uint8_t>(d.required_proof);
       slot.cache_hit = false;
-      table_.put(key, slot.verdict);
+      table_.put(slot.key, slot.verdict);
     }
     const auto now = Clock::now();
     slot.server_ns = clamp_ns(now - last);
@@ -83,10 +82,10 @@ ServeStats VerdictServer::serve(Connection& conn,
   ServeStats stats;
   conn.responses_.clear();
 
-  // --- Admission: walk the frame stream, classify every frame. ------
-  // slots_ is recycled: resize() down keeps string capacity in the
-  // surviving elements, and growth only happens until the connection
-  // has seen a full batch once.
+  // --- Admission: walk the frame stream, classify and key every frame.
+  // slots_ is recycled: its Requests keep their string capacity, and
+  // growth only happens until the connection has seen a full batch
+  // once.
   std::size_t accepted = 0;
   bool overload_reported = false;
   std::span<const std::uint8_t> rest = frames;
@@ -105,9 +104,11 @@ ServeStats VerdictServer::serve(Connection& conn,
     ++stats.offered;
 
     if (accepted >= options_.queue_capacity) {
-      // Shed path: still classify (validation is allocation-free) so
+      // Shed path: still classify (keying is allocation-free) so
       // garbage offered during overload is not counted as load.
-      const Status v = wire::validate_request(frame);
+      std::uint64_t id = 0;
+      legal::FactKey key;
+      const Status v = wire::key_request(frame, id, key);
       if (v.ok()) {
         ++stats.shed_queue_full;
         if (!overload_reported) {
@@ -124,9 +125,10 @@ ServeStats VerdictServer::serve(Connection& conn,
     }
 
     if (accepted == conn.slots_.size()) conn.slots_.emplace_back();
-    const Status s =
-        wire::decode_request(frame, conn.slots_[accepted].request);
+    Connection::Slot& slot = conn.slots_[accepted];
+    const Status s = wire::key_request(frame, slot.request_id, slot.key);
     if (s.ok()) {
+      slot.frame = frame;
       ++accepted;
       ++stats.accepted;
     } else if (s.code() == StatusCode::kFailedPrecondition) {
@@ -153,7 +155,7 @@ ServeStats VerdictServer::serve(Connection& conn,
   wire::Response resp;
   for (std::size_t i = 0; i < accepted; ++i) {
     const Connection::Slot& slot = conn.slots_[i];
-    resp.request_id = slot.request.request_id;
+    resp.request_id = slot.request_id;
     resp.status = StatusCode::kOk;
     resp.needs_process = slot.verdict.needs_process != 0;
     resp.cache_hit = slot.cache_hit;

@@ -5,14 +5,15 @@
 // acquisition; at ISP/provider scale that check is a service queried at
 // traffic rates, not a library call.  VerdictServer is that service
 // shape: request frames (serve::wire) arrive on a Connection, pass a
-// BOUNDED admission stage, fan out through util::parallel_for, route
-// through legal::BatchEvaluator's shared verdict cache, and leave as
-// response frames in request order.
+// BOUNDED admission stage that keys each frame, fan out through
+// util::parallel_for, are answered from the compact verdict table or,
+// on a miss, through legal::BatchEvaluator's shared verdict cache, and
+// leave as response frames in request order.
 //
 // Admission taxonomy (modeled on stream::RateRing's exhaustive drop
 // classification): every offered frame lands in exactly one of
 //
-//   accepted           decoded and queued; ALWAYS answered
+//   accepted           keyed and queued; ALWAYS answered
 //   shed_queue_full    well-formed but past the batch's queue bound
 //   rejected_malformed fails strict wire validation
 //   rejected_version   header parses but the version byte is unknown
@@ -21,26 +22,34 @@
 // rejected_version == offered holds exactly, under any overload — the
 // same audit posture the tap ring takes: a server that silently drops
 // verdict queries is a compliance hole, not a performance bug.
-// Classification happens even for shed frames via the decoder's
-// allocation-free validate path, so garbage offered during overload is
-// still counted as garbage, not as load.
+// Classification happens even for shed frames, through the same
+// allocation-free wire::key_request that admits them, so garbage
+// offered during overload is still counted as garbage, not as load.
+//
+// Admission keys frames, it does not decode them: wire::key_request
+// runs the strict decoder's checks and packs the legal::FactKey from
+// the frame's enum bytes, flag word and jurisdiction bytes, and the
+// slot keeps the request id, the key and where the frame lies in the
+// batch.  A verdict-table hit never builds a Scenario; only a miss
+// decodes the frame, into the slot's recycled Request, and runs
+// BatchEvaluator::evaluate, which keeps the shared Determination cache
+// coherent for the linter and Investigation::acquire.
 //
 // Zero-alloc steady state: each Connection owns a recycled slot vector
-// (one slot per accepted request: the decoded Request, which keeps its
-// string capacity, plus the verdict, hit flag and server_ns its
-// response carries) and a response buffer that keeps its bytes.  Once
-// the fleet's scenario mix is warm in the compact verdict table, a
-// batch performs no heap traffic at all on the single-worker inline
-// path (gated by A-SERVE).
+// (one slot per accepted request: id, key and frame extent, the
+// verdict, hit flag and server_ns its response carries, and a Request
+// that keeps its string capacity for misses) and a response buffer
+// that keeps its bytes.  Once the fleet's scenario mix is warm in the
+// compact verdict table, a batch performs no heap traffic at all on the
+// single-worker inline path (gated by A-SERVE).
 //
-// The compact verdict table is the serving layer's own cache: an LRU
-// of 3-byte verdicts keyed by legal::FactKey, in front of the shared
-// Determination cache, so a steady-state hit never copies the
-// Determination's rationale/citation vectors.  The key is packed from
-// the decoded facts in under 20 ns; it leaves the name out, so requests
-// that differ only in name share one entry.  Misses go through
-// BatchEvaluator::evaluate, which keeps the shared cache coherent for
-// the linter and Investigation::acquire.
+// The compact verdict table (serve/verdict_table.h) is the serving
+// layer's own cache, in front of the shared Determination cache: one
+// 64-bit word per entry holding the fact key and a 7-bit verdict, in
+// sets of a few ways.  A hit is a few relaxed loads and a full-key
+// compare, with no lock and no shared write, so workers do not contend
+// on it; a miss inserts under one mutex.  The key leaves the name out,
+// so requests that differ only in name share one entry.
 //
 // Backpressure reaches the worker pool too: a batch is at most
 // queue_capacity requests, and its fan-out asks the process-wide pool
@@ -67,8 +76,8 @@
 #include <vector>
 
 #include "legal/batch.h"
+#include "serve/verdict_table.h"
 #include "serve/wire.h"
-#include "util/lru_cache.h"
 
 namespace lexfor::serve {
 
@@ -105,20 +114,15 @@ struct ServerOptions {
   // Bounded admission queue: at most this many accepted requests per
   // batch; the rest of a wave is shed (and counted).
   std::size_t queue_capacity = 4096;
-  // Entry budget for the compact verdict table.  The fleet's 66
-  // scenarios hold 54 distinct fact keys and serve a million
-  // subscribers; 1<<16 leaves room for real mixes.
+  // Entry budget for the compact verdict table (serve::VerdictTable):
+  // the most entries it grows to, one 8-byte word each.  It starts at
+  // 64 words and doubles only when a set fills, so memory follows the
+  // entries held; past the budget an insert replaces a way of its set.
+  // The fleet's 66 scenarios hold 54 distinct fact keys and serve a
+  // million subscribers; 1<<16 leaves room for real mixes.
   std::size_t verdict_table_capacity = 1 << 16;
-  std::size_t verdict_table_shards = 16;
   // Passed through to the BatchEvaluator (shared cache by default).
   legal::BatchOptions batch;
-};
-
-// The verdict of a scenario, compacted to what the wire answers with.
-struct CompactVerdict {
-  std::uint8_t needs_process = 0;
-  std::uint8_t required_process = 0;
-  std::uint8_t required_proof = 0;
 };
 
 // Per-client channel state, created by VerdictServer::connect().  All
@@ -143,13 +147,18 @@ class Connection {
   friend class VerdictServer;
   explicit Connection(std::size_t queue_capacity);
 
-  // One accepted request: decoded at admission, then given the fields
+  // One accepted request: keyed at admission, then given the fields
   // its response carries by evaluation.  Recycled across batches.
   struct Slot {
-    wire::Request request;
+    std::uint64_t request_id = 0;
+    legal::FactKey key;
+    // The frame in the batch being served; read only during the
+    // serve() call that stored it.
+    std::span<const std::uint8_t> frame;
     CompactVerdict verdict;
     bool cache_hit = false;
     std::uint32_t server_ns = 0;  // clamped; 4.2s dwarfs any eval
+    wire::Request request;        // decoded on a table miss only
   };
 
   std::vector<Slot> slots_;
@@ -177,9 +186,10 @@ class VerdictServer {
   // that evaluated the request: from the previous reading there to this
   // request's own, taken once its verdict is known.  Each evaluation
   // chunk reads the clock once at its start, so the first request of a
-  // chunk is timed from there.  The value covers this request's fact
-  // key and table lookup (the engine, on a miss) and the previous
-  // request's latency record, never admission or encoding.
+  // chunk is timed from there.  The value covers this request's table
+  // lookup (the decode and the engine, on a miss) and the previous
+  // request's latency record, never admission (where the key is packed)
+  // or encoding.
   //
   // Thread-safe across distinct connections; a single Connection must
   // not be served from two threads at once.
@@ -202,10 +212,7 @@ class VerdictServer {
   legal::BatchEvaluator batch_;
   // Fact key -> compact verdict; the Determination stays in the
   // shared cache, this table answers the wire without copying it.
-  mutable util::ShardedLruCache<legal::FactKey, CompactVerdict,
-                                legal::FactKeyHash>
-      table_;
-
+  mutable VerdictTable table_;
 };
 
 }  // namespace lexfor::serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <string_view>
 
 namespace lexfor::serve::wire {
 namespace {
@@ -164,10 +165,24 @@ void encode_request(const legal::Scenario& s, std::uint64_t request_id,
              s.jurisdiction.data() + juris_len);
 }
 
-Status validate_request(std::span<const std::uint8_t> frame) {
+Status key_request(std::span<const std::uint8_t> frame,
+                   std::uint64_t& request_id, legal::FactKey& key) {
   std::size_t name_at = 0, name_len = 0, juris_at = 0, juris_len = 0;
-  return validate_request_impl(frame, &name_at, &name_len, &juris_at,
-                               &juris_len);
+  if (Status st = validate_request_impl(frame, &name_at, &name_len, &juris_at,
+                                        &juris_len);
+      !st.ok()) {
+    return st;
+  }
+  // The enum bytes follow the name and the flag word follows them, in
+  // the layout pack_fact_key reads.
+  const std::uint8_t* p = frame.data();
+  const std::uint8_t* enums = p + name_at + name_len;
+  request_id = get_u64(p + kRequestIdOffset);
+  key = legal::pack_fact_key(
+      enums, get_u32(enums + legal::kEnumFactCount),
+      std::string_view(reinterpret_cast<const char*>(p + juris_at),
+                       juris_len));
+  return Status::Ok();
 }
 
 Status decode_request(std::span<const std::uint8_t> frame, Request& out) {

@@ -13,7 +13,9 @@
 // decoded request carries exactly the facts the client encoded and
 // lands on the same verdict-cache key.  The wire tests
 // RoundTripPreservesFingerprint and FleetFramesAndFingerprintsArePinned
-// hold both to that.
+// hold both to that.  The enum bytes and flag word are also exactly
+// what legal::pack_fact_key reads, so key_request keys a frame without
+// decoding it.
 //
 // The decoder is STRICT and CANONICAL: magic, version, kind, the
 // zeroed reserved word, the exact frame length, string-length bounds,
@@ -44,6 +46,7 @@
 #include <vector>
 
 #include "legal/engine.h"
+#include "legal/fact_key.h"
 #include "legal/scenario.h"
 #include "util/status.h"
 
@@ -138,11 +141,16 @@ void encode_request(const legal::Scenario& s, std::uint64_t request_id,
 [[nodiscard]] Status decode_request(std::span<const std::uint8_t> frame,
                                     Request& out);
 
-// Validation-only pass over a request frame: every check decode_request
-// performs, but no output is written at all.  Used by the server's
-// shed path: a frame refused for overload is still classified
-// malformed/version-skew/valid without paying string assignment.
-[[nodiscard]] Status validate_request(std::span<const std::uint8_t> frame);
+// Every check decode_request performs, then the request's id and its
+// legal::FactKey packed straight from the frame's enum bytes, flag word
+// and jurisdiction bytes: no Scenario is built and nothing is
+// allocated.  The key equals legal::fact_key of the scenario
+// decode_request would produce.  On failure the outputs are untouched.
+// The server keys every frame it admits or sheds this way and decodes
+// only on a verdict-table miss.
+[[nodiscard]] Status key_request(std::span<const std::uint8_t> frame,
+                                 std::uint64_t& request_id,
+                                 legal::FactKey& key);
 
 // Appends one encoded response frame (fixed kResponseFrameBytes),
 // built whole and appended in one call.

@@ -50,7 +50,7 @@ TEST(JurisdictionTest, IndexIsThePositionInTheTable) {
   for (std::size_t i = 0; i < db.size(); ++i) {
     EXPECT_EQ(jurisdiction_index(db[i].code), i) << db[i].code;
   }
-  for (const char* code : {"ZZ", "XX", "", "ca", "USA"}) {
+  for (const char* code : {"ZZ", "XX", "", "ca", "USA", "U"}) {
     EXPECT_EQ(jurisdiction_index(code), kUnlistedJurisdiction) << code;
   }
 }

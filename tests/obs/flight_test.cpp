@@ -105,6 +105,34 @@ TEST_F(ObsFlightTest, ErrorLevelEventTriggersAutomaticDump) {
   EXPECT_TRUE(saw_error);
 }
 
+// The dump an error triggers reads the ring of the tracer that accepted
+// it, so an error on a private tracer is in its own dump.
+TEST_F(ObsFlightTest, ErrorOnAPrivateTracerIsInTheDumpItTriggers) {
+  FlightRecorderConfig cfg;
+  cfg.path = path_;
+  flight_recorder().configure(cfg);
+  const std::uint64_t dumps_before = flight_recorder().dumps();
+
+  Tracer own;
+  own.set_level(Level::kError);
+  own.instant(Level::kError, "flight", "private-boom", "what=testing");
+
+  EXPECT_EQ(flight_recorder().dumps(), dumps_before + 1);
+  const auto lines = dump_lines();
+  ASSERT_FALSE(lines.empty());
+  EXPECT_NE(lines.front().find("\"reason\":\"error-event\""),
+            std::string::npos);
+  EXPECT_NE(lines.front().find("\"events\":1"), std::string::npos);
+  bool saw_error = false;
+  for (const std::string& line : lines) {
+    if (line.find("\"type\":\"event\"") != std::string::npos &&
+        line.find("\"private-boom\"") != std::string::npos) {
+      saw_error = true;
+    }
+  }
+  EXPECT_TRUE(saw_error);
+}
+
 TEST_F(ObsFlightTest, ErrorEventsBelowLevelFilterDoNotDump) {
   FlightRecorderConfig cfg;
   cfg.path = path_;

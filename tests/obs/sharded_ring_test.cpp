@@ -300,6 +300,35 @@ TEST(ObsShardedRingTest, FullShardOfAnExitedThreadWaitsForADrain) {
   EXPECT_EQ(ring.pushed(), ring.drained() + ring.dropped());
 }
 
+TEST(ObsShardedRingTest, HandedOverEventsLastUntilTheNewHolderWraps) {
+  // An exited thread's shard goes to the next thread while it is not
+  // full, and that thread's pushes may wrap it: the first two threads'
+  // 1,000 events share one shard, the third fills it and overwrites
+  // 476 of them (counted as dropped), and the fourth, finding it full,
+  // gets a second shard.
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 500;
+  ShardedEventRing ring(1024);
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    std::thread([&ring, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        ring.push(make_event(t * kPerThread + i));
+      }
+    }).join();
+  }
+  EXPECT_EQ(ring.shard_count(), 2u);
+  const auto events = ring.drain();
+  EXPECT_EQ(events.size(), 1524u);
+  const RingCounts c = ring.counts();
+  EXPECT_EQ(c.pushed, kThreads * kPerThread);
+  EXPECT_EQ(c.dropped, 476u);
+  EXPECT_EQ(c.drained, events.size());
+  EXPECT_EQ(c.pushed, c.drained + c.dropped + c.size);
+  // The overwritten events are the oldest: the first thread's 476.
+  EXPECT_EQ(events.front().wall_ns, 476u);
+  EXPECT_TRUE(is_time_ordered(events));
+}
+
 TEST(ObsShardedRingTest, RingDestroyedBeforeItsThreadExitsIsSafe) {
   // The thread registers, the ring goes away, then the thread exits and
   // releases its shard: the release must not touch the dead ring.  A

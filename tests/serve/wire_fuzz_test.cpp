@@ -12,9 +12,12 @@
 //      frames (canonical round trip).
 //
 // Mutations come from Rng::sub_stream so every trial is reproducible
-// from (kSeed, trial) alone, and validate_request must agree with
-// decode_request on every mutant (the server's shed path classifies
-// with validate; a disagreement would let overload reclassify traffic).
+// from (kSeed, trial) alone, and key_request must agree with
+// decode_request on every mutant: the same status, and on success the
+// same id and legal::fact_key of the decoded scenario (the server keys
+// and classifies every frame with key_request, admitted or shed, and
+// decodes only on a table miss; a disagreement would answer a frame
+// from another scenario's verdict, or let overload reclassify traffic).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "legal/fact_key.h"
 #include "legal/scene_table.h"
 #include "legal/table1.h"
 #include "serve/wire.h"
@@ -48,14 +52,18 @@ constexpr std::uint64_t kSeed = 0xF0221EA51ULL;
   return frames;
 }
 
-// Property 2 + validate/decode agreement, for one candidate buffer.
+// Property 2 + key/decode agreement, for one candidate buffer.
 void check_mutant(const std::vector<std::uint8_t>& mutant) {
   Request req;
   const Status decoded = decode_request(mutant, req);
-  const Status validated = validate_request(mutant);
-  ASSERT_EQ(decoded.code(), validated.code())
-      << "validate and decode disagree";
+  std::uint64_t id = 0;
+  legal::FactKey key;
+  const Status keyed = key_request(mutant, id, key);
+  ASSERT_EQ(decoded.code(), keyed.code()) << "key and decode disagree";
   if (!decoded.ok()) return;
+  ASSERT_EQ(id, req.request_id) << "key and decode read different ids";
+  ASSERT_EQ(key, legal::fact_key(req.scenario))
+      << "key_request packed another key than the decoded scenario's";
   std::vector<std::uint8_t> again;
   encode_request(req.scenario, req.request_id, again);
   ASSERT_EQ(again, mutant)
@@ -81,7 +89,9 @@ TEST(WireFuzzTest, TruncationNeverCrashesOrPasses) {
       // A strict decoder cannot accept a strict prefix: frame_len no
       // longer matches.
       ASSERT_FALSE(decode_request(mutant, req).ok()) << "cut=" << cut;
-      ASSERT_FALSE(validate_request(mutant).ok());
+      std::uint64_t id = 0;
+      legal::FactKey key;
+      ASSERT_FALSE(key_request(mutant, id, key).ok());
     }
   }
 }
@@ -139,7 +149,9 @@ TEST(WireFuzzTest, PureNoiseNeverCrashes) {
     for (auto& b : noise) b = static_cast<std::uint8_t>(rng.uniform(256));
     Request req;
     (void)decode_request(noise, req);
-    (void)validate_request(noise);
+    std::uint64_t id = 0;
+    legal::FactKey key;
+    (void)key_request(noise, id, key);
     (void)peek_frame(noise);
     Response resp;
     (void)decode_response(noise, resp);

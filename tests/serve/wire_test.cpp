@@ -5,13 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "crypto/sha256.h"
 #include "legal/batch.h"
+#include "legal/fact_key.h"
+#include "legal/jurisdiction.h"
 #include "legal/scene_table.h"
 #include "legal/table1.h"
+#include "serve/fleet.h"
 
 namespace lexfor::serve::wire {
 namespace {
@@ -133,7 +139,10 @@ TEST(WireTest, VersionSkewNavigatesButDoesNotDecode) {
   Request req;
   const Status st = decode_request(frame, req);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(validate_request(frame).code(), StatusCode::kFailedPrecondition);
+  std::uint64_t id = 0;
+  legal::FactKey key;
+  EXPECT_EQ(key_request(frame, id, key).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(WireTest, TruncatedFramesAreMalformed) {
@@ -207,10 +216,75 @@ TEST(WireTest, FailedDecodeLeavesOutputUntouched) {
   EXPECT_EQ(req.scenario.name, "sentinel");
 }
 
-TEST(WireTest, ValidateAgreesWithDecodeOnValidFrames) {
+// key_request keys a frame without decoding it: it must accept exactly
+// what decode_request accepts, give the same id, and give the key
+// legal::fact_key gives the decoded scenario.
+void expect_key_matches_decode(std::span<const std::uint8_t> frame,
+                               std::string_view label) {
+  Request req;
+  ASSERT_TRUE(decode_request(frame, req).ok()) << label;
+  std::uint64_t id = ~req.request_id;
+  legal::FactKey key;
+  ASSERT_TRUE(key_request(frame, id, key).ok()) << label;
+  EXPECT_EQ(id, req.request_id) << label;
+  EXPECT_EQ(key, legal::fact_key(req.scenario)) << label;
+}
+
+TEST(WireTest, KeyRequestMatchesDecodeOnLibraryAndTable1Scenes) {
+  std::uint64_t id = 5;
   for (const auto& d : legal::library::scenes()) {
-    const auto frame = encode_one(d.build(), 5);
-    EXPECT_TRUE(validate_request(frame).ok()) << d.id;
+    expect_key_matches_decode(encode_one(d.build(), id++), d.id);
+  }
+  for (const auto& scene : legal::table1::all_scenes()) {
+    expect_key_matches_decode(encode_one(scene.scenario, id++ << 40),
+                              "table1 " + std::to_string(scene.number));
+  }
+}
+
+TEST(WireTest, KeyRequestMatchesDecodeOnEveryFleetTemplate) {
+  FleetOptions fopts;
+  fopts.fleet_size = 4096;
+  const SyntheticFleet fleet(fopts);
+  std::vector<std::uint8_t> wave;
+  fleet.generate_wave(3, wave);
+  std::set<std::vector<std::uint8_t>> templates;
+  std::span<const std::uint8_t> rest(wave);
+  while (!rest.empty()) {
+    const auto info = peek_frame(rest);
+    ASSERT_TRUE(info.ok());
+    const auto frame = rest.subspan(0, info.value().frame_len);
+    expect_key_matches_decode(frame, "fleet frame");
+    std::vector<std::uint8_t> tmpl(frame.begin(), frame.end());
+    std::fill_n(tmpl.begin() + kRequestIdOffset, 8, std::uint8_t{0});
+    templates.insert(std::move(tmpl));
+    rest = rest.subspan(info.value().frame_len);
+  }
+  EXPECT_EQ(templates.size(), fleet.mix_size());
+}
+
+TEST(WireTest, KeyRequestMatchesDecodeWithEveryFlagSet) {
+  for (const auto& scene : legal::table1::all_scenes()) {
+    Scenario s = scene.scenario;
+    legal::set_flag_word((1u << kScenarioBoolCount) - 1, s);
+    ASSERT_EQ(legal::flag_word(s), (1u << kScenarioBoolCount) - 1);
+    expect_key_matches_decode(encode_one(s, scene.number),
+                              "all flags, table1 " +
+                                  std::to_string(scene.number));
+  }
+}
+
+TEST(WireTest, KeyRequestMatchesDecodeOnListedAndUnlistedJurisdictions) {
+  std::vector<std::string> codes = {
+      "ZZ", "", "ca", "CAL", "C",
+      "CA" + std::string(kMaxStringBytes - 2, 'A')};
+  for (const auto& j : legal::jurisdictions()) codes.push_back(j.code);
+  for (const std::string& code : codes) {
+    Scenario s = legal::table1::scene(7).scenario;
+    s.jurisdiction = code;
+    const auto frame = encode_one(s, 11);
+    expect_key_matches_decode(frame, "jurisdiction '" + code.substr(0, 8) +
+                                         "' (" + std::to_string(code.size()) +
+                                         " bytes)");
   }
 }
 

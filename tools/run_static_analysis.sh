@@ -102,12 +102,12 @@ stage "full ctest under ASan+UBSan" sanitizer_ctest
 # ----------------------------------------------- 3. TSan concurrency stress
 # ThreadSanitizer checks the concurrent parts of the tree: the obs
 # metrics registry's wait-free update promise (src/obs/metrics.h), the
-# sharded LRU verdict cache, and util::parallel_for, the one fan-out
-# call over the one process-wide worker pool, both on its own and in
-# each layer that uses it: the legal batch evaluator, the watermark scan
-# batch (parallel multi-flow despread), the tornet traceback simulation
-# and the verdict server.  The rest of the code is single-threaded DES
-# and already covered above.
+# sharded LRU verdict cache, serve's lock-free verdict table, and
+# util::parallel_for, the one fan-out call over the one process-wide
+# worker pool, both on its own and in each layer that uses it: the legal
+# batch evaluator, the watermark scan batch (parallel multi-flow
+# despread), the tornet traceback simulation and the verdict server.
+# The rest of the code is single-threaded DES and already covered above.
 tsan_build() {
   cmake -B build-tsan -S . "-DLEXFOR_SANITIZE=thread" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
@@ -174,14 +174,16 @@ tsan_traceback_fanout() {
       --gtest_filter='TracebackTest.DetectThreadCountDoesNotChangeResults:TracebackTest.VerdictsMatchCompositionAtEveryThreadCount:TracebackTest.ConcurrentTracebacksMatchSerial:TracebackTest.SharesThePoolWithAConcurrentScanBatch:SimulateFlowBinsTest.*'
 }
 tsan_serve() {
-  # The verdict server's fan-out path: worker evaluation into disjoint
-  # connection slots through the shared verdict cache, plus the fleet's
-  # order-independent wave generation.  Runs the multi-worker server
-  # tests and the fleet suite (the wire codec is single-threaded and
-  # covered under ASan by serve_fuzz).
+  # The verdict server's fan-out path: workers answer disjoint
+  # connection slots from the lock-free compact verdict table, and a
+  # miss inserts into it and evaluates through the shared Determination
+  # cache.  Runs the multi-worker server tests, the table suite (four
+  # threads looking up and inserting while it grows and evicts) and the
+  # fleet's order-independent wave generation (the wire codec is
+  # single-threaded and covered under ASan by serve_fuzz).
   TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/serve_test \
-      --gtest_filter='VerdictServerTest.*:SyntheticFleetTest.*'
+      --gtest_filter='VerdictServerTest.*:VerdictTableTest.*:SyntheticFleetTest.*'
 }
 stage "TSan build (obs_test util_test legal_test watermark_test tornet_test stream_test netsim_test serve_test)" tsan_build
 stage "obs thread-stress under TSan" tsan_stress
