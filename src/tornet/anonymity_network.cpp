@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
 
 namespace lexfor::tornet {
+namespace {
+
+// Candidates per log in skip_generation_draws.
+constexpr int kBlock = 16;
+
+}  // namespace
 
 Result<Circuit> AnonymityNetwork::build_circuit(Rng& rng) const {
   if (static_cast<std::size_t>(config_.circuit_length) > config_.num_relays) {
@@ -34,6 +41,72 @@ std::vector<double> AnonymityNetwork::transit(
   }
   std::sort(arrivals.begin(), arrivals.end());
   return arrivals;
+}
+
+void skip_generation_draws(Rng& rng, double mean_gap, double t_end) {
+  // t is the walk's running sum computed another way: one log of a
+  // 16-uniform product per block, then one log per candidate near the
+  // end.  After k candidates it differs from the walk's sum by at most
+  //
+  //   slack(k, t) = (2k + 16) ulp(t_end) + 1e-12 (t + k mean_gap)
+  //
+  // for any libm whose log is within a few hundred ULP.  The terms:
+  //   - rounding of each add: the walk adds once per candidate and t at
+  //     most once, each sum below t_end, so <= ulp(t_end)/2 apiece;
+  //     an increment rounding to a subnormal adds < ulp(t_end)/2 more.
+  //     Together <= 2k ulp(t_end).
+  //   - log and scaling error: relative, (L + 1) 2^-52 of the increment
+  //     on each side for a log within L ULP, so 2 (L + 1) 2^-52 of the
+  //     sum: 1e-12 t covers L up to about 2,000.
+  //   - the product's 15 roundings (it cannot underflow: 16 uniforms
+  //     clamped at 2^-53 stay >= 2^-848) shift its log by < 2^-49, so
+  //     a block's sum by < 2^-49 mean_gap: < 2^-53 mean_gap a candidate,
+  //     inside 1e-12 k mean_gap.
+  //   - the comparisons' own rounding and the crossing add: a few
+  //     ulp(t_end), inside the 16.
+  // Sums are non-decreasing, so a block whose t plus slack ends below
+  // t_end holds no crossing, and a candidate whose t lies more than the
+  // slack from t_end is on the same side of it as the walk's.  Only a
+  // crossing within the slack (at the default traceback, ~2e-9 s, about
+  // one flow in a million) falls back to the walk itself.
+  const Rng start = rng;
+  const double ulp = std::nextafter(t_end, HUGE_VAL) - t_end;
+  const auto slack = [ulp, mean_gap](double k, double t) {
+    return (2.0 * k + 16.0) * ulp + 1e-12 * (t + k * mean_gap);
+  };
+  double t = 0.0;
+  double k = 0.0;
+  for (;;) {
+    Rng block = rng;
+    double product = 1.0;
+    for (int i = 0; i < kBlock; ++i) {
+      const double u = block.uniform01();
+      product *= u <= 0.0 ? 0x1.0p-53 : u;  // Rng::exponential's clamp
+      (void)block();                          // the thinning draw
+    }
+    const double next = t - mean_gap * std::log(product);
+    if (!(next + slack(k + kBlock, next) < t_end)) break;
+    rng = block;
+    t = next;
+    k += kBlock;
+  }
+  for (;;) {
+    t += rng.exponential(mean_gap);
+    k += 1.0;
+    const double s = slack(k, t);
+    if (t + s < t_end) {
+      (void)rng();
+      continue;
+    }
+    if (t - s >= t_end) return;
+    break;  // too close to t_end to call
+  }
+  rng = start;
+  for (double exact = 0.0;;) {
+    exact += rng.exponential(mean_gap);
+    if (exact >= t_end) return;
+    (void)rng();
+  }
 }
 
 std::vector<double> generate_modulated_poisson(

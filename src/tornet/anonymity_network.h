@@ -102,6 +102,24 @@ std::vector<std::uint32_t> bin_arrivals(const std::vector<double>& arrivals_sec,
                                         double start_sec, double window_sec,
                                         std::size_t num_windows);
 
+// Steps `rng` over the draws a thinned Poisson candidate walk on
+// [0, t_end) with mean_gap > 0 makes, and leaves it exactly where this
+// walk would:
+//
+//   for (double t = 0.0;;) {
+//     t += rng.exponential(mean_gap);
+//     if (t >= t_end) break;
+//     (void)rng();  // the candidate's thinning draw
+//   }
+//
+// generate_modulated_poisson makes these draws (its thinning uniform is
+// one raw draw).  The walk takes one log per candidate; this takes one
+// per 16 candidates wherever a block of 16 provably ends below t_end,
+// walks the block that may cross one candidate at a time, and replays
+// the walk above when the crossing lies too close to t_end to call.
+// The end state is bit-identical to the walk's whichever path decides.
+void skip_generation_draws(Rng& rng, double mean_gap, double t_end);
+
 // The homogeneous process's rate multiplier for simulate_flow_bins (the
 // nullptr of generate_modulated_poisson): base_rate * 1.0 == base_rate.
 struct UnitMultiplier {
@@ -125,11 +143,12 @@ struct UnitMultiplier {
 // candidate one exponential and one uniform, then the exponential that
 // crosses t_end) before any of transit's (per kept packet and relay,
 // one exponential and one uniform).  So a copy of `rng` first steps over
-// the generation draws — it needs the candidate times to find where
-// generation stops, but not the thinning decisions — and then sits
-// where transit's draws begin.  Generation is replayed on a second
-// copy, and each kept send takes its delay from the first.  Binning
-// only counts, so the arrival order transit sorts for never matters.
+// the generation draws with skip_generation_draws — it needs only where
+// generation stops, not the candidate times or the thinning decisions —
+// and then sits where transit's draws begin.  Generation is replayed on
+// a second copy, and each kept send takes its delay from the first.
+// Binning only counts, so the arrival order transit sorts for never
+// matters.
 //
 // `multiplier` is any callable double(double); pass UnitMultiplier{}
 // for a homogeneous flow.  The composition's guards hold: a rate or
@@ -148,11 +167,7 @@ void simulate_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
 
   // Cursor 1: step over the generation draws.
   Rng delays = rng;
-  for (double t = 0.0;;) {
-    t += delays.exponential(1.0 / lambda_max);
-    if (t >= t_end_sec) break;
-    (void)delays();  // the thinning uniform: one raw draw, value unused
-  }
+  skip_generation_draws(delays, 1.0 / lambda_max, t_end_sec);
 
   // Cursor 2: replay generation; kept sends draw their delays from
   // cursor 1 and are counted where they arrive.

@@ -1,13 +1,10 @@
 #include "util/rng.h"
 
+#include <bit>
 #include <cmath>
 
 namespace lexfor {
 namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
 
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
@@ -25,18 +22,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   // xoshiro256** requires not-all-zero state; splitmix64 of any seed
   // cannot produce four zero words, but be defensive.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
@@ -61,22 +46,10 @@ std::int64_t Rng::uniform_in(std::int64_t lo, std::int64_t hi) noexcept {
   return lo + static_cast<std::int64_t>(uniform(span));
 }
 
-double Rng::uniform01() noexcept {
-  // 53 significant bits, in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
-}
-
-double Rng::exponential(double mean) noexcept {
-  double u = uniform01();
-  // Avoid log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
 }
 
 double Rng::normal(double mu, double sigma) noexcept {
@@ -125,7 +98,7 @@ Rng Rng::split() noexcept {
   // repeated splits yield distinct children.
   const std::uint64_t a = (*this)();
   const std::uint64_t b = (*this)();
-  return Rng{a ^ rotl(b, 32) ^ 0xd2b74407b1ce6e93ULL};
+  return Rng{a ^ std::rotl(b, 32) ^ 0xd2b74407b1ce6e93ULL};
 }
 
 }  // namespace lexfor

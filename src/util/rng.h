@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -26,8 +28,23 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  // Next raw 64-bit draw (xoshiro256**).
-  result_type operator()() noexcept;
+  // Next raw 64-bit draw (xoshiro256**).  This draw, uniform01() and
+  // exponential() are defined here so the simulation loops that make
+  // several draws per packet inline them.  Inlined, `t += exponential(m)`
+  // could fuse into one FMA on a target that has it; the tree builds for
+  // the baseline x86-64 ISA, which has none, so every sum rounds as it
+  // did out of line.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound) using Lemire's unbiased method.
   // bound must be nonzero.
@@ -37,14 +54,21 @@ class Rng {
   [[nodiscard]] std::int64_t uniform_in(std::int64_t lo,
                                         std::int64_t hi) noexcept;
 
-  // Uniform double in [0, 1).
-  [[nodiscard]] double uniform01() noexcept;
+  // Uniform double in [0, 1): 53 significant bits.
+  [[nodiscard]] double uniform01() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   // Bernoulli draw with probability p (clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
-  // Exponential with the given mean (> 0).
-  [[nodiscard]] double exponential(double mean) noexcept;
+  // Exponential with the given mean (> 0).  A uniform of 0 is clamped
+  // to 2^-53 so log never sees 0.
+  [[nodiscard]] double exponential(double mean) noexcept {
+    double u = uniform01();
+    if (u <= 0.0) u = 0x1.0p-53;
+    return -mean * std::log(u);
+  }
 
   // Standard-normal via Box-Muller (no cached spare: keeps state minimal
   // and draw counts predictable).

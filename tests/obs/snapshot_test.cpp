@@ -320,14 +320,20 @@ TEST(ObsSnapshotTest, PrometheusRingDropLinesEqualSnapshotRing) {
 TEST(ObsSnapshotTest, RingStatsHoldTheirIdentityWhileThreadsTrace) {
   const ScopedGlobalLevel debug(Level::kDebug);
   std::atomic<bool> stop{false};
+  std::atomic<int> tracing{0};
   std::vector<std::thread> threads;
   for (int k = 0; k < 2; ++k) {
-    threads.emplace_back([&stop] {
+    threads.emplace_back([&stop, &tracing] {
+      tracer().instant(Level::kDebug, "test", "busy");
+      tracing.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
         tracer().instant(Level::kDebug, "test", "busy");
       }
     });
   }
+  // On a loaded host the snapshots below can all finish before either
+  // thread is first scheduled; start them once both have traced.
+  while (tracing.load() < 2) std::this_thread::yield();
   std::size_t entries = 0;
   std::size_t torn = 0;
   for (int i = 0; i < 20'000; ++i) {

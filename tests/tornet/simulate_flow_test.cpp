@@ -2,13 +2,17 @@
 // bin_arrivals(transit(generate_modulated_poisson(...))).  The bins must
 // match bit for bit and the caller's Rng must end where the composition
 // leaves it, over a grid of network, code and rate settings and at the
-// degenerate inputs the composition guards against.
+// degenerate inputs the composition guards against.  Its stop search,
+// skip_generation_draws, must leave the Rng where the one-log-per-
+// candidate walk does, including where the block sum cannot decide.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -178,6 +182,95 @@ TEST(SimulateFlowBinsTest, DegenerateInputsMatchComposition) {
     EXPECT_TRUE(same_bits(expect, got)) << c.name;
     EXPECT_EQ(got, std::vector<double>(a.windows, 0.0)) << c.name;
     EXPECT_TRUE(same_state(expect_rng, got_rng)) << c.name;
+  }
+}
+
+// The walk skip_generation_draws must match, as the composition's
+// generation loop makes its draws.
+void exact_walk(Rng& rng, double mean_gap, double t_end) {
+  for (double t = 0.0;;) {
+    t += rng.exponential(mean_gap);
+    if (t >= t_end) return;
+    (void)rng();
+  }
+}
+
+// The walk's first n running sums from `rng` (which is not advanced).
+std::vector<double> partial_sums(Rng rng, double mean_gap, std::size_t n) {
+  std::vector<double> sums;
+  for (double t = 0.0; sums.size() < n;) {
+    t += rng.exponential(mean_gap);
+    sums.push_back(t);
+    (void)rng();
+  }
+  return sums;
+}
+
+bool search_matches_walk(const Rng& from, double mean_gap, double t_end) {
+  Rng searched = from;
+  Rng walked = from;
+  skip_generation_draws(searched, mean_gap, t_end);
+  exact_walk(walked, mean_gap, t_end);
+  return same_state(searched, walked);
+}
+
+TEST(SimulateFlowBinsTest, StopSearchMatchesTheExactWalk) {
+  // 12,000 (seed, rate, t_end) triples from a fraction of one candidate
+  // to about 2,000 of them (125 blocks), across nine decades of rate.
+  constexpr std::uint64_t kTriples = 12'000;
+  const double rates[] = {1e-3, 0.5, 7.0, 120.0, 162.0, 5e3, 1e6};
+  for (std::uint64_t i = 0; i < kTriples; ++i) {
+    Rng pick = Rng::sub_stream(77, i);
+    const double rate = rates[pick.uniform(std::size(rates))];
+    const double candidates = 2000.0 * pick.uniform01() * pick.uniform01();
+    const double t_end = (candidates + 0.01) / rate;
+    ASSERT_TRUE(search_matches_walk(Rng::sub_stream(78, i), 1.0 / rate, t_end))
+        << "triple " << i << " rate " << rate << " t_end " << t_end;
+  }
+}
+
+TEST(SimulateFlowBinsTest, StopSearchAtAnExactPartialSumMatchesTheWalk) {
+  // t_end on one of the walk's own sums, or on either neighbouring
+  // double: the walk stops at that candidate or the next, and the block
+  // sum cannot tell which, so the search must fall back.  Positions
+  // straddle block edges and reach deep into the walk, where the block
+  // sum has drifted by many ULP from the walk's.
+  const std::size_t positions[] = {1,  2,  15,  16,  17,   31,   32,
+                                   33, 48, 100, 257, 1000, 4096, 5000};
+  std::size_t cases = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const double mean_gap = seed % 2 == 0 ? 1.0 / 162.0 : 0.25;
+    const Rng from = Rng::sub_stream(79, seed);
+    const auto sums = partial_sums(from, mean_gap, 5000);
+    for (const std::size_t j : positions) {
+      const double at = sums[j - 1];
+      for (const double t_end : {std::nextafter(at, 0.0), at,
+                                 std::nextafter(at, HUGE_VAL)}) {
+        ASSERT_TRUE(search_matches_walk(from, mean_gap, t_end))
+            << "seed " << seed << " candidate " << j << " t_end " << t_end;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 40u * std::size(positions) * 3);
+}
+
+TEST(SimulateFlowBinsTest, StopSearchBelowTheFirstGapAndAtExtremeScales) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const Rng from = Rng::sub_stream(80, seed);
+    // Below the first gap the first candidate crosses: one draw, no
+    // thinning draw.
+    const double first = partial_sums(from, 0.01, 1).front();
+    Rng searched = from;
+    skip_generation_draws(searched, 0.01, first * 0.5);
+    Rng one = from;
+    (void)one();
+    EXPECT_TRUE(same_state(searched, one)) << seed;
+    // About 1,000 candidates at the far ends of the double range: the
+    // slack's ulp(t_end) and mean_gap terms scale with them.
+    EXPECT_TRUE(search_matches_walk(from, 1e9, 1e12)) << seed;
+    EXPECT_TRUE(search_matches_walk(from, 1e297, 1e300)) << seed;
+    EXPECT_TRUE(search_matches_walk(from, 1e-303, 1e-300)) << seed;
   }
 }
 

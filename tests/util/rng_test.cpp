@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -141,6 +143,65 @@ TEST(RngTest, SplitIsDeterministic) {
   Rng c1 = p1.split();
   Rng c2 = p2.split();
   for (int i = 0; i < 32; ++i) EXPECT_EQ(c1(), c2());
+}
+
+// Known answers, pinned from the out-of-line generator: every seeded
+// simulation reproduces from these streams, so the raw outputs, the
+// double conversions, the derived streams and split() must never move.
+// The exponentials also hold under glibc's baseline log
+// (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA).
+TEST(RngTest, RawOutputsMatchKnownAnswers) {
+  struct Known {
+    std::uint64_t seed;
+    std::array<std::uint64_t, 4> first;
+  };
+  for (const Known& k :
+       {Known{0, {0x99ec5f36cb75f2b4ULL, 0xbf6e1f784956452aULL,
+                  0x1a5f849d4933e6e0ULL, 0x6aa594f1262d2d2cULL}},
+        Known{42, {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL,
+                   0xae17533239e499a1ULL, 0xecb8ad4703b360a1ULL}},
+        Known{0x9e3779b97f4a7c15ULL,
+              {0x422ea740d0977210ULL, 0xe062b061b42e2928ULL,
+               0x5a071fc5930841b6ULL, 0x01334ef8ed3cc2bdULL}}}) {
+    Rng rng{k.seed};
+    for (const std::uint64_t want : k.first) EXPECT_EQ(rng(), want) << k.seed;
+  }
+  // The default seed is the third one.
+  Rng fallback;
+  EXPECT_EQ(fallback(), 0x422ea740d0977210ULL);
+}
+
+TEST(RngTest, Uniform01AndExponentialMatchKnownBits) {
+  Rng u{42};
+  for (const std::uint64_t want :
+       {0x3fb5780b2e0c2ec0ULL, 0x3fd84136619b444eULL, 0x3fe5c2ea66473c93ULL}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(u.uniform01()), want);
+  }
+  Rng e{42};
+  for (const std::uint64_t want :
+       {0x4003d41d16f1bc9bULL, 0x3fef0c76279dedc0ULL, 0x3fd8ada5ee606e81ULL}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e.exponential(1.0)), want);
+  }
+}
+
+TEST(RngTest, SubStreamAndSplitMatchKnownAnswers) {
+  Rng stream = Rng::sub_stream(7, 3);
+  for (const std::uint64_t want :
+       {0x7957c3b74b90459eULL, 0x32f5b5fef980b055ULL, 0xf54ad23e63375dfeULL,
+        0x177a7d2c63888ecdULL}) {
+    EXPECT_EQ(stream(), want);
+  }
+  Rng parent{42};
+  Rng child = parent.split();
+  for (const std::uint64_t want :
+       {0xeb238bea33a70702ULL, 0xf84f88cce10d3689ULL, 0x1b9a90cb10422ac5ULL,
+        0xdcb89b398a4bc7b4ULL}) {
+    EXPECT_EQ(child(), want);
+  }
+  // split() takes exactly two parent draws: the parent resumes at seed
+  // 42's third output.
+  EXPECT_EQ(parent(), 0xae17533239e499a1ULL);
+  EXPECT_EQ(parent(), 0xecb8ad4703b360a1ULL);
 }
 
 TEST(RngTest, ShufflePermutesAllElements) {
