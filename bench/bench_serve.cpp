@@ -18,7 +18,9 @@
 //   (4) the serve.request_latency_ns histogram carries the samples the
 //       throughput run produced (count == verdicts served).
 // It reports verdicts/s and p50/p95/p99 per worker count, as
-// A-SERVE-METRIC lines for tools/bench_diff.py.
+// A-SERVE-METRIC lines for tools/bench_diff.py.  The percentiles are of
+// the responses' server_ns, where a table hit carries an even share of
+// its evaluation chunk's time, not an interval of its own.
 
 #include <atomic>
 #include <chrono>

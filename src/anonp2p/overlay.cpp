@@ -1,7 +1,6 @@
 #include "anonp2p/overlay.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace lexfor::anonp2p {
 
@@ -48,6 +47,29 @@ Overlay::Overlay(OverlayConfig config) : config_(config) {
                    [](bool b) { return b; })) {
     has_file_[rng.uniform(n)] = true;
   }
+
+  // The overlay never changes, so each peer's hop distance to its
+  // nearest holder is found once: one BFS from every holder at once,
+  // expanding only peers below the TTL.  Trust links are symmetric, so
+  // this is the distance a query walks.
+  hops_.assign(n, -1);
+  std::vector<std::size_t> frontier;
+  frontier.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!has_file_[i]) continue;
+    hops_[i] = 0;
+    frontier.push_back(i);
+  }
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    const std::size_t u = frontier[next];
+    if (hops_[u] >= config_.max_forward_hops) continue;
+    for (const auto nb : adjacency_[u]) {
+      const std::size_t v = nb.value();
+      if (hops_[v] != -1) continue;
+      hops_[v] = hops_[u] + 1;
+      frontier.push_back(v);
+    }
+  }
 }
 
 const std::vector<PeerId>& Overlay::neighbors(PeerId p) const {
@@ -66,40 +88,18 @@ std::size_t Overlay::holder_count() const {
 }
 
 std::optional<int> Overlay::hops_to_nearest_holder(PeerId p) const {
-  if (!p.valid() || p.value() >= adjacency_.size()) return std::nullopt;
-  if (has_file_[p.value()]) return 0;
-
-  std::vector<int> dist(adjacency_.size(), -1);
-  std::deque<std::size_t> frontier{p.value()};
-  dist[p.value()] = 0;
-  while (!frontier.empty()) {
-    const std::size_t u = frontier.front();
-    frontier.pop_front();
-    if (dist[u] >= config_.max_forward_hops) continue;
-    for (const auto nb : adjacency_[u]) {
-      const std::size_t v = nb.value();
-      if (dist[v] != -1) continue;
-      dist[v] = dist[u] + 1;
-      if (has_file_[v]) return dist[v];
-      frontier.push_back(v);
-    }
+  if (!p.valid() || p.value() >= hops_.size() || hops_[p.value()] < 0) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return hops_[p.value()];
 }
 
 std::optional<double> Overlay::query_delay_ms(PeerId p, Rng& rng) const {
-  if (!p.valid() || p.value() >= adjacency_.size()) return std::nullopt;
-
-  if (has_file_[p.value()]) {
-    // Direct source: a single local lookup.
-    return rng.exponential(config_.local_lookup_ms);
-  }
-
   const auto hops = hops_to_nearest_holder(p);
   if (!hops.has_value()) return std::nullopt;  // timeout: no holder in TTL
 
-  // Proxy path: the query travels `hops` trusted links each way, plus the
-  // holder's local lookup, plus the proxy's own handling.
+  // A holder answers after its local lookup.  A proxy's query also
+  // travels `hops` trusted links each way to the holder and back.
   double delay = rng.exponential(config_.local_lookup_ms);
   for (int h = 0; h < 2 * *hops; ++h) {
     delay += rng.exponential(config_.hop_delay_ms);

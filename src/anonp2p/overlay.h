@@ -49,7 +49,8 @@ class Overlay {
   [[nodiscard]] std::size_t holder_count() const;
 
   // Hop distance from `p` to its nearest file holder over trusted links
-  // (0 if p itself holds it); nullopt if none within the TTL.
+  // (0 if p itself holds it); nullopt if none within the TTL.  Read
+  // from a table the constructor fills, so a lookup does no search.
   [[nodiscard]] std::optional<int> hops_to_nearest_holder(PeerId p) const;
 
   // Simulates one query sent by the investigator to neighbor `p` and
@@ -64,6 +65,8 @@ class Overlay {
   OverlayConfig config_;
   std::vector<std::vector<PeerId>> adjacency_;
   std::vector<bool> has_file_;
+  // hops_to_nearest_holder per peer, -1 where no holder is within TTL.
+  std::vector<int> hops_;
 };
 
 }  // namespace lexfor::anonp2p

@@ -12,12 +12,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-[[nodiscard]] std::uint32_t clamp_ns(Clock::duration d) noexcept {
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
-  if (ns <= 0) return 0;
-  constexpr std::int64_t kMax = 0xFFFFFFFF;
+[[nodiscard]] std::uint32_t clamp_ns(std::uint64_t ns) noexcept {
+  constexpr std::uint64_t kMax = 0xFFFFFFFF;
   return static_cast<std::uint32_t>(ns < kMax ? ns : kMax);
+}
+
+[[nodiscard]] std::uint64_t elapsed_ns(Clock::time_point from,
+                                       Clock::time_point to) noexcept {
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
+  return ns <= 0 ? 0 : static_cast<std::uint64_t>(ns);
 }
 
 }  // namespace
@@ -43,33 +47,53 @@ Connection VerdictServer::connect() const {
 
 void VerdictServer::evaluate_range(Connection& conn, std::size_t begin,
                                    std::size_t end) const {
-  // One clock read per request, plus this one per chunk (what server_ns
-  // covers is documented at serve()); the histogram is written once.
-  LEXFOR_OBS_HISTOGRAM_BATCH(latency, "serve.request_latency_ns");
-  auto last = Clock::now();
+  // The clock is read at the chunk's two ends and around each miss, never
+  // for a hit (what server_ns covers is documented at serve()).
+  const auto start = Clock::now();
+  std::uint64_t miss_ns = 0;
+  std::size_t hits = 0;
   for (std::size_t i = begin; i < end; ++i) {
     Connection::Slot& slot = conn.slots_[i];
     if (const auto hit = table_.get(slot.key)) {
       slot.verdict = *hit;
       slot.cache_hit = true;
-    } else {
-      // Miss: decode the frame admission keyed (it passed the same
-      // checks there, so this succeeds) and derive through the
-      // BatchEvaluator so the full Determination lands in the shared
-      // verdict cache too.
-      (void)wire::decode_request(slot.frame, slot.request);
-      const legal::Determination d = batch_.evaluate(slot.request.scenario);
-      slot.verdict.needs_process = d.needs_process ? 1 : 0;
-      slot.verdict.required_process =
-          static_cast<std::uint8_t>(d.required_process);
-      slot.verdict.required_proof =
-          static_cast<std::uint8_t>(d.required_proof);
-      slot.cache_hit = false;
-      table_.put(slot.key, slot.verdict);
+      ++hits;
+      continue;
     }
-    const auto now = Clock::now();
-    slot.server_ns = clamp_ns(now - last);
-    last = now;
+    // Miss: decode the frame admission keyed (it passed the same checks
+    // there, so this succeeds) and derive through the BatchEvaluator so
+    // the full Determination lands in the shared verdict cache too.
+    const auto miss_start = Clock::now();
+    (void)wire::decode_request(slot.frame, slot.request);
+    const legal::Determination d = batch_.evaluate(slot.request.scenario);
+    slot.verdict.needs_process = d.needs_process ? 1 : 0;
+    slot.verdict.required_process =
+        static_cast<std::uint8_t>(d.required_process);
+    slot.verdict.required_proof = static_cast<std::uint8_t>(d.required_proof);
+    slot.cache_hit = false;
+    table_.put(slot.key, slot.verdict);
+    slot.server_ns = clamp_ns(elapsed_ns(miss_start, Clock::now()));
+    miss_ns += slot.server_ns;
+  }
+  const std::uint64_t chunk_ns = elapsed_ns(start, Clock::now());
+
+  // The rest of the chunk's time goes to its hits, evenly, the first
+  // rest % hits of them taking one nanosecond more; with no hit it goes
+  // to the last request.  Then the chunk's values add up to its time.
+  const std::uint64_t rest = chunk_ns > miss_ns ? chunk_ns - miss_ns : 0;
+  if (hits == 0) {
+    Connection::Slot& last = conn.slots_[end - 1];
+    last.server_ns = clamp_ns(last.server_ns + rest);
+  }
+  const std::uint64_t share = hits == 0 ? 0 : rest / hits;
+  std::uint64_t longer = hits == 0 ? 0 : rest % hits;
+  LEXFOR_OBS_HISTOGRAM_BATCH(latency, "serve.request_latency_ns");
+  for (std::size_t i = begin; i < end; ++i) {
+    Connection::Slot& slot = conn.slots_[i];
+    if (slot.cache_hit) {
+      slot.server_ns = clamp_ns(share + (longer != 0 ? 1 : 0));
+      if (longer != 0) --longer;
+    }
     LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(latency, slot.server_ns);
   }
 }

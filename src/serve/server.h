@@ -182,14 +182,21 @@ class VerdictServer {
   // stats; the invariant stats.balanced() && responses == accepted
   // holds on every return.
   //
-  // A response's server_ns is one steady_clock interval on the thread
-  // that evaluated the request: from the previous reading there to this
-  // request's own, taken once its verdict is known.  Each evaluation
-  // chunk reads the clock once at its start, so the first request of a
-  // chunk is timed from there.  The value covers this request's table
-  // lookup (the decode and the engine, on a miss) and the previous
-  // request's latency record, never admission (where the key is packed)
-  // or encoding.
+  // A response's server_ns is steady_clock time on the thread that
+  // evaluated the request, within its evaluation chunk (the run of
+  // requests that thread evaluates in one go).  A chunk reads the clock
+  // at its start and end and around each table miss, never for a hit:
+  //   - a miss carries its own interval: the decode, the engine and the
+  //     table insert;
+  //   - the chunk's hits share the rest of its time evenly, the first
+  //     (rest mod hits) of them one nanosecond more, so two hits of one
+  //     chunk differ by at most 1 ns;
+  //   - a chunk with no hit adds the rest to its last request.
+  // So the values of a chunk add up to its time.  A hit's own interval
+  // would mostly time the clock read; hits are uniform lookups, so the
+  // chunk's mean per hit is the truer figure.  No value covers
+  // admission (where the key is packed), the latency record or
+  // encoding.
   //
   // Thread-safe across distinct connections; a single Connection must
   // not be served from two threads at once.

@@ -39,7 +39,6 @@ std::vector<double> AnonymityNetwork::transit(
   for (const double t : send_sec) {
     arrivals.push_back(t + packet_delay_ms(circuit, rng) * 1e-3);
   }
-  std::sort(arrivals.begin(), arrivals.end());
   return arrivals;
 }
 

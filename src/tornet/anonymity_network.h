@@ -59,11 +59,11 @@ class AnonymityNetwork {
   // Builds a circuit of `circuit_length` distinct relays.
   [[nodiscard]] Result<Circuit> build_circuit(Rng& rng) const;
 
-  // Carries a flow through the circuit: given packet send times (sec,
-  // ascending), returns arrival times at the far end (sec, sorted).
-  // Each packet independently accrues per-relay latency + jitter +
-  // batching delay; reordering is resolved by sorting, since detection
-  // operates on the counting process, not packet identity.
+  // Carries a flow through the circuit: given packet send times (sec),
+  // returns arrival i = send i + packet_delay_ms(circuit, rng) * 1e-3,
+  // in send order.  Each packet independently accrues per-relay latency
+  // + jitter + batching delay, so arrivals may be out of order; they
+  // are not sorted, since detection only counts them (bin_arrivals).
   [[nodiscard]] std::vector<double> transit(const Circuit& circuit,
                                             const std::vector<double>& send_sec,
                                             Rng& rng) const;
@@ -147,8 +147,8 @@ struct UnitMultiplier {
 // generation stops, not the candidate times or the thinning decisions —
 // and then sits where transit's draws begin.  Generation is replayed on
 // a second copy, and each kept send takes its delay from the first.
-// Binning only counts, so the arrival order transit sorts for never
-// matters.
+// Binning only counts, so arrival order never matters, and transit
+// returns its arrivals in send order.
 //
 // `multiplier` is any callable double(double); pass UnitMultiplier{}
 // for a homogeneous flow.  The composition's guards hold: a rate or

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "oracles/nearest_holder.h"
+
 namespace lexfor::anonp2p {
 namespace {
 
@@ -72,6 +76,61 @@ TEST(OverlayTest, TtlBoundsHopDistance) {
       EXPECT_LE(*hops, 2);
     }
   }
+}
+
+// The constructor's hop table equals a fresh per-query search (the
+// oracle) for every peer, over a fixed seed set and TTL 0 to 5: on a
+// 2-peer overlay, at popularity 0 (one forced holder) and at popularity
+// 1 (every peer holds).  A query's delay draws 1 + 2 hops exponentials
+// from the oracle's hop count, and a timeout draws nothing.
+TEST(OverlayTest, HopTableMatchesThePerQuerySearch) {
+  struct Shape {
+    std::size_t peers;
+    std::size_t degree;
+    double popularity;
+  };
+  const Shape shapes[] = {{2, 4, 0.15},  {2, 1, 0.0},   {30, 2, 0.0},
+                          {64, 4, 0.15}, {128, 3, 0.05}, {40, 4, 1.0}};
+  int found = 0;
+  int timed_out = 0;
+  for (const Shape& shape : shapes) {
+    for (int ttl = 0; ttl <= 5; ++ttl) {
+      for (const std::uint64_t seed : {1u, 7u, 42u, 99u}) {
+        OverlayConfig cfg;
+        cfg.num_peers = shape.peers;
+        cfg.trusted_degree = shape.degree;
+        cfg.file_popularity = shape.popularity;
+        cfg.max_forward_hops = ttl;
+        cfg.seed = seed;
+        const Overlay overlay(cfg);
+        for (std::size_t i = 0; i <= overlay.peer_count(); ++i) {
+          const PeerId p{i};
+          const auto expected = oracles::hops_to_nearest_holder(overlay, p);
+          ASSERT_EQ(overlay.hops_to_nearest_holder(p).value_or(-1),
+                    expected.value_or(-1))
+              << shape.peers << " peers, ttl " << ttl << ", seed " << seed
+              << ", peer " << i;
+          Rng drawn{seed + i};
+          Rng replay = drawn;
+          const auto d = overlay.query_delay_ms(p, drawn);
+          ASSERT_EQ(d.has_value(), expected.has_value());
+          if (!expected.has_value()) {
+            EXPECT_EQ(drawn(), replay());
+            if (i < overlay.peer_count()) ++timed_out;
+            continue;
+          }
+          ++found;
+          double delay = replay.exponential(cfg.local_lookup_ms);
+          for (int h = 0; h < 2 * *expected; ++h) {
+            delay += replay.exponential(cfg.hop_delay_ms);
+          }
+          EXPECT_EQ(*d, delay);
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(timed_out, 0);
 }
 
 TEST(OverlayTest, SourceQueriesAreFasterThanProxyQueries) {

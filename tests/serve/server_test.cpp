@@ -197,6 +197,87 @@ TEST(VerdictServerTest, LatencyHistogramGainsEachAcceptedRequestsServerNs) {
   }
 }
 
+// At one worker a 64-request batch runs as 8 chunks of 8 requests.  A
+// miss carries its own interval; the hits of a chunk share the rest of
+// the chunk's time, so they differ by at most 1 ns.  Wave 1 is all
+// misses, wave 2 gives chunk c its c hits first, then 8 - c misses, and
+// wave 3 is all hits.
+TEST(VerdictServerTest, HitsShareTheirChunksTimeMissesKeepTheirOwn) {
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kChunk = 8;
+  // Distinct fact keys: flag words 0, 1, 2, ... on one base scenario.
+  std::uint32_t next_key = 0;
+  const auto fresh = [&next_key] {
+    legal::Scenario s;
+    legal::set_flag_word(next_key++, s);
+    return s;
+  };
+  std::vector<legal::Scenario> wave1;
+  for (std::size_t i = 0; i < kBatch; ++i) wave1.push_back(fresh());
+  std::vector<legal::Scenario> wave2;
+  for (std::size_t c = 0; c < kBatch / kChunk; ++c) {
+    for (std::size_t j = 0; j < kChunk; ++j) {
+      wave2.push_back(j < c ? wave1[c * kChunk + j] : fresh());
+    }
+  }
+
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.batch.use_shared_cache = false;
+  VerdictServer server(opts);
+  Connection conn = server.connect();
+  const obs::Histogram& latency =
+      obs::metrics().histogram("serve.request_latency_ns");
+
+  // Wave 3 repeats wave 1, whose keys are all in the table by then.
+  const std::vector<legal::Scenario>* waves[] = {&wave1, &wave2, &wave1};
+  for (std::size_t w = 0; w < 3; ++w) {
+    const std::vector<std::uint8_t> frames = frames_for(*waves[w]);
+    const std::uint64_t count_before = latency.count();
+    const std::int64_t sum_before = latency.sum();
+    const auto t0 = std::chrono::steady_clock::now();
+    const ServeStats stats = server.serve(conn, frames);
+    const auto t1 = std::chrono::steady_clock::now();
+    ASSERT_EQ(stats.accepted, kBatch) << w;
+
+    const auto responses = decode_all(conn.responses());
+    ASSERT_EQ(responses.size(), kBatch) << w;
+    std::uint64_t server_ns = 0;
+    for (std::size_t c = 0; c < kBatch / kChunk; ++c) {
+      std::uint64_t lo = UINT64_MAX;
+      std::uint64_t hi = 0;
+      for (std::size_t j = 0; j < kChunk; ++j) {
+        const wire::Response& r = responses[c * kChunk + j];
+        const std::size_t hits = w == 0 ? 0 : w == 1 ? c : kChunk;
+        EXPECT_EQ(r.cache_hit, j < hits) << w << " " << c << " " << j;
+        EXPECT_GT(r.server_ns, 0u) << w << " " << c << " " << j;
+        server_ns += r.server_ns;
+        if (r.cache_hit) {
+          lo = std::min(lo, r.server_ns);
+          hi = std::max(hi, r.server_ns);
+        }
+      }
+      if (hi != 0) {
+        EXPECT_LE(hi - lo, 1u) << w << " " << c;
+      }
+    }
+    EXPECT_LE(server_ns,
+              static_cast<std::uint64_t>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                      .count()))
+        << w;
+#if LEXFOR_OBS
+    EXPECT_EQ(latency.count() - count_before, kBatch) << w;
+    EXPECT_EQ(static_cast<std::uint64_t>(latency.sum() - sum_before),
+              server_ns)
+        << w;
+#else
+    EXPECT_EQ(latency.count(), count_before) << w;
+    EXPECT_EQ(latency.sum(), sum_before) << w;
+#endif
+  }
+}
+
 TEST(VerdictServerTest, WorkersReportsTheResolvedWidth) {
   ServerOptions opts;
   opts.batch.use_shared_cache = false;

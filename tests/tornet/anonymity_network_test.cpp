@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 namespace lexfor::tornet {
 namespace {
@@ -65,15 +69,35 @@ TEST(TransitTest, DelaysAreAtLeastBaseLatency) {
   EXPECT_GE(arrivals[0], 0.075);
 }
 
-TEST(TransitTest, OutputIsSorted) {
+// Arrival i is send i plus its packet's delay, the delays drawn in send
+// order: a copy of the Rng replays them bit for bit.  Sorted, the
+// arrivals are the ones transit returned when it still sorted them (the
+// checksum was pinned from that build; glibc's default log and the one
+// GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA selects both give it).
+TEST(TransitTest, ArrivalIIsSendIPlusItsDelay) {
   AnonymityNetwork net(TorConfig{});
   Rng rng{4};
   const auto c = net.build_circuit(rng).value();
   std::vector<double> sends;
-  for (int i = 0; i < 200; ++i) sends.push_back(i * 0.01);
-  const auto arrivals = net.transit(c, sends, rng);
-  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
-  EXPECT_EQ(arrivals.size(), sends.size());
+  for (int i = 0; i < 1000; ++i) sends.push_back(i * 0.002);
+  Rng replay = rng;
+  std::vector<double> arrivals = net.transit(c, sends, rng);
+  ASSERT_EQ(arrivals.size(), sends.size());
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    const double expected = sends[i] + net.packet_delay_ms(c, replay) * 1e-3;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(arrivals[i]),
+              std::bit_cast<std::uint64_t>(expected))
+        << i;
+  }
+  EXPECT_EQ(rng(), replay());
+
+  std::sort(arrivals.begin(), arrivals.end());
+  std::uint64_t checksum = 14695981039346656037ull;  // FNV-1a, per word
+  for (const double a : arrivals) {
+    checksum ^= std::bit_cast<std::uint64_t>(a);
+    checksum *= 1099511628211ull;
+  }
+  EXPECT_EQ(checksum, 0xf024f2a88bf01fe5ull);
 }
 
 TEST(TransitTest, RateEnvelopeSurvivesTheCircuit) {
