@@ -75,18 +75,16 @@ void VerdictServer::evaluate_range(Connection& conn, std::size_t begin,
     slot.server_ns = clamp_ns(elapsed_ns(miss_start, Clock::now()));
     miss_ns += slot.server_ns;
   }
+  // The rest of the chunk's time goes to its hits (split_chunk_ns), so
+  // the chunk's values add up to its time.
   const std::uint64_t chunk_ns = elapsed_ns(start, Clock::now());
-
-  // The rest of the chunk's time goes to its hits, evenly, the first
-  // rest % hits of them taking one nanosecond more; with no hit it goes
-  // to the last request.  Then the chunk's values add up to its time.
-  const std::uint64_t rest = chunk_ns > miss_ns ? chunk_ns - miss_ns : 0;
+  const ChunkSplit split = split_chunk_ns(chunk_ns, miss_ns, hits);
   if (hits == 0) {
     Connection::Slot& last = conn.slots_[end - 1];
-    last.server_ns = clamp_ns(last.server_ns + rest);
+    last.server_ns = clamp_ns(last.server_ns + split.last_extra_ns);
   }
-  const std::uint64_t share = hits == 0 ? 0 : rest / hits;
-  std::uint64_t longer = hits == 0 ? 0 : rest % hits;
+  const std::uint64_t share = split.hit_ns;
+  std::uint64_t longer = split.longer_hits;
   LEXFOR_OBS_HISTOGRAM_BATCH(latency, "serve.request_latency_ns");
   for (std::size_t i = begin; i < end; ++i) {
     Connection::Slot& slot = conn.slots_[i];

@@ -125,6 +125,27 @@ struct ServerOptions {
   legal::BatchOptions batch;
 };
 
+// How one evaluation chunk's time splits into its requests' server_ns
+// (serve() says what the values mean).  A miss keeps its own interval.
+// The rest of the chunk's time, chunk_ns less the misses' sum (0 if
+// they exceed it), goes to the hits: hit_ns each, and one ns more to
+// the first longer_hits of them; a chunk with no hit adds all of it to
+// its last request.  The chunk's values then add up to chunk_ns exactly
+// whenever its misses' sum does not exceed it.
+struct ChunkSplit {
+  std::uint64_t hit_ns = 0;
+  std::uint64_t longer_hits = 0;
+  std::uint64_t last_extra_ns = 0;  // nonzero only for a chunk with no hit
+};
+
+[[nodiscard]] constexpr ChunkSplit split_chunk_ns(std::uint64_t chunk_ns,
+                                                  std::uint64_t miss_ns,
+                                                  std::uint64_t hits) noexcept {
+  const std::uint64_t rest = chunk_ns > miss_ns ? chunk_ns - miss_ns : 0;
+  return ChunkSplit{hits == 0 ? 0 : rest / hits, hits == 0 ? 0 : rest % hits,
+                    hits == 0 ? rest : 0};
+}
+
 // Per-client channel state, created by VerdictServer::connect().  All
 // serving scratch lives here, so two connections never contend on
 // buffers and a connection's steady state is allocation-flat.

@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <span>
 #include <vector>
@@ -17,6 +16,10 @@
 #include "util/ids.h"
 #include "util/rng.h"
 #include "util/status.h"
+
+namespace lexfor::watermark {
+class Embedder;
+}  // namespace lexfor::watermark
 
 namespace lexfor::tornet {
 
@@ -70,8 +73,9 @@ class AnonymityNetwork {
 
   // One packet's delay through `circuit` (ms): the base propagation,
   // then per relay one jitter draw and one batching draw, in that
-  // order.  transit() and simulate_flow_bins() both take their
-  // per-packet draws from here, so the two cannot drift apart.
+  // order.  transit() and simulate_flow_bins()'s exact loop both take
+  // their per-packet draws from here, so the two cannot drift apart;
+  // its bracketed pass repeats these operations in this order.
   [[nodiscard]] double packet_delay_ms(const Circuit& circuit,
                                        Rng& rng) const noexcept {
     double delay_ms =
@@ -120,12 +124,6 @@ std::vector<std::uint32_t> bin_arrivals(const std::vector<double>& arrivals_sec,
 // The end state is bit-identical to the walk's whichever path decides.
 void skip_generation_draws(Rng& rng, double mean_gap, double t_end);
 
-// The homogeneous process's rate multiplier for simulate_flow_bins (the
-// nullptr of generate_modulated_poisson): base_rate * 1.0 == base_rate.
-struct UnitMultiplier {
-  double operator()(double /*t_sec*/) const noexcept { return 1.0; }
-};
-
 // One flow, end to end, in a single pass:
 //
 //   bin_arrivals(net.transit(circuit,
@@ -133,60 +131,45 @@ struct UnitMultiplier {
 //                        max_multiplier, multiplier, rng), rng),
 //                start_sec, window_sec, bins.size())
 //
-// written into `bins` as doubles (whole counts, so exact), with no heap
-// allocation and no sort.  Every random draw is the one the composition
-// makes, so the bins are bit-identical to it and `rng` ends in the state
-// the composition leaves it in: a caller drawing on afterwards sees the
-// same stream either way.
+// with multiplier(t) = mark->multiplier(SimTime::from_sec(t)), or none
+// for a null `mark` (an unmarked flow), written into `bins` as doubles
+// (whole counts, so exact), with no heap allocation and no sort.  The
+// bins are bit-identical to the composition's on every input, and `rng`
+// ends in the state the composition leaves it in: a caller drawing on
+// afterwards sees the same stream either way.  The composition's guards
+// hold: a rate or t_end <= 0 draws nothing, a window <= 0 counts nothing
+// (the draws still happen), and arrivals before start_sec or past the
+// last window are dropped.
 //
-// The composition makes all of its generation draws (per Poisson
-// candidate one exponential and one uniform, then the exponential that
-// crosses t_end) before any of transit's (per kept packet and relay,
-// one exponential and one uniform).  So a copy of `rng` first steps over
-// the generation draws with skip_generation_draws — it needs only where
-// generation stops, not the candidate times or the thinning decisions —
-// and then sits where transit's draws begin.  Generation is replayed on
+// The one exact definition is the composition's loop, run on two
+// cursors.  The composition makes all of its generation draws (per
+// Poisson candidate one exponential and one uniform, then the
+// exponential that crosses t_end) before any of transit's (per kept
+// packet and relay, one exponential and one uniform).  So a copy of
+// `rng` steps over the generation draws with skip_generation_draws and
+// then sits where transit's draws begin; the candidates are replayed on
 // a second copy, and each kept send takes its delay from the first.
-// Binning only counts, so arrival order never matters, and transit
-// returns its arrivals in send order.
+// Binning only counts, so arrival order never matters.
 //
-// `multiplier` is any callable double(double); pass UnitMultiplier{}
-// for a homogeneous flow.  The composition's guards hold: a rate or
-// t_end <= 0 draws nothing, a window <= 0 counts nothing (the draws
-// still happen), and arrivals before start_sec or past the last window
-// are dropped.
-template <typename Multiplier>
+// The pass first runs that loop with its logs from a lane-parallel log
+// (util/lane_log.h) over blocks of uniforms drawn in the same order.
+// The lane log is not std::log, so each send time and each arrival is
+// carried as a bracket [lo, hi]: each log widened by the relative
+// util::kLaneLogMargin into an interval that holds std::log's value,
+// then both ends computed with exactly the exact loop's operations in
+// its order.  IEEE add, multiply and divide round monotonically, so the
+// exact value lies inside.  Each decision (t >= t_end, the chip and so
+// the thinning compare, rel < 0, < windows, the bin index) is taken only
+// where both ends agree, which is where the exact loop takes it too.
+// Where any decision straddles, the flow is replayed from `rng` by the
+// exact loop.  So no bin can move: the fast path either decides as the
+// exact loop does or hands the flow to it.  At the default traceback a
+// bracket spans about 1e-11 s, and a bin or chip edge falls inside one
+// in about one flow in a million.
 void simulate_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
                         double base_rate, double t_end_sec,
-                        double max_multiplier, const Multiplier& multiplier,
+                        double max_multiplier, const watermark::Embedder* mark,
                         double start_sec, double window_sec,
-                        std::span<double> bins, Rng& rng) {
-  std::fill(bins.begin(), bins.end(), 0.0);
-  if (base_rate <= 0.0 || t_end_sec <= 0.0) return;
-  const double lambda_max = base_rate * std::max(max_multiplier, 1.0);
-
-  // Cursor 1: step over the generation draws.
-  Rng delays = rng;
-  skip_generation_draws(delays, 1.0 / lambda_max, t_end_sec);
-
-  // Cursor 2: replay generation; kept sends draw their delays from
-  // cursor 1 and are counted where they arrive.
-  Rng sends = rng;
-  const bool counting = window_sec > 0.0;
-  const auto windows = static_cast<double>(bins.size());
-  for (double t = 0.0;;) {
-    t += sends.exponential(1.0 / lambda_max);
-    if (t >= t_end_sec) break;
-    const double lam = base_rate * multiplier(t);
-    if (!(sends.uniform01() < lam / lambda_max)) continue;
-    const double arrival = t + net.packet_delay_ms(circuit, delays) * 1e-3;
-    const double rel = arrival - start_sec;
-    if (!counting || rel < 0.0) continue;
-    // bin_arrivals' idx < num_windows test, made before the cast.
-    const double window = rel / window_sec;
-    if (window < windows) bins[static_cast<std::size_t>(window)] += 1.0;
-  }
-  rng = delays;
-}
+                        std::span<double> bins, Rng& rng);
 
 }  // namespace lexfor::tornet

@@ -57,7 +57,7 @@ Result<PassiveResult> run_passive_correlation(const PassiveConfig& config) {
     auto circuit = net.build_circuit(rng);
     if (!circuit.ok()) return circuit.status();
     simulate_flow_bins(net, circuit.value(), config.base_rate_pps,
-                       config.observe_sec, 1.0, UnitMultiplier{}, 0.0,
+                       config.observe_sec, 1.0, nullptr, 0.0,
                        config.window_sec, decoy_series, rng);
     result.correlations.push_back(watermark::CorrelationKernel::cross_score(
         server_series, decoy_series));

@@ -87,18 +87,10 @@ Status simulate_flow_rates(const TracebackConfig& config,
   util::parallel_for(num_flows, width, [&](std::size_t i) {
     FlowStart& f = starts[i];
     const std::span<double> out(rates.data() + i * n_chips, n_chips);
-    if (i == 0) {  // the suspect's flow carries the mark
-      simulate_flow_bins(
-          net, f.circuit, config.base_rate_pps, t_end, 1.0 + config.depth,
-          [&embedder](double t_sec) {
-            return embedder.multiplier(SimTime::from_sec(t_sec));
-          },
-          expected_shift_sec, chip_sec, out, f.rng);
-    } else {
-      simulate_flow_bins(net, f.circuit, config.base_rate_pps, t_end,
-                         1.0 + config.depth, UnitMultiplier{},
-                         expected_shift_sec, chip_sec, out, f.rng);
-    }
+    // The suspect's flow (flow 0) carries the mark.
+    simulate_flow_bins(net, f.circuit, config.base_rate_pps, t_end,
+                       1.0 + config.depth, i == 0 ? &embedder : nullptr,
+                       expected_shift_sec, chip_sec, out, f.rng);
   });
   return Status::Ok();
 }
@@ -230,12 +222,10 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   if (!circuit_r.ok()) return circuit_r.status();
 
   std::vector<double> rates(n_chips);
-  simulate_flow_bins(
-      net, circuit_r.value(), config.base_rate_pps, t_end, 1.0 + config.depth,
-      [&embedder](double t_sec) {
-        return embedder.multiplier(SimTime::from_sec(t_sec));
-      },
-      expected_circuit_shift_sec(config.network), chip_sec, rates, rng);
+  simulate_flow_bins(net, circuit_r.value(), config.base_rate_pps, t_end,
+                     1.0 + config.depth, &embedder,
+                     expected_circuit_shift_sec(config.network), chip_sec,
+                     rates, rng);
 
   // One tap, every account's code: a kernel per Gold code, all scanning
   // the SAME rate series as one family on the calling thread.  Handing

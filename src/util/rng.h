@@ -81,8 +81,11 @@ class Rng {
   // Geometric: number of failures before first success, p in (0,1].
   [[nodiscard]] std::uint64_t geometric(double p) noexcept;
 
-  // Poisson with small-to-moderate mean (Knuth's method; adequate for
-  // the arrival processes simulated here).
+  // Poisson with the given mean, exact at any mean below 2^63: Knuth's
+  // product of uniforms below a mean of 30 (the draws it always made),
+  // Hörmann's transformed rejection (PTRS) from 30 on.  A mean <= 0 or
+  // NaN draws nothing and returns 0; a larger one draws nothing and
+  // returns the largest count.
   [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
 
   // An independent child generator.  The child's stream does not overlap

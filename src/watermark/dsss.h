@@ -39,12 +39,44 @@ class Embedder {
 
   // 1 +- depth during the code window, exactly 1.0 outside it.
   [[nodiscard]] double multiplier(SimTime now) const noexcept {
-    if (now < params_.start) return 1.0;
-    const std::int64_t elapsed = now.us - params_.start.us;
-    const auto chip_idx =
-        static_cast<std::size_t>(elapsed / params_.chip_duration.us);
-    if (chip_idx >= code_.length()) return 1.0;
-    return 1.0 + params_.depth * static_cast<double>(code_.chips()[chip_idx]);
+    return chip_multiplier(chip_index(now));
+  }
+
+  // The chip `now` falls in: -1 before the start, the code length from
+  // the end on.  Non-decreasing in `now` for a positive chip duration,
+  // so two times with one index enclose only that chip
+  // (tornet::simulate_flow_bins settles a bracketed send time by it).
+  [[nodiscard]] std::int64_t chip_index(SimTime now) const noexcept {
+    if (now < params_.start) return -1;
+    const std::int64_t chip =
+        (now.us - params_.start.us) / params_.chip_duration.us;
+    const auto n = static_cast<std::int64_t>(code_.length());
+    return chip < n ? chip : n;
+  }
+
+  // The first time past chip `index`: the start for index -1, the end
+  // of chip `index` inside the code, and the largest SimTime (never
+  // reached) from the code's end on.  So chip_index(t) is `index` for
+  // every t from chip_end(index - 1) up to, not including, this.
+  [[nodiscard]] SimTime chip_end(std::int64_t index) const noexcept {
+    std::int64_t end = 0;
+    if (index >= static_cast<std::int64_t>(code_.length()) ||
+        __builtin_mul_overflow(index + 1, params_.chip_duration.us, &end) ||
+        __builtin_add_overflow(end, params_.start.us, &end)) {
+      return SimTime{INT64_MAX};
+    }
+    return SimTime{end};
+  }
+
+  // The multiplier of chip `index`: 1 +- depth inside the code, exactly
+  // 1.0 outside it.
+  [[nodiscard]] double chip_multiplier(std::int64_t index) const noexcept {
+    if (index < 0 || index >= static_cast<std::int64_t>(code_.length())) {
+      return 1.0;
+    }
+    return 1.0 + params_.depth * static_cast<double>(
+                                     code_.chips()[static_cast<std::size_t>(
+                                         index)]);
   }
 
   [[nodiscard]] SimTime end() const noexcept {

@@ -1,6 +1,6 @@
 #include "watermark/gold_code.h"
 
-#include <cmath>
+#include <string>
 
 namespace lexfor::watermark {
 namespace {
@@ -62,15 +62,7 @@ Result<GoldCodeFamily> GoldCodeFamily::create(int degree) {
   for (std::size_t shift = 0; shift < n; ++shift) {
     family.push_back(xor_shifted(u, v, shift));
   }
-  return GoldCodeFamily{degree, std::move(family)};
-}
-
-double GoldCodeFamily::cross_correlation_bound() const noexcept {
-  // t(n) = 2^((n+2)/2) + 1 for even n, 2^((n+1)/2) + 1 for odd n.
-  const double n = static_cast<double>(degree_);
-  const double t = degree_ % 2 == 0 ? std::exp2((n + 2.0) / 2.0) + 1.0
-                                    : std::exp2((n + 1.0) / 2.0) + 1.0;
-  return t / static_cast<double>(code_length());
+  return GoldCodeFamily{std::move(family)};
 }
 
 }  // namespace lexfor::watermark

@@ -32,14 +32,10 @@ class GoldCodeFamily {
     return codes_.at(index);
   }
 
-  // The theoretical three-valued cross-correlation bound t(n)/N.
-  [[nodiscard]] double cross_correlation_bound() const noexcept;
-
  private:
-  explicit GoldCodeFamily(int degree, std::vector<PnCode> codes)
-      : degree_(degree), codes_(std::move(codes)) {}
+  explicit GoldCodeFamily(std::vector<PnCode> codes)
+      : codes_(std::move(codes)) {}
 
-  int degree_;
   std::vector<PnCode> codes_;
 };
 

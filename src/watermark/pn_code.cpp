@@ -1,7 +1,5 @@
 #include "watermark/pn_code.h"
 
-#include <algorithm>
-
 namespace lexfor::watermark {
 namespace {
 
@@ -60,30 +58,6 @@ Result<PnCode> PnCode::from_chips(std::vector<std::int8_t> chips) {
     }
   }
   return PnCode{std::move(chips)};
-}
-
-int PnCode::balance() const noexcept {
-  int sum = 0;
-  for (const auto c : chips_) sum += c;
-  return sum;
-}
-
-double PnCode::autocorrelation(std::size_t shift) const noexcept {
-  const std::size_t n = chips_.size();
-  if (n == 0) return 0.0;
-  long acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += chips_[i] * chips_[(i + shift) % n];
-  }
-  return static_cast<double>(acc) / static_cast<double>(n);
-}
-
-double PnCode::cross_correlation(const PnCode& other) const noexcept {
-  const std::size_t n = std::min(chips_.size(), other.chips_.size());
-  if (n == 0) return 0.0;
-  long acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += chips_[i] * other.chips_[i];
-  return static_cast<double>(acc) / static_cast<double>(n);
 }
 
 }  // namespace lexfor::watermark

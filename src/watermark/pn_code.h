@@ -33,18 +33,6 @@ class PnCode {
   }
   [[nodiscard]] std::size_t length() const noexcept { return chips_.size(); }
 
-  // Sum of chips; an m-sequence of length 2^n-1 has balance exactly -1
-  // (one more -1 than +1) or +1 depending on mapping.
-  [[nodiscard]] int balance() const noexcept;
-
-  // Normalized circular autocorrelation at `shift`
-  // (1/N * sum_i c[i]*c[(i+shift) mod N]).  For an m-sequence this is 1
-  // at shift 0 and -1/N elsewhere.
-  [[nodiscard]] double autocorrelation(std::size_t shift) const noexcept;
-
-  // Normalized cross-correlation with another code of the same length.
-  [[nodiscard]] double cross_correlation(const PnCode& other) const noexcept;
-
  private:
   explicit PnCode(std::vector<std::int8_t> chips) : chips_(std::move(chips)) {}
   std::vector<std::int8_t> chips_;

@@ -557,5 +557,99 @@ TEST(VerdictServerTest, EmptyBatchIsANoOp) {
   EXPECT_TRUE(conn.responses().empty());
 }
 
+// One chunk's server_ns values as VerdictServer::evaluate_range sets
+// them: `own` holds each miss's own interval (ignored for a hit).
+std::vector<std::uint64_t> chunk_values(const std::vector<bool>& hit,
+                                        std::vector<std::uint64_t> own,
+                                        std::uint64_t chunk_ns) {
+  std::uint64_t miss_ns = 0;
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < hit.size(); ++i) {
+    if (hit[i]) {
+      ++hits;
+    } else {
+      miss_ns += own[i];
+    }
+  }
+  const ChunkSplit split = split_chunk_ns(chunk_ns, miss_ns, hits);
+  if (hits == 0) own.back() += split.last_extra_ns;
+  std::uint64_t longer = split.longer_hits;
+  for (std::size_t i = 0; i < hit.size(); ++i) {
+    if (!hit[i]) continue;
+    own[i] = split.hit_ns + (longer != 0 ? 1 : 0);
+    if (longer != 0) --longer;
+  }
+  return own;
+}
+
+std::uint64_t sum(const std::vector<std::uint64_t>& v) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t x : v) total += x;
+  return total;
+}
+
+TEST(ChunkSplitTest, ValuesAddUpToTheChunkTime) {
+  // All hits, with and without a remainder.
+  EXPECT_EQ(chunk_values(std::vector<bool>(8, true),
+                         std::vector<std::uint64_t>(8, 0), 1000),
+            std::vector<std::uint64_t>(8, 125));
+  EXPECT_EQ(chunk_values(std::vector<bool>(8, true),
+                         std::vector<std::uint64_t>(8, 0), 1003),
+            (std::vector<std::uint64_t>{126, 126, 126, 125, 125, 125, 125,
+                                        125}));
+  // All misses: the rest goes whole to the last request.
+  EXPECT_EQ(chunk_values({false, false, false}, {10, 20, 30}, 100),
+            (std::vector<std::uint64_t>{10, 20, 70}));
+  // Mixed: misses keep their own, hits share the rest.
+  EXPECT_EQ(chunk_values({false, true, false, true, true}, {40, 0, 25, 0, 0},
+                         100),
+            (std::vector<std::uint64_t>{40, 12, 25, 12, 11}));
+  // rest < hits: the first `rest` hits take 1 ns, the others 0.
+  EXPECT_EQ(chunk_values(std::vector<bool>(8, true),
+                         std::vector<std::uint64_t>(8, 0), 5),
+            (std::vector<std::uint64_t>{1, 1, 1, 1, 1, 0, 0, 0}));
+  EXPECT_EQ(chunk_values({true, false, true, true}, {0, 97, 0, 0}, 99),
+            (std::vector<std::uint64_t>{1, 97, 1, 0}));
+
+  // Every hit pattern of chunks of 1 to 9 requests, at chunk times below,
+  // at and above the hit count: the values sum to the chunk time.
+  std::size_t chunks = 0;
+  for (std::size_t n = 1; n <= 9; ++n) {
+    for (std::uint32_t pattern = 0; pattern < (1u << n); ++pattern) {
+      std::vector<bool> hit(n);
+      std::vector<std::uint64_t> own(n, 0);
+      std::uint64_t miss_ns = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        hit[i] = (pattern >> i & 1u) != 0;
+        if (!hit[i]) own[i] = 3 + 7 * i;
+        miss_ns += own[i];
+      }
+      for (const std::uint64_t rest : {0, 1, 2, 5, 8, 9, 1000, 123457}) {
+        const std::uint64_t chunk_ns = miss_ns + rest;
+        const auto values = chunk_values(hit, own, chunk_ns);
+        ASSERT_EQ(sum(values), chunk_ns)
+            << "n " << n << " pattern " << pattern << " rest " << rest;
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+          if (!hit[i]) {
+            ASSERT_EQ(values[i], own[i]);
+          }
+        }
+        ++chunks;
+      }
+    }
+  }
+  EXPECT_EQ(chunks, 1022u * 8);
+}
+
+TEST(ChunkSplitTest, MissesLongerThanTheChunkLeaveNothingToShare) {
+  // The misses' own intervals are read inside the chunk's, so their sum
+  // cannot exceed it; if a clock ever said so, the rest is 0, not a
+  // wrapped-around share.
+  EXPECT_EQ(chunk_values({true, false, true}, {0, 500, 0}, 400),
+            (std::vector<std::uint64_t>{0, 500, 0}));
+  EXPECT_EQ(chunk_values({false, false}, {300, 300}, 400),
+            (std::vector<std::uint64_t>{300, 300}));
+}
+
 }  // namespace
 }  // namespace lexfor::serve

@@ -1,0 +1,84 @@
+// A golden digest of simulate_flow_bins' output: every bin, and the
+// first four raw draws each flow's Rng makes after it, folded with
+// FNV-1a over the §IV.B traceback's flows.  The composition grid in
+// simulate_flow_test.cpp compares two paths of one build; this pins the
+// bits themselves, so a change to the draw path, the fast path or the
+// host's libm that moves any bin fails here on every host and build
+// (the LEXFOR_SIMD=OFF leg and the hwcaps -AVX2,-FMA stage run it too).
+// The golden values were computed before the bracketed fast path
+// existed, from the exact one-log-per-draw loop.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "tornet/anonymity_network.h"
+#include "tornet/traceback.h"
+#include "watermark/dsss.h"
+
+namespace lexfor::tornet {
+namespace {
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+// Flows 0..8 of seeds [first_seed, last_seed] as run_streaming_traceback
+// simulates them at `config`: flow f draws from Rng::sub_stream(seed, f),
+// builds its circuit, and flow 0 carries the mark.
+std::uint64_t flow_digest(const TracebackConfig& config,
+                          std::uint64_t first_seed, std::uint64_t last_seed) {
+  const auto code = watermark::PnCode::m_sequence(config.pn_degree).value();
+  const std::size_t n_chips = code.length();
+  const double chip_sec = config.chip_ms * 1e-3;
+  const double t_end = chip_sec * static_cast<double>(n_chips) + 2.0;
+  watermark::EmbedParams embed;
+  embed.start = SimTime::zero();
+  embed.chip_duration = SimDuration::from_ms(config.chip_ms);
+  embed.depth = config.depth;
+  const watermark::Embedder embedder(code, embed);
+  const AnonymityNetwork net(config.network);
+  const double shift = expected_circuit_shift_sec(config.network);
+
+  Fnv1a fnv;
+  std::vector<double> bins(n_chips);
+  for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
+    for (std::uint64_t flow = 0; flow <= config.num_decoys; ++flow) {
+      Rng rng = Rng::sub_stream(seed, flow);
+      const Circuit circuit = net.build_circuit(rng).value();
+      simulate_flow_bins(net, circuit, config.base_rate_pps, t_end,
+                         1.0 + config.depth, flow == 0 ? &embedder : nullptr,
+                         shift, chip_sec, bins, rng);
+      for (const double b : bins) fnv.add(std::bit_cast<std::uint64_t>(b));
+      for (int i = 0; i < 4; ++i) fnv.add(rng());
+    }
+  }
+  return fnv.h;
+}
+
+TEST(FlowDigestTest, DefaultTracebackFlowsMatchTheGoldenDigest) {
+  EXPECT_EQ(flow_digest(TracebackConfig{}, 1, 60), 0xce4058b812448c1eULL);
+}
+
+TEST(FlowDigestTest, JitterZeroAndCircuitLengthsOneAndFiveMatchTheGoldenDigest) {
+  TracebackConfig no_jitter;
+  no_jitter.network.relay_jitter_ms = 0.0;
+  EXPECT_EQ(flow_digest(no_jitter, 1, 20), 0x7943128ae20f3f13ULL);
+  TracebackConfig one_hop;
+  one_hop.network.circuit_length = 1;
+  EXPECT_EQ(flow_digest(one_hop, 1, 20), 0x5a0c0e32220ef1b2ULL);
+  TracebackConfig five_hops;
+  five_hops.network.circuit_length = 5;
+  EXPECT_EQ(flow_digest(five_hops, 1, 20), 0x4189cea9d9f78d18ULL);
+}
+
+}  // namespace
+}  // namespace lexfor::tornet

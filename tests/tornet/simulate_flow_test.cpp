@@ -64,15 +64,14 @@ std::vector<double> composed(const AnonymityNetwork& net,
   return {counts.begin(), counts.end()};
 }
 
-template <typename Multiplier>
 std::vector<double> fused(const AnonymityNetwork& net, const Circuit& circuit,
-                          const FlowArgs& a, const Multiplier& multiplier,
+                          const FlowArgs& a, const watermark::Embedder* mark,
                           Rng& rng) {
   // Start from garbage: the pass must clear the bins itself.
   std::vector<double> bins(a.windows, -7.0);
   simulate_flow_bins(net, circuit, a.base_rate, a.t_end_sec,
-                     a.max_multiplier, multiplier, a.start_sec, a.window_sec,
-                     bins, rng);
+                     a.max_multiplier, mark, a.start_sec, a.window_sec, bins,
+                     rng);
   return bins;
 }
 
@@ -123,9 +122,8 @@ TEST(SimulateFlowBinsTest, MatchesCompositionOverConfigurationGrid) {
                            marked ? std::function<double(double)>(mark)
                                   : std::function<double(double)>(),
                            expect_rng);
-              const auto got =
-                  marked ? fused(net, circuit, a, mark, got_rng)
-                         : fused(net, circuit, a, UnitMultiplier{}, got_rng);
+              const auto got = fused(net, circuit, a,
+                                     marked ? &embedder : nullptr, got_rng);
 
               const std::string where =
                   "degree " + std::to_string(degree) + " jitter " +
@@ -178,7 +176,7 @@ TEST(SimulateFlowBinsTest, DegenerateInputsMatchComposition) {
     Rng expect_rng = rng;
     Rng got_rng = rng;
     const auto expect = composed(net, circuit, a, nullptr, expect_rng);
-    const auto got = fused(net, circuit, a, UnitMultiplier{}, got_rng);
+    const auto got = fused(net, circuit, a, nullptr, got_rng);
     EXPECT_TRUE(same_bits(expect, got)) << c.name;
     EXPECT_EQ(got, std::vector<double>(a.windows, 0.0)) << c.name;
     EXPECT_TRUE(same_state(expect_rng, got_rng)) << c.name;
@@ -271,6 +269,145 @@ TEST(SimulateFlowBinsTest, StopSearchBelowTheFirstGapAndAtExtremeScales) {
     EXPECT_TRUE(search_matches_walk(from, 1e9, 1e12)) << seed;
     EXPECT_TRUE(search_matches_walk(from, 1e297, 1e300)) << seed;
     EXPECT_TRUE(search_matches_walk(from, 1e-303, 1e-300)) << seed;
+  }
+}
+
+// A marked flow at the default traceback's rate, mark and circuit, for
+// the straddle cases below: t_end and start_sec are set per case.
+struct MarkedFlow {
+  watermark::PnCode code = watermark::PnCode::m_sequence(5).value();
+  watermark::Embedder embedder{code, [] {
+                                 watermark::EmbedParams p;
+                                 p.start = SimTime::zero();
+                                 p.chip_duration = SimDuration::from_ms(400.0);
+                                 p.depth = 0.35;
+                                 return p;
+                               }()};
+  AnonymityNetwork net{TorConfig{}};
+  FlowArgs args = [] {
+    FlowArgs a;
+    a.base_rate = 120.0;
+    a.max_multiplier = 1.35;
+    a.start_sec = expected_circuit_shift_sec(TorConfig{});
+    a.window_sec = 0.4;
+    a.windows = 80;
+    return a;
+  }();
+};
+
+// Runs both sides from `from` and reports whether bins and Rng end
+// states agree.
+bool fused_matches_composition(const MarkedFlow& m, const FlowArgs& a,
+                               const Circuit& circuit, bool marked,
+                               const Rng& from) {
+  Rng expect_rng = from;
+  Rng got_rng = from;
+  const auto expect = composed(
+      m.net, circuit, a,
+      marked ? std::function<double(double)>([&m](double t) {
+        return m.embedder.multiplier(SimTime::from_sec(t));
+      })
+             : std::function<double(double)>(),
+      expect_rng);
+  const auto got =
+      fused(m.net, circuit, a, marked ? &m.embedder : nullptr, got_rng);
+  return same_bits(expect, got) && same_state(expect_rng, got_rng);
+}
+
+TEST(SimulateFlowBinsTest, TEndOnACandidatesExactSumReplaysTheExactLoop) {
+  // t_end on the exact running sum of candidate j, or on either
+  // neighbouring double: the exact loop stops at j or goes on, and the
+  // bracketed send time, which holds that sum strictly inside, cannot
+  // tell which, so the flow must be replayed.  Positions straddle the
+  // send cursor's 64-candidate blocks and reach past 2,000 candidates.
+  const MarkedFlow m;
+  const double mean_gap = 1.0 / (m.args.base_rate * m.args.max_multiplier);
+  const std::size_t positions[] = {1, 2, 63, 64, 65, 130, 700, 2049};
+  std::size_t cases = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    Rng rng = Rng::sub_stream(81, seed);
+    const Circuit circuit = m.net.build_circuit(rng).value();
+    const auto sums = partial_sums(rng, mean_gap, 2049);
+    const bool marked = seed % 2 == 0;
+    for (const std::size_t j : positions) {
+      const double at = sums[j - 1];
+      for (const double t_end : {std::nextafter(at, 0.0), at,
+                                 std::nextafter(at, HUGE_VAL)}) {
+        FlowArgs a = m.args;
+        a.t_end_sec = t_end;
+        ASSERT_TRUE(fused_matches_composition(m, a, circuit, marked, rng))
+            << "seed " << seed << " candidate " << j << " t_end " << t_end;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 24u * std::size(positions) * 3);
+}
+
+TEST(SimulateFlowBinsTest, StartOnAPacketsExactArrivalReplaysTheExactLoop) {
+  // start_sec on the exact arrival of the first, a middle or the last
+  // packet, or on either neighbouring double: that packet's rel is 0 or
+  // one ULP from it, so rel < 0 straddles its bracket and the flow must
+  // be replayed; the packet lands in bin 0 or is dropped exactly as the
+  // composition decides.
+  const MarkedFlow m;
+  std::size_t cases = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    Rng rng = Rng::sub_stream(82, seed);
+    const Circuit circuit = m.net.build_circuit(rng).value();
+    const bool marked = seed % 2 == 0;
+    FlowArgs a = m.args;
+    a.t_end_sec = 20.0;
+    Rng draws = rng;
+    const auto sends = generate_modulated_poisson(
+        a.base_rate, a.t_end_sec, a.max_multiplier,
+        marked ? std::function<double(double)>([&m](double t) {
+          return m.embedder.multiplier(SimTime::from_sec(t));
+        })
+               : std::function<double(double)>(),
+        draws);
+    const auto arrivals = m.net.transit(circuit, sends, draws);
+    ASSERT_GT(arrivals.size(), 1000u);
+    for (const std::size_t i :
+         {std::size_t{0}, arrivals.size() / 2, arrivals.size() - 1}) {
+      const double at = arrivals[i];
+      for (const double start : {std::nextafter(at, -HUGE_VAL), at,
+                                 std::nextafter(at, HUGE_VAL)}) {
+        a.start_sec = start;
+        ASSERT_TRUE(fused_matches_composition(m, a, circuit, marked, rng))
+            << "seed " << seed << " packet " << i << " start " << start;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 24u * 3 * 3);
+}
+
+TEST(SimulateFlowBinsTest, AnyCircuitLengthMatchesComposition) {
+  // A kept packet takes one jitter and one batching draw per relay from
+  // the delay cursor's blocks of 128: circuits longer than a block
+  // straddle several of them.
+  for (const int length : {0, 40, 128, 129, 300}) {
+    TorConfig tor;
+    tor.num_relays = 300;
+    tor.circuit_length = length;
+    const AnonymityNetwork net(tor);
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      Rng rng = Rng::sub_stream(83, seed);
+      const Circuit circuit = net.build_circuit(rng).value();
+      FlowArgs a;
+      a.base_rate = 40.0;
+      a.t_end_sec = 6.0;
+      a.start_sec = expected_circuit_shift_sec(tor);
+      a.window_sec = 0.25;
+      a.windows = 24;
+      Rng expect_rng = rng;
+      Rng got_rng = rng;
+      const auto expect = composed(net, circuit, a, nullptr, expect_rng);
+      const auto got = fused(net, circuit, a, nullptr, got_rng);
+      EXPECT_TRUE(same_bits(expect, got)) << "length " << length;
+      EXPECT_TRUE(same_state(expect_rng, got_rng)) << "length " << length;
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <vector>
 
@@ -116,6 +118,89 @@ TEST(RngTest, PoissonHasRequestedMean) {
   constexpr int kN = 20000;
   for (int i = 0; i < kN; ++i) sum += static_cast<double>(rng.poisson(4.0));
   EXPECT_NEAR(sum / kN, 4.0, 0.15);
+}
+
+TEST(RngTest, PoissonBelowTheCutoffKeepsKnuthsDraws) {
+  // Pinned from the Knuth-only sampler, before PTRS was added: below a
+  // mean of 30 every draw and the Rng's end state stay put.
+  struct Pin {
+    double mean;
+    std::uint64_t draws[8];
+    std::uint64_t next_raw;
+  };
+  for (const Pin& pin :
+       {Pin{4.0, {5, 7, 6, 3, 5, 6, 7, 6}, 11877356785976397892ULL},
+        Pin{20.0, {29, 26, 20, 22, 16, 17, 18, 17}, 4393144036282960056ULL}}) {
+    Rng rng{42};
+    for (const std::uint64_t expect : pin.draws) {
+      EXPECT_EQ(rng.poisson(pin.mean), expect) << "mean " << pin.mean;
+    }
+    EXPECT_EQ(rng(), pin.next_raw) << "mean " << pin.mean;
+  }
+}
+
+TEST(RngTest, PoissonFromTheCutoffMatchesKnownAnswers) {
+  struct Pin {
+    double mean;
+    std::uint64_t draws[6];
+  };
+  // Pinned from the first PTRS build: one seed, so the draws at every
+  // mean come from the same uniforms.
+  for (const Pin& pin :
+       {Pin{30.0, {21, 34, 33, 35, 32, 33}},
+        Pin{745.0, {699, 759, 763, 767, 760, 771}},
+        Pin{800.0, {752, 815, 819, 823, 815, 827}},
+        Pin{5000.0, {4881, 5037, 5046, 5057, 5038, 5067}},
+        Pin{1e6, {998324, 1000526, 1000653, 1000799, 1000534, 1000952}}}) {
+    Rng rng{42};
+    for (const std::uint64_t expect : pin.draws) {
+      EXPECT_EQ(rng.poisson(pin.mean), expect) << "mean " << pin.mean;
+    }
+  }
+}
+
+TEST(RngTest, PoissonHasItsMeanAndVarianceAtAnyMean) {
+  // 20,000 draws per mean from a fixed stream.  The sample mean must lie
+  // within 5 standard errors of the mean (sqrt(mean / n)), and the
+  // sample variance within 5 of its own (sqrt((mean + 2 mean^2) / n),
+  // from the Poisson's fourth central moment).  Knuth's product alone
+  // read 746, 747 and 744 at means 800, 1,000 and 5,000.
+  constexpr int kN = 20000;
+  const double means[] = {1e-3, 0.1, 1.0,   4.0,    20.0, 29.999, 30.0,
+                          100.0, 745.0, 800.0, 5000.0, 1e5, 1e6};
+  for (std::size_t m = 0; m < std::size(means); ++m) {
+    const double mean = means[m];
+    Rng rng = Rng::sub_stream(2027, m);
+    double sum = 0.0;
+    double sq = 0.0;
+    for (int i = 0; i < kN; ++i) {
+      const auto x = static_cast<double>(rng.poisson(mean));
+      sum += x;
+      sq += x * x;
+    }
+    const double sample_mean = sum / kN;
+    const double sample_var = (sq - sum * sample_mean) / (kN - 1);
+    EXPECT_NEAR(sample_mean, mean, 5.0 * std::sqrt(mean / kN))
+        << "mean " << mean;
+    EXPECT_NEAR(sample_var, mean,
+                5.0 * std::sqrt((mean + 2.0 * mean * mean) / kN))
+        << "mean " << mean;
+  }
+}
+
+TEST(RngTest, PoissonOutsideItsMeansDrawsNothing) {
+  for (const double mean : {0.0, -1.0, std::nan("")}) {
+    Rng rng{43};
+    EXPECT_EQ(rng.poisson(mean), 0u) << mean;
+    Rng untouched{43};
+    EXPECT_EQ(rng(), untouched()) << mean;
+  }
+  for (const double mean : {0x1.0p63, HUGE_VAL}) {
+    Rng rng{43};
+    EXPECT_EQ(rng.poisson(mean), ~std::uint64_t{0}) << mean;
+    Rng untouched{43};
+    EXPECT_EQ(rng(), untouched()) << mean;
+  }
 }
 
 TEST(RngTest, GeometricMeanApproximatelyCorrect) {
