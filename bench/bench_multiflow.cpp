@@ -145,74 +145,88 @@ int main() {
   // Series 5 / experiment A-SCAN (parallel side): the whole Gold family
   // scanning one tap through watermark::ScanBatch, which runs it as one
   // family scan split into a code range per worker, against the serial
-  // per-account loop of kernel.scan() calls.  Self-verifying: the batch
-  // correlations must be bit-identical to the serial ones, or the bench
-  // exits non-zero.  A-SCAN-METRIC lines carry the serial time and the
-  // batch time at each thread count for tools/bench_diff.py.
+  // per-account loop of kernel.scan() calls.  Two taps: normal noise
+  // around 100, whose fractional rates take the exact family path, and
+  // Poisson counts as a tap bins them, whose whole counts take the
+  // ranked path.  Self-verifying: the batch correlations must be
+  // bit-identical to the serial ones, or the bench exits non-zero.
+  // A-SCAN-METRIC lines carry the serial time and the batch time at each
+  // thread count for tools/bench_diff.py, the counts' names prefixed
+  // `counts_`.
   {
     using namespace lexfor;
     using clock = std::chrono::steady_clock;
     const auto family = watermark::GoldCodeFamily::create(9).value();
-    std::printf("\nSeries 5 (A-SCAN): serial vs ScanBatch multi-code offset "
-                "scan (degree-9 Gold family, %zu codes, max_offset 128)\n",
-                family.size());
-    std::printf("%10s %14s %10s\n", "threads", "scan ms", "speedup");
     const std::size_t n_chips = family.code_length();
     const std::size_t max_offset = 128;
-    Rng rng{7777};
-    std::vector<double> rates;
-    for (std::size_t i = 0; i < n_chips + max_offset + 32; ++i) {
-      rates.push_back(100.0 + rng.normal(0.0, 20.0));
-    }
     std::vector<watermark::CorrelationKernel> kernels;
     kernels.reserve(family.size());
     for (std::size_t a = 0; a < family.size(); ++a) {
       kernels.emplace_back(family.code(a), 5.0);
     }
-    std::vector<watermark::ScanJob> jobs(kernels.size());
-    for (std::size_t a = 0; a < kernels.size(); ++a) {
-      jobs[a].kernel = &kernels[a];
-      jobs[a].rates = std::span<const double>(rates);
-      jobs[a].max_offset = max_offset;
+    Rng rng{7777};
+    std::vector<double> noise;
+    std::vector<double> counts;
+    for (std::size_t i = 0; i < n_chips + max_offset + 32; ++i) {
+      noise.push_back(100.0 + rng.normal(0.0, 20.0));
+      counts.push_back(static_cast<double>(rng.poisson(100.0)));
     }
-
-    constexpr int kReps = 8;
-    // Serial baseline: one kernel.scan per account, in order.
-    std::vector<watermark::ScanResult> serial;
-    const auto t0 = clock::now();
-    for (int r = 0; r < kReps; ++r) {
-      serial.clear();
-      for (const auto& job : jobs) {
-        serial.push_back(
-            job.kernel->scan(job.rates, job.max_offset).value());
-      }
-    }
-    const auto t1 = clock::now();
-    const double serial_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count() / kReps;
-    std::printf("%10s %14.3f %10s\n", "serial", serial_ms, "1.00x");
-    std::printf("A-SCAN-METRIC serial_per_code_scan_ms %.3f\n", serial_ms);
 
     bool all_identical = true;
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      const watermark::ScanBatch batch(watermark::ScanBatchOptions{threads});
-      std::vector<Result<watermark::ScanResult>> fanned = batch.run(jobs);
-      const auto b0 = clock::now();
-      for (int r = 0; r < kReps; ++r) fanned = batch.run(jobs);
-      const auto b1 = clock::now();
-      for (std::size_t a = 0; a < jobs.size(); ++a) {
-        const auto& got = fanned[a].value();
-        all_identical =
-            all_identical && got.offset == serial[a].offset &&
-            std::bit_cast<std::uint64_t>(got.best.correlation) ==
-                std::bit_cast<std::uint64_t>(serial[a].best.correlation);
+    for (const auto& [label, prefix, rates] :
+         {std::tuple{"normal noise, exact path", "", &noise},
+          std::tuple{"Poisson counts, ranked path", "counts_", &counts}}) {
+      std::printf("\nSeries 5 (A-SCAN): serial vs ScanBatch multi-code "
+                  "offset scan (degree-9 Gold family, %zu codes, max_offset "
+                  "128, %s)\n",
+                  family.size(), label);
+      std::printf("%10s %14s %10s\n", "threads", "scan ms", "speedup");
+      std::vector<watermark::ScanJob> jobs(kernels.size());
+      for (std::size_t a = 0; a < kernels.size(); ++a) {
+        jobs[a].kernel = &kernels[a];
+        jobs[a].rates = std::span<const double>(*rates);
+        jobs[a].max_offset = max_offset;
       }
-      const double batch_ms =
-          std::chrono::duration<double, std::milli>(b1 - b0).count() / kReps;
-      std::printf("%10u %14.3f %9.2fx%s\n", threads, batch_ms,
-                  serial_ms / batch_ms, all_identical ? "" : "  MISMATCH");
-      std::printf("A-SCAN-METRIC batch_scan_ms_threads_%u %.3f\n", threads,
-                  batch_ms);
+
+      constexpr int kReps = 8;
+      // Serial baseline: one kernel.scan per account, in order.
+      std::vector<watermark::ScanResult> serial;
+      const auto t0 = clock::now();
+      for (int r = 0; r < kReps; ++r) {
+        serial.clear();
+        for (const auto& job : jobs) {
+          serial.push_back(
+              job.kernel->scan(job.rates, job.max_offset).value());
+        }
+      }
+      const auto t1 = clock::now();
+      const double serial_ms =
+          std::chrono::duration<double, std::milli>(t1 - t0).count() / kReps;
+      std::printf("%10s %14.3f %10s\n", "serial", serial_ms, "1.00x");
+      std::printf("A-SCAN-METRIC %sserial_per_code_scan_ms %.3f\n", prefix,
+                  serial_ms);
+
+      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+        const watermark::ScanBatch batch(watermark::ScanBatchOptions{threads});
+        std::vector<Result<watermark::ScanResult>> fanned = batch.run(jobs);
+        const auto b0 = clock::now();
+        for (int r = 0; r < kReps; ++r) fanned = batch.run(jobs);
+        const auto b1 = clock::now();
+        for (std::size_t a = 0; a < jobs.size(); ++a) {
+          const auto& got = fanned[a].value();
+          all_identical =
+              all_identical && got.offset == serial[a].offset &&
+              std::bit_cast<std::uint64_t>(got.best.correlation) ==
+                  std::bit_cast<std::uint64_t>(serial[a].best.correlation);
+        }
+        const double batch_ms =
+            std::chrono::duration<double, std::milli>(b1 - b0).count() /
+            kReps;
+        std::printf("%10u %14.3f %9.2fx%s\n", threads, batch_ms,
+                    serial_ms / batch_ms, all_identical ? "" : "  MISMATCH");
+        std::printf("A-SCAN-METRIC %sbatch_scan_ms_threads_%u %.3f\n", prefix,
+                    threads, batch_ms);
+      }
     }
     if (!all_identical) {
       std::printf("A-SCAN FAILED: ScanBatch correlations differ from the "
@@ -220,7 +234,7 @@ int main() {
       return 1;
     }
     std::printf("A-SCAN OK: ScanBatch bit-identical to the serial loop at "
-                "every thread count\n");
+                "every thread count, on both taps\n");
   }
   return 0;
 }

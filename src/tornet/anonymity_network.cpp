@@ -172,6 +172,19 @@ bool bracketed_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
 
 bool finite_non_negative(double x) { return x >= 0.0 && std::isfinite(x); }
 
+// Whether a thinned Poisson walk on [0, t_end) at peak rate lambda_max
+// draws at all.  A rate or t_end <= 0 draws nothing, and so does a
+// non-finite one: a NaN rate or t_end never reaches the walk's end, and
+// an infinite t_end grows the sends without bound.
+bool draws_candidates(double base_rate, double lambda_max, double t_end_sec) {
+  return base_rate > 0.0 && t_end_sec > 0.0 && std::isfinite(lambda_max) &&
+         std::isfinite(t_end_sec);
+}
+
+// generate_modulated_poisson's first allocation, in sends, for a walk
+// whose expected candidate count is larger.
+constexpr double kMaxInitialSends = 1 << 20;
+
 }  // namespace
 
 Result<Circuit> AnonymityNetwork::build_circuit(Rng& rng) const {
@@ -274,8 +287,8 @@ void simulate_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
                         double start_sec, double window_sec,
                         std::span<double> bins, Rng& rng) {
   std::fill(bins.begin(), bins.end(), 0.0);
-  if (base_rate <= 0.0 || t_end_sec <= 0.0) return;
   const double lambda_max = base_rate * std::max(max_multiplier, 1.0);
+  if (!draws_candidates(base_rate, lambda_max, t_end_sec)) return;
   const TorConfig& tor = net.config();
   const bool bracketable =
       window_sec > 0.0 && std::isfinite(window_sec) &&
@@ -300,15 +313,26 @@ std::vector<double> generate_modulated_poisson(
     double base_rate, double t_end_sec, double max_multiplier,
     const std::function<double(double)>& multiplier, Rng& rng) {
   std::vector<double> out;
-  if (base_rate <= 0.0 || t_end_sec <= 0.0) return out;
   const double lambda_max = base_rate * std::max(max_multiplier, 1.0);
-  double t = 0.0;
-  while (true) {
+  if (!draws_candidates(base_rate, lambda_max, t_end_sec)) return out;
+  // The keep test is data, not a branch: every candidate is written at
+  // out[kept] and only a kept one advances kept, so a thinning draw that
+  // goes against the last one flushes nothing already in flight.  The
+  // draws, and so the sends, are the branching loop's.  `out` starts at
+  // the expected candidate count and doubles when full.
+  out.resize(static_cast<std::size_t>(
+                 std::min(lambda_max * t_end_sec, kMaxInitialSends)) +
+             1);
+  std::size_t kept = 0;
+  for (double t = 0.0;;) {
     t += rng.exponential(1.0 / lambda_max);
     if (t >= t_end_sec) break;
     const double lam = multiplier ? base_rate * multiplier(t) : base_rate;
-    if (rng.uniform01() < lam / lambda_max) out.push_back(t);
+    if (kept == out.size()) out.resize(2 * kept);
+    out[kept] = t;
+    kept += static_cast<std::size_t>(rng.uniform01() < lam / lambda_max);
   }
+  out.resize(kept);
   return out;
 }
 

@@ -94,7 +94,8 @@ class AnonymityNetwork {
 // Generates send times (sec) of a Poisson process on [0, t_end) whose
 // instantaneous rate is base_rate * multiplier(t) — via Lewis-Shedler
 // thinning.  `multiplier` may be nullptr for a homogeneous process, and
-// must return values in (0, max_multiplier].
+// must return values in (0, max_multiplier].  A rate or t_end that is
+// <= 0 or not finite draws nothing and yields no sends.
 std::vector<double> generate_modulated_poisson(
     double base_rate, double t_end_sec, double max_multiplier,
     const std::function<double(double)>& multiplier, Rng& rng);
@@ -137,9 +138,9 @@ void skip_generation_draws(Rng& rng, double mean_gap, double t_end);
 // bins are bit-identical to the composition's on every input, and `rng`
 // ends in the state the composition leaves it in: a caller drawing on
 // afterwards sees the same stream either way.  The composition's guards
-// hold: a rate or t_end <= 0 draws nothing, a window <= 0 counts nothing
-// (the draws still happen), and arrivals before start_sec or past the
-// last window are dropped.
+// hold: a rate or t_end <= 0 or not finite draws nothing, a window <= 0
+// counts nothing (the draws still happen), and arrivals before
+// start_sec or past the last window are dropped.
 //
 // The one exact definition is the composition's loop, run on two
 // cursors.  The composition makes all of its generation draws (per

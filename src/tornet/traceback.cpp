@@ -1,6 +1,7 @@
 #include "tornet/traceback.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <string>
 
@@ -29,10 +30,23 @@ namespace {
 
 // A chip must last at least one microsecond: the embedder finds a
 // send's chip by dividing by the chip duration in whole microseconds.
+// It must be finite before it is converted to them.
 Status check_chip_ms(double chip_ms, const char* caller) {
-  if (SimDuration::from_ms(chip_ms).us < 1) {
+  if (!std::isfinite(chip_ms) || SimDuration::from_ms(chip_ms).us < 1) {
     return InvalidArgument(std::string(caller) +
                            ": chip_ms must be at least 0.001 (1 us)");
+  }
+  return Status::Ok();
+}
+
+// The flow's rate and modulation depth must be finite: the simulation
+// draws nothing for a non-finite peak rate, so such a flow would be
+// silently empty.
+Status check_flow_rate(double base_rate_pps, double depth,
+                       const char* caller) {
+  if (!std::isfinite(base_rate_pps) || !std::isfinite(depth)) {
+    return InvalidArgument(std::string(caller) +
+                           ": base_rate_pps and depth must be finite");
   }
   return Status::Ok();
 }
@@ -130,6 +144,9 @@ void accumulate_flow_verdict(TracebackResult& result, std::size_t flow,
 Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
   const Status chip = check_chip_ms(config.chip_ms, "run_streaming_traceback");
   if (!chip.ok()) return chip;
+  const Status rate = check_flow_rate(config.base_rate_pps, config.depth,
+                                      "run_streaming_traceback");
+  if (!rate.ok()) return rate;
   auto code_r = watermark::PnCode::m_sequence(config.pn_degree);
   if (!code_r.ok()) return code_r.status();
   const watermark::PnCode code = std::move(code_r).value();
@@ -191,6 +208,9 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   }
   const Status chip = check_chip_ms(config.chip_ms, "run_multiflow_traceback");
   if (!chip.ok()) return chip;
+  const Status rate = check_flow_rate(config.base_rate_pps, config.depth,
+                                      "run_multiflow_traceback");
+  if (!rate.ok()) return rate;
   auto family_r = watermark::GoldCodeFamily::create(config.gold_degree);
   if (!family_r.ok()) return family_r.status();
   const watermark::GoldCodeFamily family = std::move(family_r).value();

@@ -76,7 +76,8 @@ struct TracebackResult {
 // flow on its own (generate_modulated_poisson -> transit ->
 // bin_arrivals) and despreading it with CorrelationKernel::scan at
 // max_offset 0, whatever detect_threads is.  Safe to call from several
-// threads at once.  A chip shorter than 1 us is InvalidArgument.
+// threads at once.  A chip shorter than 1 us, or a chip, rate or depth
+// that is not finite, is InvalidArgument.
 [[nodiscard]] Result<TracebackResult> run_streaming_traceback(
     const TracebackConfig& config);
 
@@ -112,7 +113,8 @@ struct MultiflowResult {
 // offset 0 under every account's code as one family scan
 // (watermark::ScanBatch) on the calling thread.  Each correlation is
 // bit-identical to CorrelationKernel::scan(rates, 0) for that account.
-// A chip shorter than 1 us is InvalidArgument.
+// A chip shorter than 1 us, or a chip, rate or depth that is not finite,
+// is InvalidArgument.
 [[nodiscard]] Result<MultiflowResult> run_multiflow_traceback(
     const MultiflowConfig& config);
 

@@ -40,14 +40,21 @@
 // through despread().  scan() is the one-code case of the family scan
 // ScanBatch runs when several code windows scan one series: the window
 // sum, mean and den do not depend on the code, so a family block
-// computes them once and each code adds only its num = Σ d·c.  Every
-// path is bit-identical, so every caller, evidentiary records included,
-// gets the same bits from the one scan body — see A-SCAN and A-SIMD in
-// EXPERIMENTS.md.
+// computes them once and each code adds only its num = Σ d·c.  On whole
+// counts (what a court-order tap collects), a family of codes ranks
+// first: the correlation Σ x·c of whole counts under ±1 chips is an
+// exact integer in any order of the sums, so an integer lane computes it
+// for every code and offset, and a derived error bound then marks the
+// few offsets per code that can still be its best.  Only those are
+// despread, by the scalar despread itself, and every other offset
+// provably scores below them, so the ranking moves no bit either.
+// Every path is bit-identical, so every caller, evidentiary records
+// included, gets the same bits — see A-SCAN and A-SIMD in EXPERIMENTS.md.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -68,6 +75,16 @@ struct ScanResult {
 };
 
 class ScanBatch;
+
+namespace detail {
+// One code as a scan reads it: its chips as ±1.0, the same chips as ±1
+// int16 followed by one 0, and their sum.
+struct ScanCode {
+  const double* chips;
+  const std::int16_t* chips_i16;
+  double chip_sum;
+};
+}  // namespace detail
 
 class CorrelationKernel {
  public:
@@ -130,10 +147,10 @@ class CorrelationKernel {
   // same checks and verdict scan() applies to one.
   friend class ScanBatch;
 
-  // A code window that passed scan()'s checks: its chips, its length
-  // and the last offset the scan scores.
+  // A code window that passed scan()'s checks: its code, its length and
+  // the last offset the scan scores.
   struct Window {
-    const double* chips;
+    detail::ScanCode code;
     std::size_t n;
     std::size_t last_offset;
   };
@@ -145,6 +162,8 @@ class CorrelationKernel {
 
   PnCode code_;
   std::vector<double> chips_f64_;  // code chips pre-converted to ±1.0
+  std::vector<std::int16_t> chips_i16_;  // the chips as ±1, then one 0
+  double chip_sum_ = 0.0;                // Σ chips, exact
   double threshold_sigmas_;
 };
 

@@ -4,7 +4,10 @@
 // registers under four codes, eight accumulators a pass.  They are
 // bit-identical to the baseline-width instantiations in correlate.cpp
 // and to the scalar despread, so which one a scan runs never changes a
-// score.
+// score.  The ranked scan's AVX2 lanes live here too: its window
+// statistics (the same window_stats<4, 4> the family block runs) and
+// its integer correlations, eight int32 lanes a register and four codes
+// a pass, which give the same exact integers as the SSE2 lane.
 //
 // Compile-time gate: the file is always built, but the AVX2 body is
 // compiled only when the build sets LEXFOR_SIMD (CMake option) AND this
@@ -21,6 +24,7 @@
 
 #if defined(LEXFOR_SIMD) && defined(__AVX2__)
 #define LEXFOR_SIMD_AVX2 1
+#include <immintrin.h>
 #else
 #define LEXFOR_SIMD_AVX2 0
 #endif
@@ -29,12 +33,25 @@ namespace lexfor::watermark {
 
 namespace detail {
 
-BlockScorer avx2_block_scorer() noexcept {
 #if LEXFOR_SIMD_AVX2
-  if (CorrelationKernel::simd_lane_available()) return despread_block<4, 4>;
-#endif
-  return nullptr;
+namespace {
+
+void avx2_stats(const double* x, std::size_t n, double* mean,
+                double* den) noexcept {
+  static_assert(kRankBlock == 16);
+  window_stats<4, 4>(x, n, mean, den);
 }
+
+void avx2_correlate(const std::int16_t* x, const std::int16_t* const* chips,
+                    std::size_t count, std::size_t n,
+                    std::int32_t* out) noexcept {
+  correlate_block<8, 4>(x, chips, count, n, out, [](auto a, auto b) {
+    return _mm256_madd_epi16((__m256i)a, (__m256i)b);
+  });
+}
+
+}  // namespace
+#endif
 
 FamilyScorer avx2_family_scorer() noexcept {
 #if LEXFOR_SIMD_AVX2
@@ -43,6 +60,17 @@ FamilyScorer avx2_family_scorer() noexcept {
   }
 #endif
   return nullptr;
+}
+
+RankLanes avx2_rank_lanes() noexcept {
+  RankLanes lanes;
+#if LEXFOR_SIMD_AVX2
+  if (CorrelationKernel::simd_lane_available()) {
+    lanes.stats = avx2_stats;
+    lanes.correlate = avx2_correlate;
+  }
+#endif
+  return lanes;
 }
 
 }  // namespace detail

@@ -85,15 +85,15 @@ std::vector<Result<ScanResult>> ScanBatch::run(
     const auto start = std::chrono::steady_clock::now();
 #endif
     const auto [begin, end] = tasks[t];
-    std::vector<const double*> chips;
-    chips.reserve(end - begin);
+    std::vector<detail::ScanCode> codes;
+    codes.reserve(end - begin);
     for (std::size_t m = begin; m < end; ++m) {
-      chips.push_back(members[m].window.chips);
+      codes.push_back(members[m].window.code);
     }
     std::vector<ScanResult> best(end - begin);
     const CorrelationKernel::Window& w = members[begin].window;
     detail::scan_family(jobs[members[begin].job].rates.data(), w.last_offset,
-                        w.n, chips.data(), chips.size(), best.data());
+                        w.n, codes.data(), codes.size(), best.data());
     for (std::size_t m = begin; m < end; ++m) {
       const Member& member = members[m];
       out[member.job] =

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -143,9 +144,32 @@ TEST(PoissonTest, ModulationShapesTheRate) {
 }
 
 TEST(PoissonTest, DegenerateInputsYieldEmpty) {
-  Rng rng{8};
-  EXPECT_TRUE(generate_modulated_poisson(0.0, 10.0, 1.0, nullptr, rng).empty());
-  EXPECT_TRUE(generate_modulated_poisson(10.0, 0.0, 1.0, nullptr, rng).empty());
+  // A rate or t_end <= 0 draws nothing, and so does a non-finite peak
+  // rate (a NaN rate, or a NaN max_multiplier, which std::max passes
+  // through) or t_end: a NaN never reaches t_end, and an infinite t_end
+  // would grow the sends without bound.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double base_rate;
+    double t_end_sec;
+    double max_multiplier;
+  };
+  for (const Case& c : {Case{0.0, 10.0, 1.0}, Case{10.0, 0.0, 1.0},
+                        Case{nan, 10.0, 1.0}, Case{inf, 10.0, 1.0},
+                        Case{10.0, nan, 1.0}, Case{10.0, inf, 1.0},
+                        Case{10.0, 10.0, nan}, Case{10.0, 10.0, inf}}) {
+    SCOPED_TRACE(testing::Message() << "rate " << c.base_rate << " t_end "
+                                    << c.t_end_sec << " max_multiplier "
+                                    << c.max_multiplier);
+    Rng rng{8};
+    const Rng before = rng;
+    EXPECT_TRUE(generate_modulated_poisson(c.base_rate, c.t_end_sec,
+                                           c.max_multiplier, nullptr, rng)
+                    .empty());
+    Rng untouched = before;
+    EXPECT_EQ(rng(), untouched());  // no draw was taken
+  }
 }
 
 TEST(BinArrivalsTest, CountsFallIntoCorrectWindows) {

@@ -6,12 +6,16 @@
 // host's libm that moves any bin fails here on every host and build
 // (the LEXFOR_SIMD=OFF leg and the hwcaps -AVX2,-FMA stage run it too).
 // The golden values were computed before the bracketed fast path
-// existed, from the exact one-log-per-draw loop.
+// existed, from the exact one-log-per-draw loop.  The sends digest pins
+// generate_modulated_poisson the same way; its golden values were
+// computed from the branching thinning loop, before the keep test
+// became branch-free.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "tornet/anonymity_network.h"
@@ -62,6 +66,43 @@ std::uint64_t flow_digest(const TracebackConfig& config,
     }
   }
   return fnv.h;
+}
+
+// generate_modulated_poisson's sends at the multiflow scan's shape (a
+// degree-9 code over 766 chips of 400 ms, planted at chip 37), marked
+// and unmarked, over seeds [first_seed, last_seed]: every send time,
+// then four raw draws of the Rng's end state.
+std::uint64_t sends_digest(bool marked, std::uint64_t first_seed,
+                           std::uint64_t last_seed) {
+  const MultiflowConfig config;
+  const auto code = watermark::PnCode::m_sequence(9).value();
+  const double chip_sec = config.chip_ms * 1e-3;
+  const double t_end = chip_sec * 766.0 + 2.0;
+  watermark::EmbedParams embed;
+  embed.chip_duration = SimDuration::from_ms(config.chip_ms);
+  embed.start = SimTime::zero() + embed.chip_duration * 37;
+  embed.depth = config.depth;
+  const watermark::Embedder embedder(code, embed);
+  const std::function<double(double)> mark = [&embedder](double t) {
+    return embedder.multiplier(SimTime::from_sec(t));
+  };
+
+  Fnv1a fnv;
+  for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
+    Rng rng(seed);
+    const auto sends = generate_modulated_poisson(
+        config.base_rate_pps, t_end, 1.0 + config.depth,
+        marked ? mark : nullptr, rng);
+    fnv.add(sends.size());
+    for (const double t : sends) fnv.add(std::bit_cast<std::uint64_t>(t));
+    for (int i = 0; i < 4; ++i) fnv.add(rng());
+  }
+  return fnv.h;
+}
+
+TEST(FlowDigestTest, GeneratedSendsMatchTheGoldenDigest) {
+  EXPECT_EQ(sends_digest(true, 1, 40), 0x2e332e554961a2a3ULL);
+  EXPECT_EQ(sends_digest(false, 1, 40), 0x16d6b6563fad9745ULL);
 }
 
 TEST(FlowDigestTest, DefaultTracebackFlowsMatchTheGoldenDigest) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "tornet/traceback.h"
@@ -80,6 +81,22 @@ TEST(MultiflowTest, RejectsChipShorterThanOneMicrosecond) {
   cfg.gold_degree = 7;
   cfg.chip_ms = 0.001;
   EXPECT_TRUE(run_multiflow_traceback(cfg).ok());
+}
+
+TEST(MultiflowTest, RejectsNonFiniteChipRateOrDepth) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    for (int field = 0; field < 3; ++field) {
+      auto cfg = easy();
+      (field == 0 ? cfg.base_rate_pps : field == 1 ? cfg.depth : cfg.chip_ms) =
+          bad;
+      const auto r = run_multiflow_traceback(cfg);
+      ASSERT_FALSE(r.ok()) << "field " << field << " = " << bad;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << "field " << field << " = " << bad;
+    }
+  }
 }
 
 TEST(MultiflowTest, ScalesToManyAccounts) {

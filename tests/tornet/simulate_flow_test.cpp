@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,43 @@ TEST(SimulateFlowBinsTest, DegenerateInputsMatchComposition) {
     const auto got = fused(net, circuit, a, nullptr, got_rng);
     EXPECT_TRUE(same_bits(expect, got)) << c.name;
     EXPECT_EQ(got, std::vector<double>(a.windows, 0.0)) << c.name;
+    EXPECT_TRUE(same_state(expect_rng, got_rng)) << c.name;
+  }
+}
+
+TEST(SimulateFlowBinsTest, NonFinitePeakRateOrEndDrawsNothing) {
+  // A NaN rate or max_multiplier (std::max passes a NaN through) makes a
+  // NaN peak rate, and a NaN t_end is never reached: like a rate <= 0,
+  // each draws nothing, in the pass and in the composition alike.  So
+  // does an infinite rate or t_end.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const AnonymityNetwork net(TorConfig{});
+  struct Case {
+    const char* name;
+    double base_rate;
+    double t_end_sec;
+    double max_multiplier;
+  };
+  for (const Case& c : {Case{"rate NaN", nan, 10.0, 1.0},
+                        Case{"rate inf", inf, 10.0, 1.0},
+                        Case{"t_end NaN", 120.0, nan, 1.0},
+                        Case{"t_end inf", 120.0, inf, 1.0},
+                        Case{"multiplier NaN", 120.0, 10.0, nan},
+                        Case{"multiplier inf", 120.0, 10.0, inf}}) {
+    FlowArgs a;
+    a.base_rate = c.base_rate;
+    a.t_end_sec = c.t_end_sec;
+    a.max_multiplier = c.max_multiplier;
+    Rng rng{32};
+    const Circuit circuit = net.build_circuit(rng).value();
+    Rng expect_rng = rng;
+    Rng got_rng = rng;
+    const auto expect = composed(net, circuit, a, nullptr, expect_rng);
+    const auto got = fused(net, circuit, a, nullptr, got_rng);
+    EXPECT_EQ(got, std::vector<double>(a.windows, 0.0)) << c.name;
+    EXPECT_TRUE(same_bits(expect, got)) << c.name;
+    EXPECT_TRUE(same_state(rng, got_rng)) << c.name;
     EXPECT_TRUE(same_state(expect_rng, got_rng)) << c.name;
   }
 }

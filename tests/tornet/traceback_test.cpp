@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -124,6 +125,25 @@ TEST(TracebackTest, RejectsChipShorterThanOneMicrosecond) {
   cfg.num_decoys = 1;
   cfg.chip_ms = 0.001;
   EXPECT_TRUE(run_streaming_traceback(cfg).ok());
+}
+
+TEST(TracebackTest, RejectsNonFiniteChipRateOrDepth) {
+  // A NaN or infinite rate or depth (std::max(NaN, 1.0) is NaN) gives a
+  // peak rate no Poisson walk can take, and a non-finite chip has no
+  // whole number of microseconds: each is rejected up front.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    for (int field = 0; field < 3; ++field) {
+      auto cfg = easy_config();
+      (field == 0 ? cfg.base_rate_pps : field == 1 ? cfg.depth : cfg.chip_ms) =
+          bad;
+      const auto r = run_streaming_traceback(cfg);
+      ASSERT_FALSE(r.ok()) << "field " << field << " = " << bad;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << "field " << field << " = " << bad;
+    }
+  }
 }
 
 TEST(TracebackTest, HeavyJitterDegradesButLongCodeRecovers) {

@@ -220,8 +220,9 @@ TEST(CorrelationKernelTest, BothBlockWidthsMatchSingleWindowDespreadPerLane) {
   // scan() runs one of the two blocked-despread instantiations on a
   // given host, so each is also called directly here: every lane must
   // hold the exact bits of despread() on its own window, for a noisy
-  // series and for a flat one (the den <= 0 guard).
-  const detail::BlockScorer avx2 = detail::avx2_block_scorer();
+  // series and for a flat one (the den <= 0 guard).  The AVX2 one-code
+  // block is reached as scan() reaches it: the family scorer at count 1.
+  const detail::FamilyScorer avx2 = detail::avx2_family_scorer();
   EXPECT_EQ(avx2 != nullptr, CorrelationKernel::simd_lane_available());
   constexpr std::size_t kBaselineLanes = 2 * 4;
   Rng rng{2031};
@@ -248,7 +249,8 @@ TEST(CorrelationKernelTest, BothBlockWidthsMatchSingleWindowDespreadPerLane) {
         }
         if (avx2 == nullptr) continue;
         double wide[detail::kAvx2BlockOffsets];
-        avx2(x, chips.data(), n, wide);
+        const double* one_code = chips.data();
+        avx2(x, &one_code, 1, n, wide);
         for (std::size_t k = 0; k < detail::kAvx2BlockOffsets; ++k) {
           EXPECT_EQ(std::bit_cast<std::uint64_t>(wide[k]),
                     std::bit_cast<std::uint64_t>(kernel.despread(x + k, 0, n)))
