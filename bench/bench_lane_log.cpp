@@ -1,8 +1,11 @@
-// The lane log (util/lane_log.h) beside std::log, over the uniforms the
-// traceback's flows take logs of: Rng::uniform01 draws on the 2^-53
-// grid, with Rng::exponential's clamp at 2^-53.  One iteration logs a
-// block of 64 (simulate_flow_bins' send block); items/s counts logs.
-// The AVX2 lane reports an error on a build or host without it.
+// The owned log (util/lane_log.h), its scalar form and its lanes, beside
+// std::log, over the uniforms the packet path takes logs of:
+// Rng::uniform01 draws on the 2^-53 grid, with Rng::exponential's clamp
+// at 2^-53.  One iteration logs a block of 64 (the candidate walk's
+// block); items/s counts logs.  The scalar form runs in the same loop as
+// std::log, inlined; GCC may vectorize that loop two lanes wide, as it
+// may any caller's.  The AVX2 lane reports an error on a build or host
+// without it.
 
 #include <benchmark/benchmark.h>
 
@@ -41,6 +44,19 @@ void BM_StdLog(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBlock);
 }
 BENCHMARK(BM_StdLog);
+
+void BM_OwnedLogScalar(benchmark::State& state) {
+  const auto u = uniforms();
+  double out[kBlock];
+  std::size_t at = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBlock; ++i) out[i] = util::log(u[at + i]);
+    benchmark::DoNotOptimize(out);
+    at = (at + kBlock) % kInputs;
+  }
+  state.SetItemsProcessed(state.iterations() * kBlock);
+}
+BENCHMARK(BM_OwnedLogScalar);
 
 void run_lane(benchmark::State& state, util::LaneLog lane) {
   if (lane == nullptr) {

@@ -15,162 +15,114 @@ namespace {
 // Candidates per log in skip_generation_draws.
 constexpr int kBlock = 16;
 
-// Candidates per lane-log block on simulate_flow_bins' send cursor, and
-// relay draws per block on its delay cursor (multiples of
-// util::kLaneLogBlock): 3 KB of stack scratch for any circuit length.
+// Candidates per lane-log block of the Poisson walk, and relay draws per
+// block of the packet delays (multiples of util::kLaneLogBlock): 3 KB of
+// stack scratch for any circuit length.
 constexpr std::size_t kSendBlock = 64;
 constexpr std::size_t kDelayBlock = 128;
 
 // Rng::exponential's clamp: a uniform of 0 is taken as 2^-53.
 double clamped(double u) { return u <= 0.0 ? 0x1.0p-53 : u; }
 
-// The one exact definition of a flow's bins: the composition's loop on
-// two cursors (see simulate_flow_bins in the header).
-void exact_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
-                     double base_rate, double t_end_sec, double lambda_max,
-                     const watermark::Embedder* mark, double start_sec,
-                     double window_sec, std::span<double> bins, Rng& rng) {
-  // Cursor 1: step over the generation draws.
-  Rng delays = rng;
-  skip_generation_draws(delays, 1.0 / lambda_max, t_end_sec);
-
-  // Cursor 2: replay generation; kept sends draw their delays from
-  // cursor 1 and are counted where they arrive.
-  Rng sends = rng;
-  const bool counting = window_sec > 0.0;
-  const auto windows = static_cast<double>(bins.size());
-  for (double t = 0.0;;) {
-    t += sends.exponential(1.0 / lambda_max);
-    if (t >= t_end_sec) break;
-    const double lam =
-        mark != nullptr ? base_rate * mark->multiplier(SimTime::from_sec(t))
-                        : base_rate;
-    if (!(sends.uniform01() < lam / lambda_max)) continue;
-    const double arrival = t + net.packet_delay_ms(circuit, delays) * 1e-3;
-    const double rel = arrival - start_sec;
-    if (!counting || rel < 0.0) continue;
-    // bin_arrivals' idx < num_windows test, made before the cast.
-    const double window = rel / window_sec;
-    if (window < windows) bins[static_cast<std::size_t>(window)] += 1.0;
-  }
-  rng = delays;
-}
-
-// exact_flow_bins with every log from the lane log and every send time
-// and arrival carried as a bracket that holds the exact loop's value.
-// Returns false where a decision straddles its bracket; `bins` and `rng`
-// then hold nothing of use.  Takes a window > 0 and finite, non-negative
-// delay parameters, so no bracket end is ever NaN.
-bool bracketed_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
-                         double base_rate, double t_end_sec,
-                         double lambda_max, const watermark::Embedder* mark,
-                         double start_sec, double window_sec,
-                         std::span<double> bins, Rng& rng) {
+// The thinned Poisson walk on [0, t_end) at peak rate lambda_max, a
+// block of kSendBlock candidates at a time:
+//
+//   for (double t = 0.0;;) {
+//     t += rng.exponential(1.0 / lambda_max);
+//     if (t >= t_end) break;
+//     visit(t, rng.uniform01() < base_rate * multiplier(t) / lambda_max);
+//   }
+//
+// Each block draws its uniforms in the walk's order and takes their logs
+// in one lane call, which gives Rng::exponential's bits, so every t is
+// the walk's.  The block that crosses t_end rewinds `rng` to its start
+// and replays the 2k + 1 draws the walk takes in it, so `rng` ends where
+// the walk leaves it.  The threshold is recomputed only when the
+// multiplier's value changes: the same operations on the same inputs,
+// so the same bits (and base_rate * 1.0 is base_rate).
+template <typename Multiplier, typename Visit>
+void thinned_walk(Rng& rng, double base_rate, double lambda_max, double t_end,
+                  Multiplier&& multiplier, Visit&& visit) {
   const util::LaneLog lane_log = util::lane_log();
-  // A lane log L of a uniform is negative, and L * kGrow <= std::log(u)
-  // <= L * kShrink (util/lane_log.h derives the margin).  Every
-  // exponential below is (-mean) * log with mean >= 0, so the shrunk log
-  // gives the low end of the draw and the grown one the high end.
-  constexpr double kGrow = 1.0 + util::kLaneLogMargin;
-  constexpr double kShrink = 1.0 - util::kLaneLogMargin;
-  const TorConfig& tor = net.config();
-  const std::size_t relays = circuit.relays.size();
-  const double base_ms = static_cast<double>(relays) * tor.hop_latency_ms;
-  const double neg_jitter = -tor.relay_jitter_ms;
-  const double batch_ms = tor.relay_batch_ms;
   const double neg_gap = -(1.0 / lambda_max);
-  const auto windows = static_cast<double>(bins.size());
-  // The thinning compare's right side, lam / lambda_max: fixed for an
-  // unmarked flow, and for a marked one while the send time stays in
-  // the current chip, which ends at `chip_end`.
-  double keep = base_rate / lambda_max;
-  SimTime chip_end{INT64_MIN};
-
-  // The delay cursor, a block of relay draws at a time: `block_start` is
-  // its state before the current block, whose first `used` draws are
-  // taken.
-  Rng delays = rng;
-  skip_generation_draws(delays, 1.0 / lambda_max, t_end_sec);
-  Rng block_start = delays;
-  std::size_t used = 0;
-  double jitter_log[kDelayBlock];
-  double batch_u[kDelayBlock];
-  const auto refill = [&] {
-    block_start = delays;
-    for (std::size_t k = 0; k < kDelayBlock; ++k) {
-      jitter_log[k] = clamped(delays.uniform01());
-      batch_u[k] = delays.uniform01();
-    }
-    lane_log(jitter_log, jitter_log, kDelayBlock);
-    used = 0;
-  };
-  refill();
-
-  // The send cursor, a block of candidates at a time.  Draws past the
-  // crossing candidate are harmless: this cursor is dropped at the end.
-  Rng sends = rng;
+  double seen = 1.0;
+  double keep = base_rate * seen / lambda_max;
   double gap_log[kSendBlock];
   double thin_u[kSendBlock];
-  double t_lo = 0.0;
-  double t_hi = 0.0;
+  double t = 0.0;
   for (;;) {
+    const Rng block_start = rng;
     for (std::size_t i = 0; i < kSendBlock; ++i) {
-      gap_log[i] = clamped(sends.uniform01());
-      thin_u[i] = sends.uniform01();
+      gap_log[i] = clamped(rng.uniform01());
+      thin_u[i] = rng.uniform01();
     }
     lane_log(gap_log, gap_log, kSendBlock);
     for (std::size_t i = 0; i < kSendBlock; ++i) {
-      t_lo += neg_gap * (gap_log[i] * kShrink);
-      t_hi += neg_gap * (gap_log[i] * kGrow);
-      if (t_hi >= t_end_sec) {
-        if (!(t_lo >= t_end_sec)) return false;
-        // The walk has ended: leave the delay cursor after the draws
-        // the kept sends took.
+      t += neg_gap * gap_log[i];
+      if (t >= t_end) {
         rng = block_start;
-        for (std::size_t k = 0; k < 2 * used; ++k) (void)rng();
-        return true;
+        for (std::size_t k = 0; k < 2 * i + 1; ++k) (void)rng();
+        return;
       }
-      // One chip index at both ends fixes the multiplier, and with it
-      // the thinning compare.  Send times only grow, so a bracket that
-      // ends before chip_end lies in `chip` whole.
-      if (mark != nullptr && !(SimTime::from_sec(t_hi) < chip_end)) {
-        const SimTime lo = SimTime::from_sec(t_lo);
-        const SimTime hi = SimTime::from_sec(t_hi);
-        const std::int64_t chip = mark->chip_index(lo);
-        if (hi != lo && mark->chip_index(hi) != chip) return false;
-        chip_end = mark->chip_end(chip);
-        keep = base_rate * mark->chip_multiplier(chip) / lambda_max;
+      const double m = multiplier(t);
+      if (m != seen) {
+        seen = m;
+        keep = base_rate * m / lambda_max;
       }
-      if (!(thin_u[i] < keep)) continue;
-
-      // AnonymityNetwork::packet_delay_ms at both ends.
-      double d_lo = base_ms;
-      double d_hi = base_ms;
-      for (std::size_t r = 0; r < relays; ++r) {
-        if (used == kDelayBlock) refill();
-        d_lo += neg_jitter * (jitter_log[used] * kShrink);
-        d_hi += neg_jitter * (jitter_log[used] * kGrow);
-        const double batch = batch_u[used] * batch_ms;
-        d_lo += batch;
-        d_hi += batch;
-        ++used;
-      }
-      const double rel_lo = (t_lo + d_lo * 1e-3) - start_sec;
-      const double rel_hi = (t_hi + d_hi * 1e-3) - start_sec;
-      if (rel_hi < 0.0) continue;
-      if (rel_lo < 0.0) return false;
-      const double window_lo = rel_lo / window_sec;
-      const double window_hi = rel_hi / window_sec;
-      if (!(window_lo < windows)) continue;
-      if (!(window_hi < windows)) return false;
-      const auto bin = static_cast<std::size_t>(window_lo);
-      if (static_cast<std::size_t>(window_hi) != bin) return false;
-      bins[bin] += 1.0;
+      visit(t, thin_u[i] < keep);
     }
   }
 }
 
-bool finite_non_negative(double x) { return x >= 0.0 && std::isfinite(x); }
+// AnonymityNetwork::packet_delay_ms, packet after packet, with the relay
+// draws taken kDelayBlock at a time in its order and each block's logs
+// in one lane call: the same bits.  finish() leaves `rng` after the
+// draws the delays took, where the one-at-a-time calls leave it.
+class PacketDelays {
+ public:
+  PacketDelays(const AnonymityNetwork& net, const Circuit& circuit, Rng& rng)
+      : tor_(net.config()),
+        relays_(circuit.relays.size()),
+        rng_(rng),
+        block_start_(rng) {
+    refill();
+  }
+
+  double next_ms() noexcept {
+    double delay_ms = static_cast<double>(relays_) * tor_.hop_latency_ms;
+    for (std::size_t r = 0; r < relays_; ++r) {
+      if (used_ == kDelayBlock) refill();
+      delay_ms += -tor_.relay_jitter_ms * jitter_log_[used_];
+      delay_ms += batch_u_[used_] * tor_.relay_batch_ms;
+      ++used_;
+    }
+    return delay_ms;
+  }
+
+  void finish() noexcept {
+    rng_ = block_start_;
+    for (std::size_t k = 0; k < 2 * used_; ++k) (void)rng_();
+  }
+
+ private:
+  void refill() noexcept {
+    block_start_ = rng_;
+    for (std::size_t k = 0; k < kDelayBlock; ++k) {
+      jitter_log_[k] = clamped(rng_.uniform01());
+      batch_u_[k] = rng_.uniform01();
+    }
+    util::lane_log()(jitter_log_, jitter_log_, kDelayBlock);
+    used_ = 0;
+  }
+
+  const TorConfig& tor_;
+  std::size_t relays_;
+  Rng& rng_;
+  Rng block_start_;       // rng_ before the current block
+  std::size_t used_ = 0;  // draws of the current block taken
+  double jitter_log_[kDelayBlock];
+  double batch_u_[kDelayBlock];
+};
 
 // Whether a thinned Poisson walk on [0, t_end) at peak rate lambda_max
 // draws at all.  A rate or t_end <= 0 draws nothing, and so does a
@@ -210,9 +162,11 @@ std::vector<double> AnonymityNetwork::transit(
     Rng& rng) const {
   std::vector<double> arrivals;
   arrivals.reserve(send_sec.size());
+  PacketDelays delays(*this, circuit, rng);
   for (const double t : send_sec) {
-    arrivals.push_back(t + packet_delay_ms(circuit, rng) * 1e-3);
+    arrivals.push_back(t + delays.next_ms() * 1e-3);
   }
+  delays.finish();
   return arrivals;
 }
 
@@ -223,7 +177,7 @@ void skip_generation_draws(Rng& rng, double mean_gap, double t_end) {
   //
   //   slack(k, t) = (2k + 16) ulp(t_end) + 1e-12 (t + k mean_gap)
   //
-  // for any libm whose log is within a few hundred ULP.  The terms:
+  // for any log within a few hundred ULP.  The terms:
   //   - rounding of each add: the walk adds once per candidate and t at
   //     most once, each sum below t_end, so <= ulp(t_end)/2 apiece;
   //     an increment rounding to a subnormal adds < ulp(t_end)/2 more.
@@ -256,7 +210,7 @@ void skip_generation_draws(Rng& rng, double mean_gap, double t_end) {
       product *= clamped(block.uniform01());
       (void)block();  // the thinning draw
     }
-    const double next = t - mean_gap * std::log(product);
+    const double next = t - mean_gap * util::log(product);
     if (!(next + slack(k + kBlock, next) < t_end)) break;
     rng = block;
     t = next;
@@ -289,24 +243,32 @@ void simulate_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
   std::fill(bins.begin(), bins.end(), 0.0);
   const double lambda_max = base_rate * std::max(max_multiplier, 1.0);
   if (!draws_candidates(base_rate, lambda_max, t_end_sec)) return;
-  const TorConfig& tor = net.config();
-  const bool bracketable =
-      window_sec > 0.0 && std::isfinite(window_sec) &&
-      std::isfinite(start_sec) && finite_non_negative(tor.hop_latency_ms) &&
-      finite_non_negative(tor.relay_jitter_ms) &&
-      finite_non_negative(tor.relay_batch_ms) &&
-      (mark == nullptr || mark->params().chip_duration.us > 0);
-  if (bracketable) {
-    Rng fast = rng;
-    if (bracketed_flow_bins(net, circuit, base_rate, t_end_sec, lambda_max,
-                            mark, start_sec, window_sec, bins, fast)) {
-      rng = fast;
-      return;
-    }
-    std::fill(bins.begin(), bins.end(), 0.0);
-  }
-  exact_flow_bins(net, circuit, base_rate, t_end_sec, lambda_max, mark,
-                  start_sec, window_sec, bins, rng);
+
+  // Cursor 1: step over the generation draws; transit's begin there.
+  Rng delay_rng = rng;
+  skip_generation_draws(delay_rng, 1.0 / lambda_max, t_end_sec);
+  PacketDelays delays(net, circuit, delay_rng);
+
+  // Cursor 2: replay generation; kept sends draw their delays from
+  // cursor 1 and are counted where they arrive.
+  Rng sends = rng;
+  const bool counting = window_sec > 0.0;
+  const auto windows = static_cast<double>(bins.size());
+  thinned_walk(
+      sends, base_rate, lambda_max, t_end_sec,
+      [mark](double t) {
+        return mark != nullptr ? mark->multiplier(SimTime::from_sec(t)) : 1.0;
+      },
+      [&](double t, bool kept) {
+        if (!kept) return;
+        const double rel = (t + delays.next_ms() * 1e-3) - start_sec;
+        if (!counting || rel < 0.0) return;
+        // bin_arrivals' idx < num_windows test, made before the cast.
+        const double window = rel / window_sec;
+        if (window < windows) bins[static_cast<std::size_t>(window)] += 1.0;
+      });
+  delays.finish();
+  rng = delay_rng;
 }
 
 std::vector<double> generate_modulated_poisson(
@@ -324,14 +286,14 @@ std::vector<double> generate_modulated_poisson(
                  std::min(lambda_max * t_end_sec, kMaxInitialSends)) +
              1);
   std::size_t kept = 0;
-  for (double t = 0.0;;) {
-    t += rng.exponential(1.0 / lambda_max);
-    if (t >= t_end_sec) break;
-    const double lam = multiplier ? base_rate * multiplier(t) : base_rate;
-    if (kept == out.size()) out.resize(2 * kept);
-    out[kept] = t;
-    kept += static_cast<std::size_t>(rng.uniform01() < lam / lambda_max);
-  }
+  thinned_walk(
+      rng, base_rate, lambda_max, t_end_sec,
+      [&multiplier](double t) { return multiplier ? multiplier(t) : 1.0; },
+      [&](double t, bool keep) {
+        if (kept == out.size()) out.resize(2 * kept);
+        out[kept] = t;
+        kept += static_cast<std::size_t>(keep);
+      });
   out.resize(kept);
   return out;
 }

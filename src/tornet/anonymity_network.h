@@ -67,15 +67,16 @@ class AnonymityNetwork {
   // in send order.  Each packet independently accrues per-relay latency
   // + jitter + batching delay, so arrivals may be out of order; they
   // are not sorted, since detection only counts them (bin_arrivals).
+  // The draws come in blocks, their logs from util::lane_log; arrivals
+  // and the end state of `rng` are the packet_delay_ms loop's.
   [[nodiscard]] std::vector<double> transit(const Circuit& circuit,
                                             const std::vector<double>& send_sec,
                                             Rng& rng) const;
 
   // One packet's delay through `circuit` (ms): the base propagation,
   // then per relay one jitter draw and one batching draw, in that
-  // order.  transit() and simulate_flow_bins()'s exact loop both take
-  // their per-packet draws from here, so the two cannot drift apart;
-  // its bracketed pass repeats these operations in this order.
+  // order.  This is the definition transit() and simulate_flow_bins()
+  // repeat, operation for operation, on their blocked relay draws.
   [[nodiscard]] double packet_delay_ms(const Circuit& circuit,
                                        Rng& rng) const noexcept {
     double delay_ms =
@@ -95,7 +96,10 @@ class AnonymityNetwork {
 // instantaneous rate is base_rate * multiplier(t) — via Lewis-Shedler
 // thinning.  `multiplier` may be nullptr for a homogeneous process, and
 // must return values in (0, max_multiplier].  A rate or t_end that is
-// <= 0 or not finite draws nothing and yields no sends.
+// <= 0 or not finite draws nothing and yields no sends.  Per candidate
+// it draws one exponential gap and one thinning uniform, then the gap
+// that crosses t_end, in blocks with their logs from util::lane_log:
+// the sends and the end state of `rng` are the one-at-a-time loop's.
 std::vector<double> generate_modulated_poisson(
     double base_rate, double t_end_sec, double max_multiplier,
     const std::function<double(double)>& multiplier, Rng& rng);
@@ -142,31 +146,17 @@ void skip_generation_draws(Rng& rng, double mean_gap, double t_end);
 // counts nothing (the draws still happen), and arrivals before
 // start_sec or past the last window are dropped.
 //
-// The one exact definition is the composition's loop, run on two
-// cursors.  The composition makes all of its generation draws (per
-// Poisson candidate one exponential and one uniform, then the
-// exponential that crosses t_end) before any of transit's (per kept
-// packet and relay, one exponential and one uniform).  So a copy of
-// `rng` steps over the generation draws with skip_generation_draws and
-// then sits where transit's draws begin; the candidates are replayed on
-// a second copy, and each kept send takes its delay from the first.
-// Binning only counts, so arrival order never matters.
-//
-// The pass first runs that loop with its logs from a lane-parallel log
-// (util/lane_log.h) over blocks of uniforms drawn in the same order.
-// The lane log is not std::log, so each send time and each arrival is
-// carried as a bracket [lo, hi]: each log widened by the relative
-// util::kLaneLogMargin into an interval that holds std::log's value,
-// then both ends computed with exactly the exact loop's operations in
-// its order.  IEEE add, multiply and divide round monotonically, so the
-// exact value lies inside.  Each decision (t >= t_end, the chip and so
-// the thinning compare, rel < 0, < windows, the bin index) is taken only
-// where both ends agree, which is where the exact loop takes it too.
-// Where any decision straddles, the flow is replayed from `rng` by the
-// exact loop.  So no bin can move: the fast path either decides as the
-// exact loop does or hands the flow to it.  At the default traceback a
-// bracket spans about 1e-11 s, and a bin or chip edge falls inside one
-// in about one flow in a million.
+// The pass is the composition's loop, run on two cursors.  The
+// composition makes all of its generation draws (per Poisson candidate
+// one exponential and one uniform, then the exponential that crosses
+// t_end) before any of transit's (per kept packet and relay, one
+// exponential and one uniform).  So a copy of `rng` steps over the
+// generation draws with skip_generation_draws and then sits where
+// transit's draws begin; the candidates are replayed on a second copy,
+// and each kept send takes its delay from the first.  Both cursors are
+// the blocked loops generate_modulated_poisson and transit run, so every
+// send time and arrival is the composition's.  Binning only counts, so
+// arrival order never matters.
 void simulate_flow_bins(const AnonymityNetwork& net, const Circuit& circuit,
                         double base_rate, double t_end_sec,
                         double max_multiplier, const watermark::Embedder* mark,

@@ -1,8 +1,6 @@
-// The baseline-ISA instantiation of the lane log, and its dispatch.
+// The baseline-ISA lane of the owned log, and its dispatch.
 
 #include "util/lane_log.h"
-
-#include "util/lane_log_block.h"
 
 namespace lexfor::util {
 

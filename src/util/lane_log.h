@@ -1,60 +1,57 @@
-// A lane-parallel natural log over blocks of doubles.
+// The owned natural log: ln x with the same bits on every host, one
+// value at a time (util::log) or a block at a time (the lanes).
 //
-// Loops that take one log per random draw (tornet::simulate_flow_bins
-// takes one per Poisson candidate and one per relay of every kept
-// packet) spend most of their time in std::log, one call at a time.
-// Their uniforms are drawn ahead in blocks, so the logs can run several
-// to a vector register.  The lane log is not bit-identical to std::log:
-// a caller widens each result by kLaneLogMargin into a bracket that
-// provably holds std::log's value, and decides only where the bracket
-// decides (simulate_flow_bins replays its exact loop otherwise).
+// It is the definition of ln wherever the simulation draws an
+// exponential: Rng::exponential calls util::log, and the packet path
+// (tornet's generate_modulated_poisson, transit and simulate_flow_bins)
+// takes each block of draws' logs in one lane call, with the same bits.
+// std::log is the host's libm, whose variants can differ in the last bit
+// (glibc's default one and the one GLIBC_TUNABLES=glibc.cpu.hwcaps=
+// -AVX2,-FMA selects do on some inputs).
 //
 // Method: x = 2^k z with z in [sqrt(1/2), sqrt(2)), both exact from the
-// bit pattern; f = z - 1 is exact (Sterbenz); with s = f / (2 + f) and
-// w = s^2, ln z = 2 atanh s = f - s (f - R), R = sum_{j=1..9} 2 w^j /
-// (2j + 1), the atanh series in Horner order; ln x = k ln2_hi + (ln z +
-// k ln2_lo), with ln2_hi holding 32 bits so k ln2_hi is exact.  |s| <=
-// 0.1716, so the series' first dropped term is below 2^-55 of the
-// result, and f is exact while s (f - R) is about f^2 / 2: the roundings
-// leave a few 2^-53 of the result (tests/util/lane_log_test.cpp
-// measures the worst case).
+// bit pattern; f = z - 1 is exact (Sterbenz); with s = f / (2 + f), w =
+// s^2, hfsq = f^2 / 2 and R = sum_{j=1..10} 2 w^j / (2j + 1), the atanh
+// series as an odd and an even Horner chain in w^2, ln x = k ln2_hi -
+// ((hfsq - (s (hfsq + R) + k ln2_lo)) - f), fdlibm's arrangement of
+// k ln 2 + 2 atanh s; ln2_hi holds 32 bits, so k ln2_hi is exact.
 //
-// On x86-64 the AVX2 lane runs four doubles a register; it is built into
-// lane_log_simd.cpp alone, under the LEXFOR_SIMD option, as the
-// watermark despread's AVX2 lane is.  The baseline lane runs two (SSE2
-// on x86-64).  Both run the same operations in the same order without
-// FMA contraction, so they return the same bits.
+// Accuracy: within 1 ULP of the long-double log on every input
+// tests/util/lane_log_test.cpp tries (over 20M: the j 2^-53 grid over
+// all 53 binades of the uniforms, powers of two, random normals and the
+// edges); the worst it sees is about 0.84 ULP.  ln 1 is +0.
+//
+// Domain: the positive normal doubles below 2^1023.  Callers pass
+// uniforms clamped at 2^-53 and skip_generation_draws' products of 16 of
+// them (at least 2^-848).  Other inputs give meaningless values.
+//
+// Lanes: the baseline lane runs two doubles a step (SSE2 on x86-64), the
+// AVX2 lane four, built into lane_log_simd.cpp alone under the
+// LEXFOR_SIMD option, as the watermark despread's AVX2 lane is.  The
+// scalar form and both lanes run one body (util/lane_log_block.h) with
+// the same IEEE operations in the same order, and the tree builds with
+// -ffp-contract=off, so nothing fuses: all three return the same bits
+// on x86-64, AArch64 or any IEEE double target.
 
 #pragma once
 
 #include <cstddef>
 
+#include "util/lane_log_block.h"
+
 namespace lexfor::util {
 
-// A caller that brackets std::log(x) by a lane log L widens it to
-// [L (1 + m), L (1 - m)] (L < 0; the reverse for L > 0) with
-// m = kLaneLogMargin.  The bracket holds std::log(x) when
-//
-//   m >= e_lane + e_libm + 2^-53,
-//
-// where e_lane is the lane log's relative error against the true log,
-// e_libm std::log's, and 2^-53 covers the rounding of the widening
-// product (|L| >= 2^-53 on the inputs below, far from subnormal; 1 + m
-// and 1 - m are exact).  lane_log_test checks |L - std::log(x)| <=
-// m / 16 |std::log(x)| on every lane this host runs, over more than 20M
-// inputs of the form j 2^-53 across all 53 binades and the edges
-// (2^-53, 1/2, the neighbours of sqrt(1/2), 1 - 2^-53); the worst case
-// it sees is about 2^-52.  So 2^-44 leaves room for any libm within
-// about 200 ULP of the true log, and for the glibc variants that differ
-// from each other by one ULP on some inputs.
-inline constexpr double kLaneLogMargin = 0x1.0p-44;
+// ln x for a positive normal x.  Static, so that a translation unit
+// built with wider ISA flags keeps its inlined copy to itself.
+[[nodiscard]] static inline double log(double x) noexcept {
+  return detail::log_body<1>(x);
+}
 
 // Block lengths passed to a lane log must be a multiple of this.
 inline constexpr std::size_t kLaneLogBlock = 4;
 
-// out[i] = ln x[i] for i < n, each x[i] a positive normal double below
-// 2^1023, n a multiple of kLaneLogBlock.  x and out may be the same
-// array.
+// out[i] = util::log(x[i]) for i < n, bit for bit, n a multiple of
+// kLaneLogBlock.  x and out may be the same array.
 using LaneLog = void (*)(const double* x, double* out, std::size_t n) noexcept;
 
 // The baseline-ISA lane: runs on every host.

@@ -1,15 +1,15 @@
-// The AVX2 instantiation of the lane log: four doubles per 256-bit
-// register.  Compile-time gate: the body is compiled only when the build
-// sets LEXFOR_SIMD and CMake gave this translation unit alone -mavx2
-// -mfma -ffp-contract=off (the rest of the tree keeps the baseline ISA).
-// -ffp-contract=off keeps every multiply and add rounding on its own, as
-// in the baseline lane, so both lanes return the same bits.  Runtime
-// gate: __builtin_cpu_supports, checked once.
+// The AVX2 lane of the owned log: four doubles per 256-bit register.
+// Compile-time gate: the body is compiled only when the build sets
+// LEXFOR_SIMD and CMake gave this translation unit alone -mavx2 -mfma
+// (the rest of the tree keeps the baseline ISA).  The whole tree builds
+// with -ffp-contract=off, so every multiply and add here rounds on its
+// own, as in the baseline lane and the scalar form, and all three
+// return the same bits.  Runtime gate: __builtin_cpu_supports, checked
+// once.
 
 #include "util/lane_log.h"
 
 #if defined(LEXFOR_SIMD) && defined(__AVX2__)
-#include "util/lane_log_block.h"
 #define LEXFOR_LANE_LOG_AVX2 1
 #else
 #define LEXFOR_LANE_LOG_AVX2 0

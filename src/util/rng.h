@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <utility>
 
+#include "util/lane_log.h"
+
 namespace lexfor {
 
 class Rng {
@@ -31,9 +33,9 @@ class Rng {
   // Next raw 64-bit draw (xoshiro256**).  This draw, uniform01() and
   // exponential() are defined here so the simulation loops that make
   // several draws per packet inline them.  Inlined, `t += exponential(m)`
-  // could fuse into one FMA on a target that has it; the tree builds for
-  // the baseline x86-64 ISA, which has none, so every sum rounds as it
-  // did out of line.
+  // could fuse into one FMA on a target that has it; the whole tree
+  // builds with -ffp-contract=off, so every sum rounds as it does out of
+  // line.
   result_type operator()() noexcept {
     const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;
@@ -62,12 +64,13 @@ class Rng {
   // Bernoulli draw with probability p (clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
-  // Exponential with the given mean (> 0).  A uniform of 0 is clamped
-  // to 2^-53 so log never sees 0.
+  // Exponential with the given mean (> 0): (-mean) * util::log(u), the
+  // owned log (util/lane_log.h), so the draws have the same bits on
+  // every host.  A uniform of 0 is clamped to 2^-53 so log never sees 0.
   [[nodiscard]] double exponential(double mean) noexcept {
     double u = uniform01();
     if (u <= 0.0) u = 0x1.0p-53;
-    return -mean * std::log(u);
+    return -mean * util::log(u);
   }
 
   // Standard-normal via Box-Muller (no cached spare: keeps state minimal

@@ -11,11 +11,11 @@
 //
 // Compile-time gate: the file is always built, but the AVX2 body is
 // compiled only when the build sets LEXFOR_SIMD (CMake option) AND this
-// translation unit has AVX2 (CMake adds -mavx2 -mfma -ffp-contract=off
-// to this file alone when the compiler supports them; the rest of the
-// codebase keeps the portable baseline ISA).  -ffp-contract=off is part
-// of the bit-identity contract: contracting den + d·d into an FMA
-// rounds once where the scalar path rounds twice.  (num + d·c would
+// translation unit has AVX2 (CMake adds -mavx2 -mfma to this file alone
+// when the compiler supports them; the rest of the codebase keeps the
+// portable baseline ISA).  The tree-wide -ffp-contract=off (root
+// CMakeLists.txt) is part of the bit-identity contract: contracting
+// den + d·d into an FMA rounds once where the scalar path rounds twice.  (num + d·c would
 // survive contraction, since d·c is exact for ±1 chips, but no body
 // relies on that.)  Runtime gate: __builtin_cpu_supports, checked once.
 

@@ -35,7 +35,9 @@ struct EmbedParams {
 class Embedder {
  public:
   Embedder(PnCode code, EmbedParams params)
-      : code_(std::move(code)), params_(params) {}
+      : code_(std::move(code)),
+        params_(params),
+        inv_chip_us_(1.0 / static_cast<double>(params.chip_duration.us)) {}
 
   // 1 +- depth during the code window, exactly 1.0 outside it.
   [[nodiscard]] double multiplier(SimTime now) const noexcept {
@@ -43,13 +45,23 @@ class Embedder {
   }
 
   // The chip `now` falls in: -1 before the start, the code length from
-  // the end on.  Non-decreasing in `now` for a positive chip duration,
-  // so two times with one index enclose only that chip
-  // (tornet::simulate_flow_bins settles a bracketed send time by it).
+  // the end on.  Non-decreasing in `now` for a positive chip duration.
+  // Below 2^52 us the offset times the reciprocal is within one of the
+  // quotient (relative error under 2^-52 on a quotient under 2^52 /
+  // chip_duration), and one step corrects it; past that it divides.
   [[nodiscard]] std::int64_t chip_index(SimTime now) const noexcept {
     if (now < params_.start) return -1;
-    const std::int64_t chip =
-        (now.us - params_.start.us) / params_.chip_duration.us;
+    const std::int64_t offset = now.us - params_.start.us;
+    const std::int64_t chip_us = params_.chip_duration.us;
+    std::int64_t chip = offset;
+    if (offset < (std::int64_t{1} << 52) && chip_us > 0) {
+      chip = static_cast<std::int64_t>(static_cast<double>(offset) *
+                                       inv_chip_us_);
+      const std::int64_t rest = offset - chip * chip_us;
+      chip += (rest >= chip_us) - (rest < 0);
+    } else {
+      chip /= chip_us;
+    }
     const auto n = static_cast<std::int64_t>(code_.length());
     return chip < n ? chip : n;
   }
@@ -89,6 +101,7 @@ class Embedder {
  private:
   PnCode code_;
   EmbedParams params_;
+  double inv_chip_us_;  // 1 / chip_duration.us, for chip_index
 };
 
 }  // namespace lexfor::watermark

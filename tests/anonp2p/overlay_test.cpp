@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 
 #include "oracles/nearest_holder.h"
@@ -200,6 +201,40 @@ TEST(OverlayTest, SameSeedSameTopology) {
     EXPECT_EQ(a.neighbors(PeerId{i}).size(), b.neighbors(PeerId{i}).size());
     EXPECT_EQ(a.holds_file(PeerId{i}), b.holds_file(PeerId{i}));
   }
+}
+
+TEST(OverlayTest, QueryDelaysMatchTheGoldenDigest) {
+  // Raw delays of 200 overlays of 128 peers, every peer probed 20 times,
+  // folded with FNV-1a (a timeout folds as one marker word).  The delays
+  // are sums of Rng::exponential draws, whose log is the owned util::log,
+  // so every host and build gives these bits; under glibc's log, its
+  // default variant and the one GLIBC_TUNABLES=glibc.cpu.hwcaps=
+  // -AVX2,-FMA selects gave different digests.  The golden value was
+  // computed from this build.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  std::size_t answered = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    OverlayConfig cfg;
+    cfg.num_peers = 128;
+    cfg.seed = seed;
+    const Overlay overlay(cfg);
+    Rng rng = Rng::sub_stream(seed, 1);
+    for (std::size_t p = 0; p < overlay.peer_count(); ++p) {
+      for (int probe = 0; probe < 20; ++probe) {
+        const auto d = overlay.query_delay_ms(PeerId{p}, rng);
+        if (d.has_value()) ++answered;
+        add(d.has_value() ? std::bit_cast<std::uint64_t>(*d) : ~0ULL);
+      }
+    }
+  }
+  EXPECT_GT(answered, 400'000u);
+  EXPECT_EQ(h, 0xbf16bafb400b0ddeULL);
 }
 
 }  // namespace

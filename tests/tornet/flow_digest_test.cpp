@@ -2,14 +2,16 @@
 // first four raw draws each flow's Rng makes after it, folded with
 // FNV-1a over the §IV.B traceback's flows.  The composition grid in
 // simulate_flow_test.cpp compares two paths of one build; this pins the
-// bits themselves, so a change to the draw path, the fast path or the
-// host's libm that moves any bin fails here on every host and build
-// (the LEXFOR_SIMD=OFF leg and the hwcaps -AVX2,-FMA stage run it too).
-// The golden values were computed before the bracketed fast path
-// existed, from the exact one-log-per-draw loop.  The sends digest pins
-// generate_modulated_poisson the same way; its golden values were
-// computed from the branching thinning loop, before the keep test
-// became branch-free.
+// bits themselves, so a change to the draw path, the blocked loops or
+// the log that moves any bin fails here on every host and build (the
+// LEXFOR_SIMD=OFF leg and the hwcaps -AVX2,-FMA stage run it too).
+// The golden values were computed from the exact one-log-per-draw loop,
+// before the packet path drew in blocks, and hold with the owned
+// util::log too: no time lies close enough to a bin edge to move.  The
+// sends digest pins generate_modulated_poisson the same way; its golden
+// values come from the one-at-a-time thinning loop
+// (tests/oracles/packet_path.h) with util::log, which sets the raw send
+// times' last bits.
 
 #include <gtest/gtest.h>
 
@@ -101,8 +103,8 @@ std::uint64_t sends_digest(bool marked, std::uint64_t first_seed,
 }
 
 TEST(FlowDigestTest, GeneratedSendsMatchTheGoldenDigest) {
-  EXPECT_EQ(sends_digest(true, 1, 40), 0x2e332e554961a2a3ULL);
-  EXPECT_EQ(sends_digest(false, 1, 40), 0x16d6b6563fad9745ULL);
+  EXPECT_EQ(sends_digest(true, 1, 40), 0x589f80d1dba44a8ULL);
+  EXPECT_EQ(sends_digest(false, 1, 40), 0x938ba504991a64d4ULL);
 }
 
 TEST(FlowDigestTest, DefaultTracebackFlowsMatchTheGoldenDigest) {

@@ -1,5 +1,7 @@
 // simulate_flow_bins against the composition it replaces:
-// bin_arrivals(transit(generate_modulated_poisson(...))).  The bins must
+// bin_arrivals(transit(generate_modulated_poisson(...))), composed here
+// from the one-at-a-time loops (tests/oracles/packet_path.h), so a flaw
+// shared by the blocked library loops cannot cancel out.  The bins must
 // match bit for bit and the caller's Rng must end where the composition
 // leaves it, over a grid of network, code and rate settings and at the
 // degenerate inputs the composition guards against.  Its stop search,
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "oracles/packet_path.h"
 #include "tornet/anonymity_network.h"
 #include "watermark/dsss.h"
 
@@ -57,9 +60,9 @@ std::vector<double> composed(const AnonymityNetwork& net,
                              const Circuit& circuit, const FlowArgs& a,
                              const std::function<double(double)>& multiplier,
                              Rng& rng) {
-  const auto sends = generate_modulated_poisson(
+  const auto sends = oracles::generate_modulated_poisson(
       a.base_rate, a.t_end_sec, a.max_multiplier, multiplier, rng);
-  const auto arrivals = net.transit(circuit, sends, rng);
+  const auto arrivals = oracles::transit(net, circuit, sends, rng);
   const auto counts =
       bin_arrivals(arrivals, a.start_sec, a.window_sec, a.windows);
   return {counts.begin(), counts.end()};
@@ -352,12 +355,12 @@ bool fused_matches_composition(const MarkedFlow& m, const FlowArgs& a,
   return same_bits(expect, got) && same_state(expect_rng, got_rng);
 }
 
-TEST(SimulateFlowBinsTest, TEndOnACandidatesExactSumReplaysTheExactLoop) {
+TEST(SimulateFlowBinsTest, TEndOnACandidatesExactSumMatchesComposition) {
   // t_end on the exact running sum of candidate j, or on either
-  // neighbouring double: the exact loop stops at j or goes on, and the
-  // bracketed send time, which holds that sum strictly inside, cannot
-  // tell which, so the flow must be replayed.  Positions straddle the
-  // send cursor's 64-candidate blocks and reach past 2,000 candidates.
+  // neighbouring double: the composition stops at j or goes on, and the
+  // send cursor must cross at the same candidate, and the delay cursor's
+  // stop search stop at the same draw.  Positions straddle the send
+  // cursor's 64-candidate blocks and reach past 2,000 candidates.
   const MarkedFlow m;
   const double mean_gap = 1.0 / (m.args.base_rate * m.args.max_multiplier);
   const std::size_t positions[] = {1, 2, 63, 64, 65, 130, 700, 2049};
@@ -382,11 +385,10 @@ TEST(SimulateFlowBinsTest, TEndOnACandidatesExactSumReplaysTheExactLoop) {
   EXPECT_EQ(cases, 24u * std::size(positions) * 3);
 }
 
-TEST(SimulateFlowBinsTest, StartOnAPacketsExactArrivalReplaysTheExactLoop) {
+TEST(SimulateFlowBinsTest, StartOnAPacketsExactArrivalMatchesComposition) {
   // start_sec on the exact arrival of the first, a middle or the last
   // packet, or on either neighbouring double: that packet's rel is 0 or
-  // one ULP from it, so rel < 0 straddles its bracket and the flow must
-  // be replayed; the packet lands in bin 0 or is dropped exactly as the
+  // one ULP from it, and it lands in bin 0 or is dropped exactly as the
   // composition decides.
   const MarkedFlow m;
   std::size_t cases = 0;
@@ -397,14 +399,14 @@ TEST(SimulateFlowBinsTest, StartOnAPacketsExactArrivalReplaysTheExactLoop) {
     FlowArgs a = m.args;
     a.t_end_sec = 20.0;
     Rng draws = rng;
-    const auto sends = generate_modulated_poisson(
+    const auto sends = oracles::generate_modulated_poisson(
         a.base_rate, a.t_end_sec, a.max_multiplier,
         marked ? std::function<double(double)>([&m](double t) {
           return m.embedder.multiplier(SimTime::from_sec(t));
         })
                : std::function<double(double)>(),
         draws);
-    const auto arrivals = m.net.transit(circuit, sends, draws);
+    const auto arrivals = oracles::transit(m.net, circuit, sends, draws);
     ASSERT_GT(arrivals.size(), 1000u);
     for (const std::size_t i :
          {std::size_t{0}, arrivals.size() / 2, arrivals.size() - 1}) {

@@ -269,6 +269,24 @@ TEST(RngTest, Uniform01AndExponentialMatchKnownBits) {
   }
 }
 
+TEST(RngTest, ExponentialIsMinusMeanTimesTheOwnedLog) {
+  // exponential(m) is (-m) * util::log(u) of its uniform u, clamped at
+  // 2^-53, bit for bit: the packet path's blocked loops rely on it when
+  // they take the same logs a block at a time from util's lanes.
+  for (const double mean : {1.0, 0.25, 30.0, 1.0 / 162.0, 1e9}) {
+    Rng e{43};
+    Rng u{43};
+    for (int i = 0; i < 100'000; ++i) {
+      double x = u.uniform01();
+      if (x <= 0.0) x = 0x1.0p-53;
+      const double want = -mean * util::log(x);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(e.exponential(mean)),
+                std::bit_cast<std::uint64_t>(want))
+          << "mean " << mean << " draw " << i;
+    }
+  }
+}
+
 TEST(RngTest, SubStreamAndSplitMatchKnownAnswers) {
   Rng stream = Rng::sub_stream(7, 3);
   for (const std::uint64_t want :

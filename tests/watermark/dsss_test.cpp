@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/rng.h"
 #include "watermark/correlate.h"
 
@@ -41,6 +44,85 @@ TEST(EmbedderTest, EndMatchesCodeLength) {
   const double expected_sec =
       1.0 + 0.1 * static_cast<double>(code.length());
   EXPECT_NEAR(emb.end().seconds(), expected_sec, 1e-9);
+}
+
+// chip_index's definition: -1 before the start, offset / duration in
+// int64 after it, the code length from the end on.
+std::int64_t chip_by_division(const Embedder& emb, SimTime now) {
+  if (now < emb.params().start) return -1;
+  const std::int64_t chip =
+      (now.us - emb.params().start.us) / emb.params().chip_duration.us;
+  const auto n = static_cast<std::int64_t>(emb.code().length());
+  return chip < n ? chip : n;
+}
+
+Embedder embedder_at(std::int64_t start_us, std::int64_t chip_us,
+                     int degree = 9) {
+  EmbedParams p;
+  p.start = SimTime{start_us};
+  p.chip_duration = SimDuration{chip_us};
+  return Embedder(PnCode::m_sequence(degree).value(), p);
+}
+
+TEST(EmbedderTest, ChipIndexMatchesIntegerDivisionAtEveryChipEdge) {
+  // Every chip edge of a 511-chip code, and the times 1 and 2 us either
+  // side of it, at durations of 1 us, small odd ones, the 400 ms chip,
+  // its odd neighbour and a large prime.
+  for (const std::int64_t chip_us :
+       {std::int64_t{1}, std::int64_t{3}, std::int64_t{7},
+        std::int64_t{400'000}, std::int64_t{400'001},
+        std::int64_t{999'999'937}}) {
+    const Embedder emb = embedder_at(-123'456, chip_us);
+    const auto n = static_cast<std::int64_t>(emb.code().length());
+    for (std::int64_t chip = 0; chip <= n + 1; ++chip) {
+      for (std::int64_t d = -2; d <= 2; ++d) {
+        const SimTime now{emb.params().start.us + chip * chip_us + d};
+        ASSERT_EQ(emb.chip_index(now), chip_by_division(emb, now))
+            << "chip " << chip << " d " << d << " duration " << chip_us;
+      }
+    }
+  }
+}
+
+TEST(EmbedderTest, ChipIndexMatchesIntegerDivisionInEveryBinade) {
+  // Offsets from every binade up to 2^62, past the 2^52 us where the
+  // reciprocal gives way to division.  Per binade, the duration is set so
+  // the quotient falls inside a 1,023-chip code (300 to 600), so no
+  // clamp hides it; durations of 1 us and a prime check the clamp too.
+  Rng rng(4242);
+  for (int b = 0; b < 62; ++b) {
+    const std::int64_t lo = std::int64_t{1} << b;
+    const std::int64_t scaled = std::max<std::int64_t>(1, lo / 300) | 1;
+    for (const std::int64_t chip_us :
+         {scaled, std::int64_t{1}, std::int64_t{999'999'937}}) {
+      const Embedder emb = embedder_at(0, chip_us, 10);
+      for (int i = 0; i < 2'000; ++i) {
+        const SimTime now{lo + static_cast<std::int64_t>(rng.uniform(
+                                   static_cast<std::uint64_t>(lo)))};
+        ASSERT_EQ(emb.chip_index(now), chip_by_division(emb, now))
+            << "offset " << now.us << " duration " << chip_us;
+      }
+    }
+  }
+}
+
+TEST(EmbedderTest, ChipEndIsTheFirstTimePastItsChip) {
+  // chip_index(t) is `index` from chip_end(index - 1) up to, not
+  // including, chip_end(index), at both edges of every chip.
+  for (const std::int64_t chip_us :
+       {std::int64_t{1}, std::int64_t{400'001}, std::int64_t{999'999'937}}) {
+    const Embedder emb = embedder_at(5'000, chip_us);
+    const auto n = static_cast<std::int64_t>(emb.code().length());
+    for (std::int64_t index = -1; index < n; ++index) {
+      const SimTime end = emb.chip_end(index);
+      ASSERT_EQ(emb.chip_index(SimTime{end.us - 1}), index) << index;
+      ASSERT_EQ(emb.chip_index(end), index + 1) << index;
+      if (index >= 0) {
+        ASSERT_EQ(emb.chip_index(emb.chip_end(index - 1)), index) << index;
+      }
+    }
+    EXPECT_EQ(emb.chip_end(n).us, INT64_MAX);
+  }
 }
 
 TEST(DetectorTest, RejectsShortSeries) {

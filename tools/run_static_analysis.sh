@@ -244,7 +244,9 @@ stage "differential doctrine sweep (check_fuzz under ASan)" check_sweep
 # and its baseline variant differ in the last bit for about one input in
 # ten thousand.  Masking AVX2 and FMA from glibc's hwcaps makes it pick
 # the other variant, so rerunning tier-1 that way shows whether any gate
-# depends on which one the host got.  Reuses stage 1's -Werror tree.
+# depends on which one the host got.  The simulation's exponentials take
+# the owned util::log, so the golden log, flow, anonp2p and netsim
+# digests must hold here unchanged.  Reuses stage 1's -Werror tree.
 host_variance_ctest() {
   GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA \
   ctest --test-dir build-werror --output-on-failure -j "${JOBS}"
