@@ -5,8 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/string_util.h"
-
 namespace lexfor::capture {
 
 struct Filter::Node {
@@ -80,14 +78,6 @@ Filter Filter::chain(Op op, std::vector<Filter> operands) {
     text += ')';
   }
   return Filter(Node{op, {}, std::move(operands), std::move(text)});
-}
-
-Filter Filter::operator&&(const Filter& other) const {
-  return chain(Op::kAnd, {*this, other});
-}
-
-Filter Filter::operator||(const Filter& other) const {
-  return chain(Op::kOr, {*this, other});
 }
 
 Filter Filter::operator!() const {

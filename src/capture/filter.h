@@ -9,10 +9,10 @@
 // warrant-scope string so the instrument itself carries the technical
 // scope.
 //
-// A Filter is an immutable tree of shared nodes, so copying one and
-// combining two never copy the operands.  parse() builds one node per
-// flat `and`/`or` chain, so parsing is linear in the expression and
-// matches() recurses only as deep as '(' and 'not' nest.
+// A Filter is an immutable tree of shared nodes, so copying one never
+// copies its operands.  parse() builds one node per flat `and`/`or`
+// chain, so parsing is linear in the expression and matches() recurses
+// only as deep as '(' and 'not' nest.
 
 #pragma once
 
@@ -40,9 +40,7 @@ class Filter {
   static Filter protocol(netsim::Protocol proto);
   static Filter max_size(std::uint32_t bytes);  // payload_size <= bytes
 
-  // --- combinators --------------------------------------------------------
-  [[nodiscard]] Filter operator&&(const Filter& other) const;
-  [[nodiscard]] Filter operator||(const Filter& other) const;
+  // Negation: "(not host 3)".
   [[nodiscard]] Filter operator!() const;
 
   // Evaluation.

@@ -133,19 +133,8 @@ Sha256::Digest Sha256::hash(const Bytes& data) noexcept {
   return h.finish();
 }
 
-Sha256::Digest Sha256::hash(std::string_view s) noexcept {
-  Sha256 h;
-  h.update(s);
-  return h.finish();
-}
-
 std::string Sha256::hex(const Bytes& data) {
   const Digest d = hash(data);
-  return to_hex(d.data(), d.size());
-}
-
-std::string Sha256::hex(std::string_view s) {
-  const Digest d = hash(s);
   return to_hex(d.data(), d.size());
 }
 

@@ -40,9 +40,7 @@ class Sha256 {
 
   // One-shot helpers.
   [[nodiscard]] static Digest hash(const Bytes& data) noexcept;
-  [[nodiscard]] static Digest hash(std::string_view s) noexcept;
   [[nodiscard]] static std::string hex(const Bytes& data);
-  [[nodiscard]] static std::string hex(std::string_view s);
 
  private:
   void process_block(const std::uint8_t* block) noexcept;

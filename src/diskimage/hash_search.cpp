@@ -3,30 +3,8 @@
 #include <algorithm>
 
 #include "crypto/sha256.h"
-#include "util/string_util.h"
 
 namespace lexfor::diskimage {
-
-Result<HashSearcher> HashSearcher::from_text(const std::string& text) {
-  std::unordered_set<std::string> known;
-  for (const auto& raw_line : split(text, '\n')) {
-    std::string_view line = trim(raw_line);
-    if (line.empty() || line.front() == '#') continue;
-    if (line.size() != 64) {
-      return InvalidArgument("hash set: line is not a 64-char SHA-256 hex "
-                             "digest: '" + std::string(line) + "'");
-    }
-    std::string digest = to_lower(line);
-    for (const char c : digest) {
-      const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-      if (!hex) {
-        return InvalidArgument("hash set: non-hex character in digest");
-      }
-    }
-    known.insert(std::move(digest));
-  }
-  return HashSearcher{std::move(known)};
-}
 
 Result<std::vector<HashHit>> HashSearcher::search(
     const DiskImage& image, const legal::GrantedAuthority& authority,

@@ -29,13 +29,10 @@ struct HashHit {
 // Known-file search (NSRL-style hash set matching).
 class HashSearcher {
  public:
+  // `known_sha256_hex` holds lowercase digests, as Sha256::hex spells
+  // them.
   explicit HashSearcher(std::unordered_set<std::string> known_sha256_hex)
       : known_(std::move(known_sha256_hex)) {}
-
-  // Loads an NSRL-style hash set: one lowercase/uppercase SHA-256 hex
-  // digest per line; blank lines and '#' comments ignored.  Fails on the
-  // first malformed digest.
-  static Result<HashSearcher> from_text(const std::string& text);
 
   // Hashes every file on the image — live and recoverable-deleted — and
   // reports matches against the known set.  The legal gate mirrors the

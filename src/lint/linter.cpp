@@ -109,37 +109,14 @@ std::vector<legal::Fact> PlanContext::facts_before(SimTime t) const {
   return facts;
 }
 
-PlanLinter::PlanLinter() {
-  passes_.push_back(std::make_unique<MissingProcessPass>());
-  passes_.push_back(std::make_unique<ExpiredAuthorityPass>());
-  passes_.push_back(std::make_unique<PoisonousTreePass>());
-  passes_.push_back(std::make_unique<StandingMismatchPass>());
-  passes_.push_back(std::make_unique<UnreachableStepPass>());
-  passes_.push_back(std::make_unique<ProofGapPass>());
-}
-
-Status PlanLinter::register_pass(std::unique_ptr<LintPass> pass) {
-  if (pass == nullptr) {
-    return InvalidArgument("register_pass: pass must not be null");
-  }
-  for (const auto& existing : passes_) {
-    if (existing->rule() == pass->rule()) {
-      return AlreadyExists("register_pass: a pass with rule id '" +
-                           std::string(pass->rule()) +
-                           "' is already registered");
-    }
-  }
-  passes_.push_back(std::move(pass));
-  return Status::Ok();
-}
-
 LintReport PlanLinter::lint(const InvestigationPlan& plan) const {
   const PlanContext ctx(plan, engine_);
 
   LintReport report;
   report.plan_title = plan.title();
-  for (const auto& pass : passes_) {
-    pass->run(ctx, report.diagnostics);
+  for (const auto pass : {missing_process, expired_authority, poisonous_tree,
+                          standing_mismatch, unreachable_step, proof_gap}) {
+    pass(ctx, report.diagnostics);
   }
 
   // Deterministic order: offending step's scheduled position, then

@@ -4,21 +4,18 @@
 // ComplianceEngine (the oracle the runtime uses, reached via the
 // shared verdict cache of legal::BatchEvaluator), resolves intended
 // authorities, computes reachability and a static fruit-of-the-
-// poisonous-tree taint closure, and then runs an extensible registry of
-// diagnostic passes over the precomputed context.  Nothing executes: no
+// poisonous-tree taint closure, and then runs the six diagnostic passes
+// of lint/passes.h over the precomputed context.  Nothing executes: no
 // court is petitioned, no byte is acquired.
 
 #pragma once
 
-#include <memory>
-#include <string_view>
 #include <vector>
 
 #include "legal/batch.h"
 #include "legal/engine.h"
 #include "lint/diagnostic.h"
 #include "lint/plan.h"
-#include "util/status.h"
 
 namespace lexfor::lint {
 
@@ -72,34 +69,10 @@ class PlanContext {
   std::vector<StepAnalysis> steps_;
 };
 
-// One diagnostic pass.  Passes are stateless; `rule()` is the stable id
-// stamped on every diagnostic the pass emits.
-class LintPass {
- public:
-  virtual ~LintPass() = default;
-  [[nodiscard]] virtual std::string_view rule() const noexcept = 0;
-  virtual void run(const PlanContext& ctx,
-                   std::vector<Diagnostic>& out) const = 0;
-};
-
 class PlanLinter {
  public:
-  // Constructs a linter with the six built-in passes registered.
-  PlanLinter();
-
-  // Adds a custom pass; runs after the built-ins.  Rule ids key
-  // suppressions and regression baselines, so they must be unique:
-  // registering a pass whose rule() collides with a built-in or an
-  // earlier custom pass fails with kAlreadyExists (a null pass is
-  // kInvalidArgument) and leaves the registry unchanged.
-  Status register_pass(std::unique_ptr<LintPass> pass);
-
-  [[nodiscard]] const std::vector<std::unique_ptr<LintPass>>& passes()
-      const noexcept {
-    return passes_;
-  }
-
-  // Runs every registered pass and returns the sorted report.
+  // Runs the six passes of lint/passes.h, in the order listed there,
+  // and returns the sorted report.
   [[nodiscard]] LintReport lint(const InvestigationPlan& plan) const;
 
  private:
@@ -108,7 +81,6 @@ class PlanLinter {
   // untouched) stops re-deriving identical determinations — and the
   // runtime's later Investigation::acquire calls hit the same entries.
   legal::BatchEvaluator engine_;
-  std::vector<std::unique_ptr<LintPass>> passes_;
 };
 
 }  // namespace lexfor::lint

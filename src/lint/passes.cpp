@@ -28,8 +28,7 @@ void cite(Diagnostic& d, std::initializer_list<const char*> ids) {
 
 }  // namespace
 
-void MissingProcessPass::run(const PlanContext& ctx,
-                             std::vector<Diagnostic>& out) const {
+void missing_process(const PlanContext& ctx, std::vector<Diagnostic>& out) {
   for (const auto& a : ctx.steps()) {
     const PlanStep& step = *a.step;
     if (step.kind != StepKind::kAcquisition) continue;
@@ -48,15 +47,14 @@ void MissingProcessPass::run(const PlanContext& ctx,
     if (step.uses_authority.valid() && a.authority == nullptr) {
       os << " (the referenced instrument is never applied for in this plan)";
     }
-    Diagnostic d = make(Severity::kError, rule(), step, os.str());
+    Diagnostic d = make(Severity::kError, kRuleMissingProcess, step, os.str());
     d.rationale = a.determination.rationale;
     d.citations = a.determination.citations;
     out.push_back(std::move(d));
   }
 }
 
-void ExpiredAuthorityPass::run(const PlanContext& ctx,
-                               std::vector<Diagnostic>& out) const {
+void expired_authority(const PlanContext& ctx, std::vector<Diagnostic>& out) {
   for (const auto& a : ctx.steps()) {
     const PlanStep& step = *a.step;
     if (step.kind != StepKind::kAcquisition) continue;
@@ -73,7 +71,8 @@ void ExpiredAuthorityPass::run(const PlanContext& ctx,
       os << "step is scheduled at day " << in_days(step.scheduled_at)
          << " but the instrument expires at day " << in_days(expiry);
     }
-    Diagnostic d = make(Severity::kError, rule(), step, os.str());
+    Diagnostic d =
+        make(Severity::kError, kRuleExpiredAuthority, step, os.str());
     d.rationale.emplace_back(
         "an instrument authorizes acquisitions only inside its validity "
         "window; Rule 41 warrants must be executed within 14 days");
@@ -82,8 +81,7 @@ void ExpiredAuthorityPass::run(const PlanContext& ctx,
   }
 }
 
-void PoisonousTreePass::run(const PlanContext& ctx,
-                            std::vector<Diagnostic>& out) const {
+void poisonous_tree(const PlanContext& ctx, std::vector<Diagnostic>& out) {
   for (const auto& a : ctx.steps()) {
     const PlanStep& step = *a.step;
     if (step.kind != StepKind::kAcquisition || step.derived_from.empty()) {
@@ -103,7 +101,7 @@ void PoisonousTreePass::run(const PlanContext& ctx,
 
     if (a.tainted) {
       Diagnostic d = make(
-          Severity::kError, rule(), step,
+          Severity::kError, kRulePoisonousTree, step,
           "every source of this step is tainted; the evidence it yields "
           "would be suppressed as fruit of the poisonous tree");
       d.rationale.emplace_back(
@@ -115,7 +113,7 @@ void PoisonousTreePass::run(const PlanContext& ctx,
       // Saved by an annotation: surface the reliance as a note so the
       // team knows the claim must hold up at the hearing.
       Diagnostic d = make(
-          Severity::kNote, rule(), step,
+          Severity::kNote, kRulePoisonousTree, step,
           step.independent_source
               ? "derives only from tainted steps but claims an independent "
                 "lawful source; admissibility rests on proving that claim"
@@ -131,8 +129,7 @@ void PoisonousTreePass::run(const PlanContext& ctx,
   }
 }
 
-void StandingMismatchPass::run(const PlanContext& ctx,
-                               std::vector<Diagnostic>& out) const {
+void standing_mismatch(const PlanContext& ctx, std::vector<Diagnostic>& out) {
   const std::string& suspect = ctx.plan().charged_suspect();
   if (suspect.empty()) return;
   for (const auto& a : ctx.steps()) {
@@ -146,7 +143,8 @@ void StandingMismatchPass::run(const PlanContext& ctx,
     os << "the planned violation invades " << step.aggrieved_party
        << "'s rights, not " << suspect
        << "'s; suppression standing never attaches to the charged suspect";
-    Diagnostic d = make(Severity::kWarning, rule(), step, os.str());
+    Diagnostic d =
+        make(Severity::kWarning, kRuleStandingMismatch, step, os.str());
     d.rationale.emplace_back(
         "the evidence would likely survive the suspect's motion to "
         "suppress, but the acquisition is still unlawful as planned and "
@@ -156,8 +154,7 @@ void StandingMismatchPass::run(const PlanContext& ctx,
   }
 }
 
-void UnreachableStepPass::run(const PlanContext& ctx,
-                              std::vector<Diagnostic>& out) const {
+void unreachable_step(const PlanContext& ctx, std::vector<Diagnostic>& out) {
   for (const auto& a : ctx.steps()) {
     const PlanStep& step = *a.step;
     if (step.kind != StepKind::kAcquisition || !a.unreachable) continue;
@@ -177,7 +174,7 @@ void UnreachableStepPass::run(const PlanContext& ctx,
         os << " parent '" << parent->step->name << "' is itself unreachable;";
       }
     }
-    Diagnostic d = make(Severity::kError, rule(), step, os.str());
+    Diagnostic d = make(Severity::kError, kRuleUnreachableStep, step, os.str());
     d.rationale.emplace_back(
         "evidence cannot be derived from an acquisition that will not "
         "have happened; reorder the plan or fix the derivation edge");
@@ -185,8 +182,7 @@ void UnreachableStepPass::run(const PlanContext& ctx,
   }
 }
 
-void ProofGapPass::run(const PlanContext& ctx,
-                       std::vector<Diagnostic>& out) const {
+void proof_gap(const PlanContext& ctx, std::vector<Diagnostic>& out) {
   for (const auto& a : ctx.steps()) {
     const PlanStep& step = *a.step;
     if (step.kind != StepKind::kApplication) continue;
@@ -201,7 +197,7 @@ void ProofGapPass::run(const PlanContext& ctx,
        << " is scheduled while the fact set supports only "
        << legal::to_string(have.standard) << " (needs "
        << legal::to_string(needed) << ")";
-    Diagnostic d = make(Severity::kError, rule(), step, os.str());
+    Diagnostic d = make(Severity::kError, kRuleProofGap, step, os.str());
     d.rationale = have.notes;
     d.rationale.emplace_back(
         "facts yielded by tainted or unreachable steps are excluded from "

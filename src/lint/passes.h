@@ -1,4 +1,4 @@
-// The built-in diagnostic passes.
+// The diagnostic passes, which PlanLinter::lint runs in this order.
 //
 // Each pass mirrors a way real evidence dies in court:
 //
@@ -32,52 +32,12 @@ inline constexpr std::string_view kRuleStandingMismatch = "standing-mismatch";
 inline constexpr std::string_view kRuleUnreachableStep = "unreachable-step";
 inline constexpr std::string_view kRuleProofGap = "proof-gap";
 
-class MissingProcessPass final : public LintPass {
- public:
-  [[nodiscard]] std::string_view rule() const noexcept override {
-    return kRuleMissingProcess;
-  }
-  void run(const PlanContext& ctx, std::vector<Diagnostic>& out) const override;
-};
-
-class ExpiredAuthorityPass final : public LintPass {
- public:
-  [[nodiscard]] std::string_view rule() const noexcept override {
-    return kRuleExpiredAuthority;
-  }
-  void run(const PlanContext& ctx, std::vector<Diagnostic>& out) const override;
-};
-
-class PoisonousTreePass final : public LintPass {
- public:
-  [[nodiscard]] std::string_view rule() const noexcept override {
-    return kRulePoisonousTree;
-  }
-  void run(const PlanContext& ctx, std::vector<Diagnostic>& out) const override;
-};
-
-class StandingMismatchPass final : public LintPass {
- public:
-  [[nodiscard]] std::string_view rule() const noexcept override {
-    return kRuleStandingMismatch;
-  }
-  void run(const PlanContext& ctx, std::vector<Diagnostic>& out) const override;
-};
-
-class UnreachableStepPass final : public LintPass {
- public:
-  [[nodiscard]] std::string_view rule() const noexcept override {
-    return kRuleUnreachableStep;
-  }
-  void run(const PlanContext& ctx, std::vector<Diagnostic>& out) const override;
-};
-
-class ProofGapPass final : public LintPass {
- public:
-  [[nodiscard]] std::string_view rule() const noexcept override {
-    return kRuleProofGap;
-  }
-  void run(const PlanContext& ctx, std::vector<Diagnostic>& out) const override;
-};
+// Each pass appends its diagnostics to `out`, stamped with its rule id.
+void missing_process(const PlanContext& ctx, std::vector<Diagnostic>& out);
+void expired_authority(const PlanContext& ctx, std::vector<Diagnostic>& out);
+void poisonous_tree(const PlanContext& ctx, std::vector<Diagnostic>& out);
+void standing_mismatch(const PlanContext& ctx, std::vector<Diagnostic>& out);
+void unreachable_step(const PlanContext& ctx, std::vector<Diagnostic>& out);
+void proof_gap(const PlanContext& ctx, std::vector<Diagnostic>& out);
 
 }  // namespace lexfor::lint

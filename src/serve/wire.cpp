@@ -253,18 +253,4 @@ Status decode_response(std::span<const std::uint8_t> frame, Response& out) {
   return Status::Ok();
 }
 
-Response make_response(std::uint64_t request_id,
-                       const legal::Determination& d, bool cache_hit,
-                       std::uint64_t server_ns) {
-  Response r;
-  r.request_id = request_id;
-  r.status = StatusCode::kOk;
-  r.needs_process = d.needs_process;
-  r.cache_hit = cache_hit;
-  r.required_process = d.required_process;
-  r.required_proof = d.required_proof;
-  r.server_ns = server_ns;
-  return r;
-}
-
 }  // namespace lexfor::serve::wire

@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "legal/engine.h"
 #include "legal/fact_key.h"
 #include "legal/scenario.h"
 #include "util/status.h"
@@ -159,11 +158,5 @@ void encode_response(const Response& r, std::vector<std::uint8_t>& out);
 // Strict decode of exactly one response frame.
 [[nodiscard]] Status decode_response(std::span<const std::uint8_t> frame,
                                      Response& out);
-
-// The canonical response for a determination: verdict, required
-// process/proof, cache-hit flag and timing, under the request's id.
-[[nodiscard]] Response make_response(std::uint64_t request_id,
-                                     const legal::Determination& d,
-                                     bool cache_hit, std::uint64_t server_ns);
 
 }  // namespace lexfor::serve::wire

@@ -8,13 +8,6 @@ namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-int hex_value(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
 }  // namespace
 
 std::string to_hex(const std::uint8_t* data, std::size_t len) {
@@ -27,27 +20,8 @@ std::string to_hex(const std::uint8_t* data, std::size_t len) {
   return out;
 }
 
-std::string to_hex(const Bytes& data) { return to_hex(data.data(), data.size()); }
-
-std::optional<Bytes> from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) return std::nullopt;
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_value(hex[i]);
-    const int lo = hex_value(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return out;
-}
-
 Bytes to_bytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
-}
-
-std::string to_string(const Bytes& b) {
-  return std::string(b.begin(), b.end());
 }
 
 void append_u16(Bytes& out, std::uint16_t v) {
@@ -82,15 +56,6 @@ std::uint64_t read_u64(const Bytes& in, std::size_t offset) {
   return v;
 }
 
-std::uint32_t load_le32(const std::uint8_t* p) noexcept {
-  std::uint8_t b[4];
-  std::memcpy(b, p, sizeof b);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
 std::uint32_t load_be32(const std::uint8_t* p) noexcept {
   std::uint8_t b[4];
   std::memcpy(b, p, sizeof b);
@@ -98,29 +63,6 @@ std::uint32_t load_be32(const std::uint8_t* p) noexcept {
          (static_cast<std::uint32_t>(b[1]) << 16) |
          (static_cast<std::uint32_t>(b[2]) << 8) |
          static_cast<std::uint32_t>(b[3]);
-}
-
-std::uint64_t load_le64(const std::uint8_t* p) noexcept {
-  std::uint8_t b[8];
-  std::memcpy(b, p, sizeof b);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
-}
-
-std::uint64_t load_be64(const std::uint8_t* p) noexcept {
-  std::uint8_t b[8];
-  std::memcpy(b, p, sizeof b);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | b[i];
-  return v;
-}
-
-void store_le32(std::uint8_t* p, std::uint32_t v) noexcept {
-  const std::uint8_t b[4] = {
-      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-  std::memcpy(p, b, sizeof b);
 }
 
 void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {

@@ -1,4 +1,4 @@
-// Byte-buffer helpers: hex encoding/decoding and simple serialization.
+// Byte-buffer helpers: hex encoding and simple serialization.
 //
 // Evidence hashing, disk-image content and packet payloads are all
 // `std::vector<std::uint8_t>`; this header centralizes the conversions.
@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,15 +15,10 @@ namespace lexfor {
 using Bytes = std::vector<std::uint8_t>;
 
 // Lowercase hex encoding ("deadbeef").
-[[nodiscard]] std::string to_hex(const Bytes& data);
 [[nodiscard]] std::string to_hex(const std::uint8_t* data, std::size_t len);
 
-// Decodes lowercase/uppercase hex; nullopt on odd length or non-hex chars.
-[[nodiscard]] std::optional<Bytes> from_hex(std::string_view hex);
-
-// UTF-8/ASCII string <-> bytes.
+// The bytes of a UTF-8/ASCII string.
 [[nodiscard]] Bytes to_bytes(std::string_view s);
-[[nodiscard]] std::string to_string(const Bytes& b);
 
 // Little-endian integer append/read, used by the deterministic
 // serializers (chain-of-custody records, disk images).
@@ -35,16 +29,12 @@ void append_u64(Bytes& out, std::uint64_t v);
 [[nodiscard]] std::uint32_t read_u32(const Bytes& in, std::size_t offset);
 [[nodiscard]] std::uint64_t read_u64(const Bytes& in, std::size_t offset);
 
-// Fixed-endian word loads from raw (possibly unaligned) byte buffers.
-// memcpy into a local array is the sanctioned idiom: it is defined for
-// any alignment (unlike casting to uint32_t*) and compiles to a single
-// move on every mainstream target.  Block-cipher/digest kernels use
-// these instead of open-coding the shifts.
-[[nodiscard]] std::uint32_t load_le32(const std::uint8_t* p) noexcept;
+// Big-endian word load and store on raw (possibly unaligned) byte
+// buffers.  memcpy into a local array is the sanctioned idiom: it is
+// defined for any alignment (unlike casting to uint32_t*) and compiles
+// to a single move on every mainstream target.  SHA-256 uses these
+// instead of open-coding the shifts.
 [[nodiscard]] std::uint32_t load_be32(const std::uint8_t* p) noexcept;
-[[nodiscard]] std::uint64_t load_le64(const std::uint8_t* p) noexcept;
-[[nodiscard]] std::uint64_t load_be64(const std::uint8_t* p) noexcept;
-void store_le32(std::uint8_t* p, std::uint32_t v) noexcept;
 void store_be32(std::uint8_t* p, std::uint32_t v) noexcept;
 
 }  // namespace lexfor

@@ -1,7 +1,6 @@
 #include "util/rng.h"
 
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -78,12 +77,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_in(std::int64_t lo, std::int64_t hi) noexcept {
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -96,20 +89,6 @@ double Rng::normal(double mu, double sigma) noexcept {
   const double u2 = uniform01();
   const double r = std::sqrt(-2.0 * std::log(u1));
   return mu + sigma * r * std::cos(6.283185307179586 * u2);
-}
-
-double Rng::pareto(double xm, double alpha) noexcept {
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-std::uint64_t Rng::geometric(double p) noexcept {
-  if (p >= 1.0) return 0;
-  if (p <= 0.0) p = 0x1.0p-53;
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return static_cast<std::uint64_t>(std::log(u) / std::log(1.0 - p));
 }
 
 std::uint64_t Rng::poisson(double mean) noexcept {
@@ -163,14 +142,6 @@ Rng Rng::sub_stream(std::uint64_t seed, std::uint64_t stream) noexcept {
   // the constructor's own SplitMix64 expansion mixes the combined seed.
   std::uint64_t sm = stream;
   return Rng{seed ^ splitmix64(sm)};
-}
-
-Rng Rng::split() noexcept {
-  // Derive a child seed from two parent draws; the parent advances so
-  // repeated splits yield distinct children.
-  const std::uint64_t a = (*this)();
-  const std::uint64_t b = (*this)();
-  return Rng{a ^ std::rotl(b, 32) ^ 0xd2b74407b1ce6e93ULL};
 }
 
 }  // namespace lexfor

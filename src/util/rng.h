@@ -4,9 +4,9 @@
 // generation, overlay topology) flows through `Rng`, a xoshiro256**
 // generator with explicit seeding, so every experiment is exactly
 // reproducible from its seed.  `Rng` satisfies the C++
-// UniformRandomBitGenerator requirements and can also be `split()` into
-// independent child streams, which keeps module-local randomness stable
-// when unrelated code adds or removes draws.
+// UniformRandomBitGenerator requirements, and `sub_stream()` derives
+// independent child streams by index, which keeps module-local
+// randomness stable when unrelated code adds or removes draws.
 
 #pragma once
 
@@ -52,10 +52,6 @@ class Rng {
   // bound must be nonzero.
   [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept;
 
-  // Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
-  [[nodiscard]] std::int64_t uniform_in(std::int64_t lo,
-                                        std::int64_t hi) noexcept;
-
   // Uniform double in [0, 1): 53 significant bits.
   [[nodiscard]] double uniform01() noexcept {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -77,13 +73,6 @@ class Rng {
   // and draw counts predictable).
   [[nodiscard]] double normal(double mu, double sigma) noexcept;
 
-  // Pareto (heavy-tailed) with scale xm > 0 and shape alpha > 0; used for
-  // realistic flow-size and file-size workloads.
-  [[nodiscard]] double pareto(double xm, double alpha) noexcept;
-
-  // Geometric: number of failures before first success, p in (0,1].
-  [[nodiscard]] std::uint64_t geometric(double p) noexcept;
-
   // Poisson with the given mean, exact at any mean below 2^63: Knuth's
   // product of uniforms below a mean of 30 (the draws it always made),
   // Hörmann's transformed rejection (PTRS) from 30 on.  A mean <= 0 or
@@ -91,14 +80,10 @@ class Rng {
   // returns the largest count.
   [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
 
-  // An independent child generator.  The child's stream does not overlap
-  // the parent's continued use for any practical draw count.
-  [[nodiscard]] Rng split() noexcept;
-
   // A counter-derived child stream: a generator identified by
-  // (seed, stream) alone, with no parent state consumed.  Unlike
-  // split(), stream k is the same generator no matter how many other
-  // streams are derived, in what order, or on which thread — the
+  // (seed, stream) alone, with no parent state consumed.  Stream k is
+  // the same generator no matter how many other streams are derived,
+  // in what order, or on which thread — the
   // property that lets per-item simulation loops (one stream per flow)
   // be parallelized without changing any output.
   [[nodiscard]] static Rng sub_stream(std::uint64_t seed,

@@ -66,20 +66,6 @@ class Embedder {
     return chip < n ? chip : n;
   }
 
-  // The first time past chip `index`: the start for index -1, the end
-  // of chip `index` inside the code, and the largest SimTime (never
-  // reached) from the code's end on.  So chip_index(t) is `index` for
-  // every t from chip_end(index - 1) up to, not including, this.
-  [[nodiscard]] SimTime chip_end(std::int64_t index) const noexcept {
-    std::int64_t end = 0;
-    if (index >= static_cast<std::int64_t>(code_.length()) ||
-        __builtin_mul_overflow(index + 1, params_.chip_duration.us, &end) ||
-        __builtin_add_overflow(end, params_.start.us, &end)) {
-      return SimTime{INT64_MAX};
-    }
-    return SimTime{end};
-  }
-
   // The multiplier of chip `index`: 1 +- depth inside the code, exactly
   // 1.0 outside it.
   [[nodiscard]] double chip_multiplier(std::int64_t index) const noexcept {

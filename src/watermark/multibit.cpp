@@ -42,12 +42,6 @@ double MultiBitEmbedder::multiplier(SimTime now) const noexcept {
                    static_cast<double>(code_.chips()[chip_idx]);
 }
 
-SimTime MultiBitEmbedder::end() const noexcept {
-  return params_.start +
-         params_.chip_duration *
-             static_cast<std::int64_t>(bits_.size() * params_.chips_per_bit);
-}
-
 Result<MultiBitDecodeResult> MultiBitDecoder::decode(
     std::span<const double> chip_rates, std::size_t num_bits) const {
   if (chips_per_bit_ == 0) {

@@ -37,7 +37,6 @@ class MultiBitEmbedder {
   // mark window, 1.0 outside.
   [[nodiscard]] double multiplier(SimTime now) const noexcept;
 
-  [[nodiscard]] SimTime end() const noexcept;
   [[nodiscard]] std::size_t payload_bits() const noexcept {
     return bits_.size();
   }

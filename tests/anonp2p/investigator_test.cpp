@@ -108,5 +108,43 @@ TEST(InvestigatorTest, SubsetProbingOnlyClassifiesSubset) {
   EXPECT_EQ(report.neighbors.size(), 3u);
 }
 
+// Every neighbour's classification by TimingInvestigator::run, with its
+// response and timeout counts, over 40 default overlays probed 1, 5 and
+// 20 times each, folded with FNV-1a.  The delays take the owned
+// util::log and the medians and the gap rule are IEEE arithmetic, so
+// every host and build gives these bits; the default build, the
+// LEXFOR_SIMD=OFF leg and the hwcaps -AVX2,-FMA stage run it.
+TEST(InvestigatorTest, ClassificationsMatchTheGoldenDigest) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  std::size_t sources = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    OverlayConfig cfg;
+    cfg.seed = seed;
+    const Overlay overlay(cfg);
+    const TimingInvestigator inv(overlay, all_peers(overlay));
+    for (const std::size_t probes :
+         {std::size_t{1}, std::size_t{5}, std::size_t{20}}) {
+      Rng rng = Rng::sub_stream(seed, probes);
+      const auto report = inv.run(probes, rng);
+      add(report.neighbors.size());
+      for (const auto& c : report.neighbors) {
+        add(c.peer.value());
+        add(c.classified_source);
+        add(c.responses);
+        add(c.timeouts);
+        sources += c.classified_source;
+      }
+    }
+  }
+  EXPECT_GT(sources, 0u);
+  EXPECT_EQ(h, 0xafa90e3c80985384ULL);
+}
+
 }  // namespace
 }  // namespace lexfor::anonp2p

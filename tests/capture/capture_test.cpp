@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+
+#include "netsim/flow.h"
+#include "obs/metrics.h"
+
 namespace lexfor::capture {
 namespace {
 
@@ -257,6 +263,125 @@ TEST(ToTraceTest, PenTrapTraceHasNoPayload) {
   const auto trace = to_trace(dev);
   EXPECT_EQ(trace.payload_bytes(), 0u);
 }
+
+// Capture scope for every mode under every held instrument: the device
+// exists exactly when the held process satisfies the mode's statutory
+// floor, and then it retains only what the mode may.  A two-way flow
+// passes the tap at the suspect's node: addressing without payload
+// unless the device is a full-content intercept, outgoing traffic only
+// for a pen register, incoming only for a trap and trace.  A refused
+// device records nothing.
+class CaptureScopeTest
+    : public ::testing::TestWithParam<std::tuple<CaptureMode, ProcessKind>> {};
+
+TEST_P(CaptureScopeTest, RetainsOnlyWhatTheModeAndTheHeldProcessAllow) {
+  const auto [mode, held] = GetParam();
+  const GrantedAuthority authority = held == ProcessKind::kNone
+                                         ? GrantedAuthority{}
+                                         : GrantedAuthority{make_process(held)};
+  netsim::Network net{2012};
+  const NodeId suspect = net.add_node("suspect");
+  const NodeId isp = net.add_node("isp");
+  const NodeId server = net.add_node("server");
+  ASSERT_TRUE(net.connect(suspect, isp).ok());
+  ASSERT_TRUE(net.connect(isp, server).ok());
+
+  const obs::Counter& observed =
+      obs::metrics().counter("capture.packets_observed");
+  const obs::Counter& retained =
+      obs::metrics().counter("capture.packets_retained");
+  const std::uint64_t observed_before = observed.value();
+  const std::uint64_t retained_before = retained.value();
+
+  auto device = CaptureDevice::create(mode, authority, minimum_process(mode),
+                                      suspect, "isp", SimTime::zero());
+  ASSERT_EQ(device.ok(), legal::satisfies(held, minimum_process(mode)))
+      << device.status();
+  if (device.ok()) {
+    ASSERT_TRUE(device.value().attach(net).ok());
+  } else {
+    EXPECT_EQ(device.status().code(), StatusCode::kPermissionDenied);
+  }
+
+  netsim::FlowConfig up;
+  up.id = FlowId{1};
+  up.src = suspect;
+  up.dst = server;
+  up.packet_bytes = 96;
+  up.packets_per_sec = 40.0;
+  up.stop = SimTime::from_sec(3.0);
+  netsim::FlowConfig down = up;
+  down.id = FlowId{2};
+  down.src = server;
+  down.dst = suspect;
+  down.src_port = up.dst_port;
+  down.dst_port = up.src_port;
+  netsim::FlowSource up_source(net, up, netsim::ArrivalProcess::kPoisson, 21);
+  netsim::FlowSource down_source(net, down, netsim::ArrivalProcess::kPoisson,
+                                 22);
+  up_source.start();
+  down_source.start();
+  net.run();
+  ASSERT_GT(up_source.emitted(), 0u);
+  ASSERT_GT(down_source.emitted(), 0u);
+
+  if (!device.ok()) {
+    EXPECT_EQ(observed.value(), observed_before);
+    EXPECT_EQ(retained.value(), retained_before);
+    return;
+  }
+  const CaptureDevice& dev = device.value();
+  const CaptureStats& stats = dev.stats();
+  EXPECT_EQ(stats.packets_observed,
+            up_source.emitted() + down_source.emitted());
+  EXPECT_LE(stats.packets_retained, stats.packets_observed);
+  EXPECT_EQ(stats.packets_retained, dev.records().size());
+  std::uint64_t outgoing = 0;
+  std::uint64_t payload_bytes = 0;
+  for (const CapturedRecord& rec : dev.records()) {
+    const bool out = rec.from == suspect;
+    EXPECT_TRUE(out ? rec.header.src == suspect : rec.header.dst == suspect);
+    EXPECT_TRUE(out || rec.to == suspect);
+    if (mode == CaptureMode::kPenRegister) {
+      EXPECT_TRUE(out);
+    }
+    if (mode == CaptureMode::kTrapAndTrace) {
+      EXPECT_FALSE(out);
+    }
+    EXPECT_EQ(rec.payload.has_value(), mode == CaptureMode::kFullContent);
+    if (rec.payload.has_value()) payload_bytes += rec.payload->size();
+    outgoing += out;
+  }
+  switch (mode) {
+    case CaptureMode::kPenRegister:
+      EXPECT_EQ(stats.packets_retained, up_source.emitted());
+      break;
+    case CaptureMode::kTrapAndTrace:
+      EXPECT_EQ(stats.packets_retained, down_source.emitted());
+      break;
+    case CaptureMode::kPenTrap:
+    case CaptureMode::kFullContent:
+      EXPECT_EQ(outgoing, up_source.emitted());
+      EXPECT_EQ(stats.packets_retained,
+                up_source.emitted() + down_source.emitted());
+      break;
+  }
+  EXPECT_EQ(stats.payload_bytes_retained, payload_bytes);
+  EXPECT_EQ(payload_bytes == 0, mode != CaptureMode::kFullContent);
+#if LEXFOR_OBS
+  EXPECT_EQ(observed.value() - observed_before, stats.packets_observed);
+  EXPECT_EQ(retained.value() - retained_before, stats.packets_retained);
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryModeAndHeldProcess, CaptureScopeTest,
+    ::testing::Combine(
+        ::testing::Values(CaptureMode::kPenRegister, CaptureMode::kTrapAndTrace,
+                          CaptureMode::kPenTrap, CaptureMode::kFullContent),
+        ::testing::Values(ProcessKind::kNone, ProcessKind::kSubpoena,
+                          ProcessKind::kCourtOrder, ProcessKind::kSearchWarrant,
+                          ProcessKind::kWiretapOrder)));
 
 }  // namespace
 }  // namespace lexfor::capture

@@ -64,17 +64,18 @@ TEST(FilterTest, ProtocolAndSize) {
 }
 
 TEST(FilterTest, Combinators) {
-  const Filter f = Filter::src(NodeId{1}) && Filter::dst_port(80);
+  const Filter f = Filter::parse("src 1 and dstport 80").value();
   EXPECT_TRUE(f.matches(header(1, 2, 5, 80)));
   EXPECT_FALSE(f.matches(header(1, 2, 5, 443)));
   EXPECT_FALSE(f.matches(header(2, 1, 5, 80)));
 
-  const Filter g = Filter::host(NodeId{1}) || Filter::host(NodeId{2});
+  const Filter g = Filter::parse("host 1 or host 2").value();
   EXPECT_TRUE(g.matches(header(2, 9)));
   EXPECT_FALSE(g.matches(header(3, 9)));
 
   const Filter h = !Filter::protocol(netsim::Protocol::kTcp);
   EXPECT_TRUE(h.matches(header(1, 2, 1, 2, netsim::Protocol::kUdp)));
+  EXPECT_FALSE(h.matches(header(1, 2, 1, 2, netsim::Protocol::kTcp)));
 }
 
 TEST(FilterParseTest, ParsesAtoms) {
@@ -247,13 +248,8 @@ TEST(FilterParseTest, StrIsLeftNestedLikeTheOperators) {
                 "(host 5 or host 6)"),
             "(((host 1 and host 2) or (host 3 and host 4)) and "
             "(host 5 or host 6))");
-  // The operators build the same text the parser does.
-  const Filter built =
-      ((Filter::host(NodeId{1}) || Filter::host(NodeId{2})) ||
-       (Filter::host(NodeId{3}) && Filter::host(NodeId{4}))) &&
-      !Filter::port(80);
-  EXPECT_EQ(built.str(),
-            str("(host 1 or host 2 or host 3 and host 4) and not port 80"));
+  // operator! builds the same text the parser does.
+  EXPECT_EQ((!Filter::port(80)).str(), str("not port 80"));
 }
 
 // `terms` atoms joined by `joiner`, and the left-nested text str()

@@ -12,47 +12,49 @@ namespace {
 
 // FIPS 180-4 / NIST test vectors.
 TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(Sha256::hex(""),
+  EXPECT_EQ(Sha256::hex(to_bytes("")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256Test, Abc) {
-  EXPECT_EQ(Sha256::hex("abc"),
+  EXPECT_EQ(Sha256::hex(to_bytes("abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 // The rest of the RFC 1321 suite's inputs, digested with SHA-256.
 TEST(Sha256Test, A) {
-  EXPECT_EQ(Sha256::hex("a"),
+  EXPECT_EQ(Sha256::hex(to_bytes("a")),
             "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb");
 }
 
 TEST(Sha256Test, MessageDigest) {
-  EXPECT_EQ(Sha256::hex("message digest"),
+  EXPECT_EQ(Sha256::hex(to_bytes("message digest")),
             "f7846f55cf23e14eebeab5b4e1550cad5b509e3348fbc4efa3a1413d393cb650");
 }
 
 TEST(Sha256Test, Alphabet) {
-  EXPECT_EQ(Sha256::hex("abcdefghijklmnopqrstuvwxyz"),
+  EXPECT_EQ(Sha256::hex(to_bytes("abcdefghijklmnopqrstuvwxyz")),
             "71c480df93d6ae2f1efad1447c66c9525e316218cf51fc8d9ed832f2daf18b73");
 }
 
 TEST(Sha256Test, AlphaNumeric) {
   EXPECT_EQ(
-      Sha256::hex(
-          "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"),
+      Sha256::hex(to_bytes(
+          "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")),
       "db4bfcbd4da0cd85a60c3c37d3fbd8805c77f15fc6b1fdfe614ee0a7c8fdb4c0");
 }
 
 TEST(Sha256Test, Digits) {
-  EXPECT_EQ(Sha256::hex("1234567890123456789012345678901234567890123456789012"
-                        "3456789012345678901234567890"),
+  EXPECT_EQ(Sha256::hex(to_bytes(
+                "1234567890123456789012345678901234567890123456789012"
+                "3456789012345678901234567890")),
             "f371bc4a311f2b009eef952dd83ca80e2b60026c8e935592d0f9c308453c813e");
 }
 
 TEST(Sha256Test, TwoBlockMessage) {
   EXPECT_EQ(
-      Sha256::hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      Sha256::hex(to_bytes(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
@@ -91,7 +93,7 @@ TEST(Sha256Test, PaddingLengthBoundaries) {
       {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
   };
   for (const auto& [n, digest] : cases) {
-    EXPECT_EQ(Sha256::hex(std::string(n, 'x')), digest) << n << " bytes";
+    EXPECT_EQ(Sha256::hex(to_bytes(std::string(n, 'x'))), digest) << n << " bytes";
   }
 }
 
@@ -100,7 +102,7 @@ TEST(Sha256Test, PaddingLengthBoundaries) {
 TEST(Sha256Test, SplitAtEveryOffsetMatchesOneShot) {
   std::string msg;
   for (int i = 0; i < 150; ++i) msg += static_cast<char>('a' + i % 26);
-  const Sha256::Digest whole = Sha256::hash(msg);
+  const Sha256::Digest whole = Sha256::hash(to_bytes(msg));
   for (std::size_t cut = 0; cut <= msg.size(); ++cut) {
     Sha256 h;
     h.update(std::string_view(msg).substr(0, cut));
@@ -119,7 +121,7 @@ TEST(Sha256Test, StreamingEqualsOneShot) {
     streaming.update(msg.substr(i, 7));
   }
   const auto a = streaming.finish();
-  const auto b = Sha256::hash(msg);
+  const auto b = Sha256::hash(to_bytes(msg));
   EXPECT_EQ(a, b);
 }
 
@@ -135,12 +137,15 @@ TEST(Sha256Test, ResetAllowsReuse) {
 }
 
 TEST(Sha256Test, DifferentInputsDifferentDigests) {
-  EXPECT_NE(Sha256::hash("evidence-a"), Sha256::hash("evidence-b"));
+  EXPECT_NE(Sha256::hash(to_bytes("evidence-a")),
+            Sha256::hash(to_bytes("evidence-b")));
 }
 
-TEST(Sha256Test, BytesOverloadMatchesStringOverload) {
+TEST(Sha256Test, StringUpdateMatchesBytesOneShot) {
   const std::string s = "chain of custody";
-  EXPECT_EQ(Sha256::hash(s), Sha256::hash(to_bytes(s)));
+  Sha256 h;
+  h.update(s);
+  EXPECT_EQ(h.finish(), Sha256::hash(to_bytes(s)));
 }
 
 // RFC 4231 HMAC-SHA256 test vectors.

@@ -141,48 +141,3 @@ TEST(CarverTest, IgnoresUnstructuredData) {
 
 }  // namespace
 }  // namespace lexfor::diskimage
-
-// --- NSRL-style hash-set loading -----------------------------------------
-
-namespace lexfor::diskimage {
-namespace {
-
-TEST(HashSetLoaderTest, LoadsDigestsSkippingCommentsAndBlanks) {
-  const std::string text =
-      "# known contraband set v1\n"
-      "\n" +
-      crypto::Sha256::hex(to_bytes("file-a")) + "\n  " +
-      crypto::Sha256::hex(to_bytes("file-b")) + "  \n";
-  const auto searcher = HashSearcher::from_text(text);
-  ASSERT_TRUE(searcher.ok()) << searcher.status();
-  EXPECT_EQ(searcher.value().known_count(), 2u);
-}
-
-TEST(HashSetLoaderTest, NormalizesUppercaseDigests) {
-  std::string digest = crypto::Sha256::hex(to_bytes("target"));
-  for (auto& c : digest) c = static_cast<char>(std::toupper(c));
-  const auto searcher = HashSearcher::from_text(digest + "\n").value();
-
-  DiskImage disk;
-  (void)disk.write_file("/t", to_bytes("target"));
-  const auto hits = searcher
-                        .search(disk, warrant(),
-                                legal::ProcessKind::kSearchWarrant, "drive",
-                                SimTime::zero())
-                        .value();
-  EXPECT_EQ(hits.size(), 1u);
-}
-
-TEST(HashSetLoaderTest, RejectsMalformedLines) {
-  EXPECT_FALSE(HashSearcher::from_text("deadbeef\n").ok());          // too short
-  EXPECT_FALSE(HashSearcher::from_text(std::string(64, 'z')).ok());  // non-hex
-}
-
-TEST(HashSetLoaderTest, EmptyTextIsAnEmptySet) {
-  const auto searcher = HashSearcher::from_text("# nothing here\n\n");
-  ASSERT_TRUE(searcher.ok());
-  EXPECT_EQ(searcher.value().known_count(), 0u);
-}
-
-}  // namespace
-}  // namespace lexfor::diskimage

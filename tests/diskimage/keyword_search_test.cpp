@@ -40,8 +40,8 @@ TEST(KeywordSearchTest, FindsKeywordInLiveFile) {
   EXPECT_EQ(hits[0].path, "/docs/history.txt");
   EXPECT_EQ(hits[0].offset, 25u);
   // Context window includes surrounding bytes.
-  EXPECT_NE(to_string(hits[0].context).find("build a meth"),
-            std::string::npos);
+  const std::string context(hits[0].context.begin(), hits[0].context.end());
+  EXPECT_NE(context.find("build a meth"), std::string::npos);
 }
 
 TEST(KeywordSearchTest, FindsKeywordInDeletedFile) {

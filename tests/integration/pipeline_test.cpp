@@ -14,7 +14,6 @@
 #include "evidence/locker.h"
 #include "investigation/investigation.h"
 #include "netsim/flow.h"
-#include "netsim/topology.h"
 #include "netsim/trace.h"
 
 namespace lexfor {
@@ -31,32 +30,34 @@ legal::GrantedAuthority make_authority(legal::ProcessKind kind) {
   return legal::GrantedAuthority{p};
 }
 
-// Drives traffic from a campus host to the internet past an ISP tap.
+// Drives traffic from a campus host to the internet past an ISP tap:
+// internet -- isp -- campus gateway -- host.
 netsim::Trace capture_trace(CaptureMode mode, legal::ProcessKind held) {
   netsim::Network net{31337};
-  const auto campus = netsim::make_campus(net, 3);
+  const NodeId internet = net.add_node("internet");
+  const NodeId isp = net.add_node("isp");
+  const NodeId gateway = net.add_node("campus-gateway");
+  const NodeId host = net.add_node("host-0");
+  EXPECT_TRUE(net.connect(internet, isp).ok());
+  EXPECT_TRUE(net.connect(isp, gateway).ok());
+  EXPECT_TRUE(net.connect(gateway, host).ok());
 
   auto device = CaptureDevice::create(mode, make_authority(held),
-                                      capture::minimum_process(mode),
-                                      campus.isp, "isp", SimTime::zero())
+                                      capture::minimum_process(mode), isp,
+                                      "isp", SimTime::zero())
                     .value();
   EXPECT_TRUE(device.attach(net).ok());
 
   netsim::FlowConfig flow;
   flow.id = FlowId{1};
-  flow.src = campus.hosts[0];
-  flow.dst = campus.internet;
+  flow.src = host;
+  flow.dst = internet;
   flow.packets_per_sec = 200.0;
   flow.stop = SimTime::from_sec(2.0);
   netsim::FlowSource source(net, flow, netsim::ArrivalProcess::kPoisson, 3);
   source.start();
   net.run();
-
-  netsim::Trace trace;
-  for (const auto& rec : device.records()) {
-    trace.add(netsim::TraceRecord{rec.at, rec.header, rec.payload});
-  }
-  return trace;
+  return capture::to_trace(device);
 }
 
 TEST(PipelineTest, PenTrapTraceCarriesNoPayloadEndToEnd) {

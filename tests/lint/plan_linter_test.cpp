@@ -277,61 +277,6 @@ TEST(PlanLinterTest, DiagnosticsOrderedByStepThenSeverity) {
   }
 }
 
-TEST(PlanLinterTest, CustomPassRegistrationExtendsTheRegistry) {
-  class NamingPass final : public LintPass {
-   public:
-    [[nodiscard]] std::string_view rule() const noexcept override {
-      return "unnamed-step";
-    }
-    void run(const PlanContext& ctx,
-             std::vector<Diagnostic>& out) const override {
-      for (const auto& a : ctx.steps()) {
-        if (a.step->name.empty()) {
-          Diagnostic d;
-          d.severity = Severity::kWarning;
-          d.rule = std::string(rule());
-          d.step = a.step->id;
-          d.message = "step has no name";
-          out.push_back(std::move(d));
-        }
-      }
-    }
-  };
-
-  PlanLinter linter;
-  ASSERT_TRUE(linter.register_pass(std::make_unique<NamingPass>()).ok());
-  EXPECT_EQ(linter.passes().size(), 7u);
-
-  InvestigationPlan plan("p", legal::CrimeCategory::kGeneral);
-  plan.plan_acquisition("", examination_scenario(), day(0));
-  EXPECT_EQ(linter.lint(plan).count("unnamed-step"), 1u);
-
-  // A second pass with the same rule id is rejected and the registry is
-  // unchanged.
-  const Status dup = linter.register_pass(std::make_unique<NamingPass>());
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
-  EXPECT_NE(dup.message().find("unnamed-step"), std::string::npos);
-  EXPECT_EQ(linter.passes().size(), 7u);
-}
-
-TEST(PlanLinterTest, RegisterPassRejectsBuiltInRuleIdsAndNullPasses) {
-  class ShadowingPass final : public LintPass {
-   public:
-    [[nodiscard]] std::string_view rule() const noexcept override {
-      return kRuleMissingProcess;  // collides with a built-in
-    }
-    void run(const PlanContext&, std::vector<Diagnostic>&) const override {}
-  };
-
-  PlanLinter linter;
-  const std::size_t builtins = linter.passes().size();
-  EXPECT_EQ(linter.register_pass(std::make_unique<ShadowingPass>()).code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(linter.register_pass(nullptr).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(linter.passes().size(), builtins);
-}
-
 TEST(PlanContextTest, FactsBeforeExcludesFactsAtExactlyT) {
   InvestigationPlan plan("p", legal::CrimeCategory::kGeneral);
   plan.with_fact({legal::FactKind::kAnonymousTip, 0.0, "tip"});

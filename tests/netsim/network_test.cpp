@@ -4,10 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
-
-#include "netsim/topology.h"
 
 namespace lexfor::netsim {
 namespace {
@@ -480,13 +479,26 @@ std::size_t expect_every_pair_routes_along_shortest_path(
 }
 
 // Memoized routing must pick the same route as the BFS on every pair,
-// including pairs whose routes tie on length (the chords of a random
-// graph make many), and again after a link is removed and restored,
-// which moves it to the end of both endpoints' adjacency lists and so
-// can change how ties break.
+// including pairs whose routes tie on length (in a grid, every pair off
+// one row and one column), and again after a link is removed and
+// restored, which moves it to the end of both endpoints' adjacency
+// lists and so can change how ties break.
 TEST(NetworkTest, SendRoutesEveryPairAlongShortestPath) {
   Network net{9};
-  const std::vector<NodeId> nodes = make_random(net, 14, 0.25, 17);
+  constexpr std::size_t kRows = 3;
+  constexpr std::size_t kCols = 4;
+  std::vector<NodeId> nodes;
+  for (std::size_t i = 0; i < kRows * kCols; ++i) {
+    nodes.push_back(net.add_node("grid-" + std::to_string(i)));
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (i % kCols + 1 < kCols) {
+      ASSERT_TRUE(net.connect(nodes[i], nodes[i + 1]).ok());
+    }
+    if (i + kCols < nodes.size()) {
+      ASSERT_TRUE(net.connect(nodes[i], nodes[i + kCols]).ok());
+    }
+  }
 
   // The topology has ties: some pair has two shortest routes, counted
   // by BFS layers over the adjacency that one-hop routes reveal.

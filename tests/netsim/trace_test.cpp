@@ -56,7 +56,7 @@ TEST(TraceTest, FullContentRoundTrip) {
   EXPECT_EQ(records[0].header.src, NodeId{1});
   EXPECT_EQ(records[0].header.dst, NodeId{2});
   ASSERT_TRUE(records[1].payload.has_value());
-  EXPECT_EQ(to_string(*records[1].payload), "response payload");
+  EXPECT_EQ(*records[1].payload, to_bytes("response payload"));
 }
 
 TEST(TraceTest, HeaderOnlyRecordsRoundTrip) {

@@ -98,7 +98,7 @@ TEST(WireTest, FleetFramesAndFingerprintsArePinned) {
   }
   EXPECT_EQ(crypto::Sha256::hex(frames),
             "43f8bed1e168ce869a1f9fdfce56451f83634880c56c2968e61a8b09b3a187c2");
-  EXPECT_EQ(crypto::Sha256::hex(prints),
+  EXPECT_EQ(crypto::Sha256::hex(to_bytes(prints)),
             "90d389c942327c5ee0e2144fadb927771200645d63ac1650cf148904277d81ac");
 }
 
@@ -422,18 +422,6 @@ TEST(WireTest, AppendingFramesGrowsTheBufferGeometrically) {
   }
   EXPECT_LT(response_growths, kMaxCapacityChanges);
   EXPECT_EQ(responses.size(), kFrames * kResponseFrameBytes);
-}
-
-TEST(WireTest, MakeResponseCarriesTheDetermination) {
-  legal::BatchEvaluator eval;
-  const Scenario s = legal::table1::scene(1).scenario;
-  const legal::Determination d = eval.evaluate(s);
-  const Response r = make_response(31, d, /*cache_hit=*/false, 99);
-  EXPECT_EQ(r.request_id, 31u);
-  EXPECT_EQ(r.needs_process, d.needs_process);
-  EXPECT_EQ(r.required_process, d.required_process);
-  EXPECT_EQ(r.required_proof, d.required_proof);
-  EXPECT_EQ(r.server_ns, 99u);
 }
 
 }  // namespace

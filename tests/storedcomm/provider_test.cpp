@@ -150,7 +150,7 @@ TEST(ScaLadderTest, ContentNeedsWarrantNotCourtOrder) {
       SimTime::zero());
   ASSERT_TRUE(granted.ok());
   ASSERT_EQ(granted.value().messages.size(), 1u);
-  EXPECT_EQ(to_string(granted.value().messages[0].body), "body");
+  EXPECT_EQ(granted.value().messages[0].body, to_bytes("body"));
 }
 
 TEST(VoluntaryDisclosureTest, PublicProviderMayNotVolunteerToGovernment) {

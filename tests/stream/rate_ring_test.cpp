@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace lexfor::stream {
 namespace {
@@ -131,6 +136,120 @@ TEST(RateRingTest, OverflowedBinsPopAsZeros) {
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 0, 0, 0}));
   EXPECT_EQ(ring.stats().overflow_drops, 1u);
 }
+
+// Random schedules of record() and pop_closed(): each event is aimed
+// before the start, into a bin the ring holds, past the ring, or into a
+// bin already popped, and the consumer's clock advances by 0 to 3 bins
+// at a time.  The test keeps its own count per bin, so it knows the
+// outcome of every record() and the count of every popped bin; the
+// ring's stats must agree with it exactly.
+class RateRingScheduleTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
+};
+
+TEST_P(RateRingScheduleTest, AccountingHoldsUnderRandomSchedules) {
+  const auto [capacity, stream] = GetParam();
+  Rng rng = Rng::sub_stream(0x52494e47, stream);
+  RateRingConfig config;
+  config.start = SimTime::from_sec(1.0);
+  config.bin_width = SimDuration::from_ms(100.0);
+  config.capacity = capacity;
+  RateRing ring = RateRing::create(config).value();
+  const std::int64_t width = config.bin_width.us;
+  const auto bin_start = [&](std::uint64_t bin) {
+    return SimTime{config.start.us + static_cast<std::int64_t>(bin) * width};
+  };
+
+  std::map<std::uint64_t, std::uint32_t> held;  // the test's own bins
+  std::array<std::uint64_t, 4> tally{};         // by RecordOutcome
+  std::uint64_t offered = 0;
+  std::uint64_t popped_sum = 0;
+  SimTime now = config.start;
+  std::vector<std::uint32_t> out;
+  for (int step = 0; step < 3'000; ++step) {
+    if (rng.uniform(4) == 0) {
+      now = now + SimDuration::from_us(
+                      static_cast<std::int64_t>(rng.uniform(3 * width + 1)));
+      const std::uint64_t first = ring.base_bin();
+      out.clear();
+      const std::size_t n = ring.pop_closed(now, out);
+      ASSERT_EQ(n, out.size());
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto it = held.find(first + k);
+        ASSERT_EQ(out[k], it == held.end() ? 0u : it->second) << first + k;
+        if (it != held.end()) held.erase(it);
+        popped_sum += out[k];
+      }
+      ASSERT_EQ(ring.stats().bins_popped, ring.base_bin());
+      continue;
+    }
+    const std::uint64_t base = ring.base_bin();
+    RecordOutcome aim = RecordOutcome::kRecorded;
+    std::uint64_t bin = base + rng.uniform(capacity);
+    SimTime at;
+    switch (rng.uniform(4)) {
+      case 0:
+        aim = RecordOutcome::kEarly;
+        at = SimTime{config.start.us - 1 -
+                     static_cast<std::int64_t>(rng.uniform(1'000'000))};
+        break;
+      case 1:
+        aim = RecordOutcome::kOverflow;
+        bin = base + capacity + rng.uniform(3 * capacity + 1);
+        break;
+      case 2:
+        if (base > 0) {
+          aim = RecordOutcome::kLate;
+          bin = rng.uniform(base);
+        }
+        break;
+      default:
+        break;
+    }
+    if (aim != RecordOutcome::kEarly) {
+      const auto within = static_cast<std::int64_t>(
+          rng.uniform(static_cast<std::uint64_t>(width)));
+      at = bin_start(bin) + SimDuration::from_us(within);
+    }
+    const RecordOutcome got = ring.record(at);
+    ++offered;
+    ASSERT_EQ(got, aim) << "step " << step << " at " << at.us;
+    ++tally[static_cast<std::size_t>(got)];
+    if (got == RecordOutcome::kRecorded) ++held[bin];
+  }
+
+  const RateRingStats& stats = ring.stats();
+  EXPECT_EQ(stats.recorded,
+            tally[static_cast<std::size_t>(RecordOutcome::kRecorded)]);
+  EXPECT_EQ(stats.early_drops,
+            tally[static_cast<std::size_t>(RecordOutcome::kEarly)]);
+  EXPECT_EQ(stats.late_drops,
+            tally[static_cast<std::size_t>(RecordOutcome::kLate)]);
+  EXPECT_EQ(stats.overflow_drops,
+            tally[static_cast<std::size_t>(RecordOutcome::kOverflow)]);
+  EXPECT_EQ(stats.offered(), offered);
+  EXPECT_GT(tally[static_cast<std::size_t>(RecordOutcome::kRecorded)], 0u);
+  EXPECT_GT(tally[static_cast<std::size_t>(RecordOutcome::kLate)], 0u);
+
+  // The counts still held are what a drain past the ring's last bin
+  // returns; with the popped ones they make up every recorded event.
+  std::uint64_t held_sum = 0;
+  for (const auto& [bin, count] : held) held_sum += count;
+  out.clear();
+  ring.pop_closed(bin_start(ring.base_bin() + capacity), out);
+  std::uint64_t drained = 0;
+  for (const std::uint32_t c : out) drained += c;
+  EXPECT_EQ(drained, held_sum);
+  EXPECT_EQ(popped_sum + held_sum, stats.recorded);
+  EXPECT_EQ(stats.bins_popped, ring.base_bin());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CapacitiesAndStreams, RateRingScheduleTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{8}, std::size_t{64}),
+                       ::testing::Values(std::uint64_t{0}, std::uint64_t{1},
+                                         std::uint64_t{2}, std::uint64_t{3})));
 
 }  // namespace
 }  // namespace lexfor::stream

@@ -123,5 +123,31 @@ TEST(FlowDigestTest, JitterZeroAndCircuitLengthsOneAndFiveMatchTheGoldenDigest) 
   EXPECT_EQ(flow_digest(five_hops, 1, 20), 0x4189cea9d9f78d18ULL);
 }
 
+// run_multiflow_traceback end to end: the correlation of every account
+// code and the identified account, over seeds 1 to 40 of the default
+// config and of one whose observed client is account 0.  The flow, the
+// family scan and the despread all give the same bits in every build;
+// the scan threshold is left out, since it still takes glibc's log.
+TEST(FlowDigestTest, MultiflowCorrelationsMatchTheGoldenDigest) {
+  Fnv1a fnv;
+  std::size_t correct = 0;
+  for (const std::size_t true_account : {std::size_t{3}, std::size_t{0}}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      MultiflowConfig config;
+      config.true_account = true_account;
+      config.seed = seed;
+      const MultiflowResult r = run_multiflow_traceback(config).value();
+      fnv.add(r.correlations.size());
+      for (const double c : r.correlations) {
+        fnv.add(std::bit_cast<std::uint64_t>(c));
+      }
+      fnv.add(r.identified_account);
+      correct += r.correct;
+    }
+  }
+  EXPECT_EQ(correct, 80u);
+  EXPECT_EQ(fnv.h, 0x1c65849ccfafcda8ULL);
+}
+
 }  // namespace
 }  // namespace lexfor::tornet

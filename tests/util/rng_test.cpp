@@ -42,20 +42,6 @@ TEST(RngTest, UniformCoversAllResidues) {
   for (int h : hits) EXPECT_GT(h, 800);  // ~1000 expected each
 }
 
-TEST(RngTest, UniformInIsInclusive) {
-  Rng rng{11};
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = rng.uniform_in(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo = saw_lo || v == -3;
-    saw_hi = saw_hi || v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, Uniform01InHalfOpenInterval) {
   Rng rng{13};
   for (int i = 0; i < 10000; ++i) {
@@ -103,13 +89,6 @@ TEST(RngTest, NormalHasRequestedMoments) {
   const double var = sq / kN - mean * mean;
   EXPECT_NEAR(mean, 10.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.25);
-}
-
-TEST(RngTest, ParetoRespectsScale) {
-  Rng rng{31};
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-  }
 }
 
 TEST(RngTest, PoissonHasRequestedMean) {
@@ -203,36 +182,9 @@ TEST(RngTest, PoissonOutsideItsMeansDrawsNothing) {
   }
 }
 
-TEST(RngTest, GeometricMeanApproximatelyCorrect) {
-  Rng rng{41};
-  double sum = 0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) sum += static_cast<double>(rng.geometric(0.25));
-  // Mean failures before success = (1-p)/p = 3.
-  EXPECT_NEAR(sum / kN, 3.0, 0.2);
-}
-
-TEST(RngTest, SplitProducesIndependentStream) {
-  Rng parent{55};
-  Rng child = parent.split();
-  // Child stream differs from a freshly advanced parent stream.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent() == child()) ++same;
-  }
-  EXPECT_LT(same, 4);
-}
-
-TEST(RngTest, SplitIsDeterministic) {
-  Rng p1{99}, p2{99};
-  Rng c1 = p1.split();
-  Rng c2 = p2.split();
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(c1(), c2());
-}
-
 // Known answers, pinned from the out-of-line generator: every seeded
 // simulation reproduces from these streams, so the raw outputs, the
-// double conversions, the derived streams and split() must never move.
+// double conversions and the derived streams must never move.
 // The exponentials also hold under glibc's baseline log
 // (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA).
 TEST(RngTest, RawOutputsMatchKnownAnswers) {
@@ -287,24 +239,13 @@ TEST(RngTest, ExponentialIsMinusMeanTimesTheOwnedLog) {
   }
 }
 
-TEST(RngTest, SubStreamAndSplitMatchKnownAnswers) {
+TEST(RngTest, SubStreamMatchesKnownAnswers) {
   Rng stream = Rng::sub_stream(7, 3);
   for (const std::uint64_t want :
        {0x7957c3b74b90459eULL, 0x32f5b5fef980b055ULL, 0xf54ad23e63375dfeULL,
         0x177a7d2c63888ecdULL}) {
     EXPECT_EQ(stream(), want);
   }
-  Rng parent{42};
-  Rng child = parent.split();
-  for (const std::uint64_t want :
-       {0xeb238bea33a70702ULL, 0xf84f88cce10d3689ULL, 0x1b9a90cb10422ac5ULL,
-        0xdcb89b398a4bc7b4ULL}) {
-    EXPECT_EQ(child(), want);
-  }
-  // split() takes exactly two parent draws: the parent resumes at seed
-  // 42's third output.
-  EXPECT_EQ(parent(), 0xae17533239e499a1ULL);
-  EXPECT_EQ(parent(), 0xecb8ad4703b360a1ULL);
 }
 
 TEST(RngTest, ShufflePermutesAllElements) {

@@ -9,32 +9,6 @@ namespace {
 
 using oracles::pearson;
 
-TEST(RunningStatsTest, MeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance of this classic dataset is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(RunningStatsTest, MinMaxTracked) {
-  RunningStats s;
-  s.add(3.0);
-  s.add(-1.0);
-  s.add(10.0);
-  EXPECT_DOUBLE_EQ(s.min(), -1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 10.0);
-}
-
-TEST(RunningStatsTest, SingleSampleHasZeroVariance) {
-  RunningStats s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-}
-
 TEST(PercentileTest, MedianOfOddSet) {
   EXPECT_DOUBLE_EQ(percentile({3, 1, 2}, 50), 2.0);
 }

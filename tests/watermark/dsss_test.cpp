@@ -106,25 +106,6 @@ TEST(EmbedderTest, ChipIndexMatchesIntegerDivisionInEveryBinade) {
   }
 }
 
-TEST(EmbedderTest, ChipEndIsTheFirstTimePastItsChip) {
-  // chip_index(t) is `index` from chip_end(index - 1) up to, not
-  // including, chip_end(index), at both edges of every chip.
-  for (const std::int64_t chip_us :
-       {std::int64_t{1}, std::int64_t{400'001}, std::int64_t{999'999'937}}) {
-    const Embedder emb = embedder_at(5'000, chip_us);
-    const auto n = static_cast<std::int64_t>(emb.code().length());
-    for (std::int64_t index = -1; index < n; ++index) {
-      const SimTime end = emb.chip_end(index);
-      ASSERT_EQ(emb.chip_index(SimTime{end.us - 1}), index) << index;
-      ASSERT_EQ(emb.chip_index(end), index + 1) << index;
-      if (index >= 0) {
-        ASSERT_EQ(emb.chip_index(emb.chip_end(index - 1)), index) << index;
-      }
-    }
-    EXPECT_EQ(emb.chip_end(n).us, INT64_MAX);
-  }
-}
-
 TEST(DetectorTest, RejectsShortSeries) {
   const CorrelationKernel kernel(code9());
   const std::vector<double> too_short(10, 1.0);

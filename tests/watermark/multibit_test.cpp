@@ -68,12 +68,17 @@ TEST(MultiBitTest, MultiplierEncodesBitTimesChip) {
 }
 
 TEST(MultiBitTest, MultiplierIsOneOutsideTheMark) {
-  const auto emb =
-      MultiBitEmbedder::create(code10(), payload16(), params()).value();
-  EXPECT_DOUBLE_EQ(
-      emb.multiplier(emb.end() + SimDuration::from_ms(1)), 1.0);
-  // end = 16 * 63 chips * 100ms.
-  EXPECT_NEAR(emb.end().seconds(), 16 * 63 * 0.1, 1e-9);
+  auto p = params();
+  p.start = SimTime::from_sec(5.0);
+  const auto emb = MultiBitEmbedder::create(code10(), payload16(), p).value();
+  // The mark spans 16 bits x 63 chips of 100 ms from its start.
+  const SimTime end = p.start + p.chip_duration * (16 * 63);
+  EXPECT_NEAR(end.seconds(), 5.0 + 16 * 63 * 0.1, 1e-9);
+  EXPECT_DOUBLE_EQ(emb.multiplier(SimTime{p.start.us - 1}), 1.0);
+  EXPECT_NE(emb.multiplier(p.start), 1.0);
+  EXPECT_NE(emb.multiplier(SimTime{end.us - 1}), 1.0);
+  EXPECT_DOUBLE_EQ(emb.multiplier(end), 1.0);
+  EXPECT_DOUBLE_EQ(emb.multiplier(end + SimDuration::from_ms(1)), 1.0);
 }
 
 TEST(MultiBitTest, CleanSignalDecodesPerfectly) {

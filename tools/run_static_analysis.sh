@@ -40,6 +40,13 @@
 #                                       LEXFOR_OBS_* macro compiled out the
 #                                       tree builds warning-free and every
 #                                       test passes)
+#   9. API census                      (the examples, benches and perfbench
+#                                       built at -O0 -ffunction-sections,
+#                                       linked with --gc-sections: every
+#                                       library function no product keeps
+#                                       must be on tools/api_census_allow.txt
+#                                       with a reason, and every entry must
+#                                       still be test-only)
 #
 # Usage: tools/run_static_analysis.sh [--skip-tidy] [--jobs N]
 # Exits non-zero if any stage fails.
@@ -269,6 +276,37 @@ obs_off_ctest() {
 }
 stage "obs kill-switch build (LEXFOR_OBS=OFF, LEXFOR_WERROR=ON)" obs_off_build
 stage "full ctest with obs compiled out" obs_off_ctest
+
+# ------------------------------------------------------------ 9. API census
+# A library function that no product binary keeps is API that only the
+# tests call: a second way to build a value, an input format or an
+# extension point nothing uses.  This tree builds only the products
+# (every example, every bench, and perfbench, configured from perfbench/
+# with the same flags into build-census/perfbench; perfbench/ itself is
+# only read) at -O0 with one section per function, and links them with
+# --gc-sections, so each binary keeps exactly the functions main()
+# reaches.
+# tools/api_census.py compares them with the libraries' out-of-line
+# functions and fails on a test-only one that tools/api_census_allow.txt
+# does not list with a reason, and on a stale entry.
+CENSUS_FLAGS=(-G "Unix Makefiles" -DCMAKE_BUILD_TYPE=Debug
+              -DCMAKE_CXX_FLAGS_DEBUG=-O0
+              -DCMAKE_CXX_FLAGS=-ffunction-sections
+              -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+census_build() {
+  cmake -B build-census -S . "${CENSUS_FLAGS[@]}" >/dev/null &&
+  make -C build-census/examples -j "${JOBS}" >/dev/null &&
+  make -C build-census/bench-artifacts -j "${JOBS}" >/dev/null &&
+  cmake -S perfbench -B build-census/perfbench "${CENSUS_FLAGS[@]}" \
+        >/dev/null &&
+  cmake --build build-census/perfbench -j "${JOBS}" --target perfbench \
+        >/dev/null
+}
+census_check() {
+  python3 tools/api_census.py --build build-census
+}
+stage "API census build (products at -O0, --gc-sections)" census_build
+stage "API census: test-only functions are allowlisted" census_check
 
 # ------------------------------------------------------------------ report
 note "static analysis summary"
