@@ -18,23 +18,27 @@
 //   (4) the serve.request_latency_ns histogram carries the samples the
 //       throughput run produced (count == verdicts served).
 // It reports verdicts/s (served verdicts over the time inside serve(),
-// frame generation excluded) and p50/p95/p99 per worker count, as
+// frame generation excluded) and p50/p95/p99 per worker count, and the
+// verdict-table probe's ns per lookup in fleet order and on one key, as
 // A-SERVE-METRIC lines for tools/bench_diff.py.  The percentiles are of
 // the responses' server_ns, where a table hit carries an even share of
 // its evaluation chunk's time, not an interval of its own.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "legal/batch.h"
 #include "obs/obs.h"
 #include "serve/fleet.h"
 #include "serve/server.h"
+#include "serve/verdict_table.h"
 #include "serve/wire.h"
 
 namespace {
@@ -69,12 +73,15 @@ namespace {
 using lexfor::legal::BatchEvaluator;
 using lexfor::legal::BatchOptions;
 using lexfor::legal::Determination;
+using lexfor::legal::FactKey;
+using lexfor::serve::CompactVerdict;
 using lexfor::serve::Connection;
 using lexfor::serve::FleetOptions;
 using lexfor::serve::ServeStats;
 using lexfor::serve::ServerOptions;
 using lexfor::serve::SyntheticFleet;
 using lexfor::serve::VerdictServer;
+using lexfor::serve::VerdictTable;
 namespace wire = lexfor::serve::wire;
 
 using clock_type = std::chrono::steady_clock;
@@ -339,6 +346,59 @@ int main() {
       std::printf("A-SERVE FAILED: latency histogram lost verdicts\n");
       return 1;
     }
+  }
+
+  // The verdict-table probe as a layer number, reported and not gated:
+  // VerdictTable::get over the keys of 2^16 fleet frames in subscriber
+  // order, where the way that matches changes from one lookup to the
+  // next, then as many lookups of one repeated key, whose way never
+  // changes.  The gap between the two is what the probe pays for a way
+  // the branch predictor cannot guess.  Each figure is the best of 9
+  // passes, in ns per lookup.
+  {
+    constexpr std::uint64_t kProbeKeys = 1 << 16;
+    const SyntheticFleet fleet;
+    std::vector<std::uint8_t> frames;
+    fleet.generate(0, 0, kProbeKeys, frames);
+    std::vector<FactKey> fleet_order;
+    for (std::span<const std::uint8_t> rest = frames; !rest.empty();) {
+      const std::size_t len = wire::peek_frame(rest).value().frame_len;
+      std::uint64_t id = 0;
+      FactKey key;
+      if (!wire::key_request(rest.subspan(0, len), id, key).ok()) break;
+      fleet_order.push_back(key);
+      rest = rest.subspan(len);
+    }
+    VerdictTable table(ServerOptions{}.verdict_table_capacity);
+    for (const FactKey key : fleet_order) table.put(key, CompactVerdict{});
+    const std::vector<FactKey> one_key(fleet_order.size(), fleet_order[0]);
+
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    const auto probe_ns = [&](const std::vector<FactKey>& keys) {
+      double best = 0;
+      for (int pass = 0; pass < 9; ++pass) {
+        const auto t0 = clock_type::now();
+        for (const FactKey key : keys) {
+          hits += table.get(key).has_value() ? 1 : 0;
+        }
+        const double ns =
+            std::chrono::duration<double, std::nano>(clock_type::now() - t0)
+                .count() /
+            static_cast<double>(keys.size());
+        best = pass == 0 ? ns : std::min(best, ns);
+        lookups += keys.size();
+      }
+      return best;
+    };
+    const double fleet_ns = probe_ns(fleet_order);
+    const double one_ns = probe_ns(one_key);
+    std::printf("\ntable probe: %.2f ns fleet order, %.2f ns one key "
+                "(%llu of %llu lookups hit)\n",
+                fleet_ns, one_ns, static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(lookups));
+    std::printf("A-SERVE-METRIC table_probe_ns_fleet_order %.2f\n", fleet_ns);
+    std::printf("A-SERVE-METRIC table_probe_ns_one_key %.2f\n", one_ns);
   }
 
   std::printf("\nA-SERVE OK: verdict parity, exact overload accounting, "

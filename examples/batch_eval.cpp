@@ -14,13 +14,16 @@ int main() {
   using namespace lexfor;
   using namespace lexfor::legal;
 
-  // A caseload: every Table-1 scene, asked five times over — the shape
-  // of re-linting a plan after edits, or auditing many similar cases.
-  std::vector<Scenario> caseload;
-  for (int repeat = 0; repeat < 5; ++repeat) {
-    for (const auto& scene : table1::all_scenes()) {
-      caseload.push_back(scene.scenario);
-    }
+  // A caseload: every Table-1 scene, then the same scenes asked four
+  // more times — the shape of re-linting a plan after edits, or
+  // auditing many similar cases.
+  std::vector<Scenario> first;
+  for (const auto& scene : table1::all_scenes()) {
+    first.push_back(scene.scenario);
+  }
+  std::vector<Scenario> repeats;
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    repeats.insert(repeats.end(), first.begin(), first.end());
   }
 
   auto& hits = obs::metrics().counter("legal.batch.cache_hits");
@@ -28,18 +31,24 @@ int main() {
   const std::uint64_t hits_before = hits.value();
   const std::uint64_t misses_before = misses.value();
 
-  const BatchEvaluator evaluator;  // shared verdict cache, auto threads
+  // The first pass runs on one thread, so each distinct fact key misses
+  // exactly once: threads racing on a cold key would each count a miss.
+  // The repeats fan out over every thread and hit the shared verdict
+  // cache the first pass filled.
+  BatchOptions one_thread;
+  one_thread.threads = 1;
   const std::vector<Determination> verdicts =
-      evaluator.evaluate_batch(caseload);
+      BatchEvaluator(one_thread).evaluate_batch(first);
+  (void)BatchEvaluator().evaluate_batch(repeats);
 
   std::printf("%-66s %s\n", "Scenario", "Verdict");
-  for (std::size_t i = 0; i < table1::all_scenes().size(); ++i) {
-    std::printf("%-66.66s %s\n", caseload[i].name.c_str(),
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    std::printf("%-66.66s %s\n", first[i].name.c_str(),
                 verdicts[i].verdict().c_str());
   }
 
   std::printf("\n%zu queries answered: %llu cache hits, %llu misses\n",
-              caseload.size(),
+              first.size() + repeats.size(),
               static_cast<unsigned long long>(hits.value() - hits_before),
               static_cast<unsigned long long>(misses.value() - misses_before));
   std::printf("fingerprint of scene 1: %s\n",

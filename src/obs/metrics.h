@@ -98,7 +98,12 @@ class Histogram {
     Batch& operator=(const Batch&) = delete;
     ~Batch() { flush(); }
 
-    void record(std::int64_t sample) noexcept {
+    void record(std::int64_t sample) noexcept { record(sample, 1); }
+
+    // n samples of one value, as n record(sample) calls would leave the
+    // histogram; n == 0 records nothing.
+    void record(std::int64_t sample, std::uint64_t n) noexcept {
+      if (n == 0) return;
       const std::size_t bucket = histogram_.bucket_of(sample);
       std::size_t slot = 0;
       while (slot < used_ && buckets_[slot] != bucket) ++slot;
@@ -111,10 +116,10 @@ class Histogram {
         hits_[slot] = 0;
         ++used_;
       }
-      ++hits_[slot];
-      ++count_;
-      // Unsigned, so the sum wraps as the atomic one does.
-      sum_ += static_cast<std::uint64_t>(sample);
+      hits_[slot] += n;
+      count_ += n;
+      // Unsigned, so the sum wraps as n atomic adds would.
+      sum_ += static_cast<std::uint64_t>(sample) * n;
       min_ = std::min(min_, sample);
       max_ = std::max(max_, sample);
     }

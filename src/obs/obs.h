@@ -103,6 +103,10 @@ namespace lexfor::obs {
 
 #define LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(var, sample) (var).record(sample)
 
+// `n` samples of one value through the batch `var`; n == 0 records none.
+#define LEXFOR_OBS_HISTOGRAM_BATCH_RECORD_N(var, sample, n) \
+  (var).record((sample), (n))
+
 // Call-site profiler scope: the site is resolved once per call site
 // like the metric macros; each pass costs one relaxed load (and, when
 // the profiler is enabled, two steady_clock reads folded into the
@@ -125,6 +129,7 @@ namespace lexfor::obs {
 #define LEXFOR_OBS_HISTOGRAM_RECORD(name, sample) ((void)0)
 #define LEXFOR_OBS_HISTOGRAM_BATCH(var, name) ((void)0)
 #define LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(var, sample) ((void)0)
+#define LEXFOR_OBS_HISTOGRAM_BATCH_RECORD_N(var, sample, n) ((void)0)
 #define LEXFOR_OBS_PROFILE(name) ((void)0)
 
 #endif  // LEXFOR_OBS

@@ -85,15 +85,24 @@ void VerdictServer::evaluate_range(Connection& conn, std::size_t begin,
   }
   const std::uint64_t share = split.hit_ns;
   std::uint64_t longer = split.longer_hits;
+  // Each miss is one latency sample; the hits carry only two values,
+  // share + 1 (the first longer_hits of them) and share, so they go in
+  // as two counted samples, and the histogram ends as one sample per
+  // request would leave it.
   LEXFOR_OBS_HISTOGRAM_BATCH(latency, "serve.request_latency_ns");
   for (std::size_t i = begin; i < end; ++i) {
     Connection::Slot& slot = conn.slots_[i];
     if (slot.cache_hit) {
       slot.server_ns = clamp_ns(share + (longer != 0 ? 1 : 0));
       if (longer != 0) --longer;
+    } else {
+      LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(latency, slot.server_ns);
     }
-    LEXFOR_OBS_HISTOGRAM_BATCH_RECORD(latency, slot.server_ns);
   }
+  LEXFOR_OBS_HISTOGRAM_BATCH_RECORD_N(latency, clamp_ns(share + 1),
+                                      split.longer_hits);
+  LEXFOR_OBS_HISTOGRAM_BATCH_RECORD_N(latency, clamp_ns(share),
+                                      hits - split.longer_hits);
 }
 
 ServeStats VerdictServer::serve(Connection& conn,

@@ -10,8 +10,11 @@
 //
 // and a key's set, kWays words, comes from the high bits of
 // legal::FactKeyHash.  A lookup is one acquire load of the current
-// array and relaxed loads of the set's words, each compared with the
-// full key: it takes no lock and writes nothing shared, so lookups from
+// array and relaxed loads of the set's words, all kWays of them
+// compared with the full key and the match picked without a branch, so
+// a key order that changes the matching way from one lookup to the
+// next costs no misprediction (bench_serve's table_probe_ns lines time
+// it).  It takes no lock and writes nothing shared, so lookups from
 // every worker run side by side.  Because a word carries its key, a
 // reader that races an insert sees either the old word or the new one,
 // never another key's verdict.
@@ -60,16 +63,26 @@ class VerdictTable {
   VerdictTable& operator=(const VerdictTable&) = delete;
 
   // The key's verdict, or nullopt.  Lock-free; safe alongside put().
+  // All kWays ways are compared, with no early exit: a way matches when
+  // its key bits XOR the key, OR its inverted valid bit, is zero, one
+  // test the compiler turns into a select.  The ways go last to first,
+  // so the first matching way wins: a reader racing an eviction and a
+  // re-insert can see one key in two ways, and an OR of the matches
+  // would mix their verdicts.  The word is shifted down to the key, not
+  // the key up to the word, so a key with bits the word cannot hold
+  // matches nothing.
   [[nodiscard]] std::optional<CompactVerdict> get(
       legal::FactKey key) const noexcept {
     const Array& a = *current_.load(std::memory_order_acquire);
-    for (const auto& way : a.sets[a.set_of(key)].ways) {
-      const std::uint64_t w = way.load(std::memory_order_relaxed);
-      if ((w & kValid) != 0 && (w >> kKeyShift) == key.bits) {
-        return unpack(w);
-      }
+    const Set& set = a.sets[a.set_of(key)];
+    std::uint64_t hit = 0;
+    for (std::size_t i = kWays; i-- > 0;) {
+      const std::uint64_t w = set.ways[i].load(std::memory_order_relaxed);
+      const bool match = (((w >> kKeyShift) ^ key.bits) | (~w & kValid)) == 0;
+      hit = match ? w : hit;
     }
-    return std::nullopt;
+    if ((hit & kValid) == 0) return std::nullopt;
+    return unpack(hit);
   }
 
   // Inserts the key's verdict, or overwrites it if present.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "obs/snapshot.h"
@@ -228,6 +229,41 @@ TEST(ObsMetricsTest, BatchMatchesPerSampleRecord) {
   expect_same_histogram(single, batched);
   EXPECT_LT(batched.min(), 0);
   EXPECT_GT(batched.bucket_count(batched.num_buckets() - 1), 0u);
+}
+
+// record(sample, n) leaves the histogram as n record(sample) calls do:
+// n = 0 records nothing, not even a min or max beyond the real samples',
+// 2^20 samples go in as one call, the sum wraps 2^64, and 12 distinct
+// buckets overrun the batch's 8 slots.
+TEST(ObsMetricsTest, BatchRecordOfNMatchesNSingleRecords) {
+  MetricsRegistry reg;
+  Histogram& single = reg.histogram("test.single");
+  Histogram& batched = reg.histogram("test.batched");
+  {
+    Histogram::Batch batch(batched);
+    batch.record(7, 0);
+  }
+  EXPECT_EQ(batched.count(), 0u);
+  expect_same_histogram(single, batched);
+
+  // Five samples of 2^62 - 1 add up to more than 2^64, so the sum wraps.
+  const std::int64_t huge = INT64_MAX / 2;
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> runs = {
+      {7, 0},   {7, 1},   {-3, 2},   {300, 1u << 20}, {huge, 5},       {1, 3},
+      {-50, 0}, {5, 4},   {10, 1},   {20, 9},         {50, 2},         {100, 6},
+      {200, 1}, {500, 3}, {1000, 2}, {2000, 1},       {INT64_MAX, 0}, {300, 1}};
+  Histogram::Batch batch(batched);
+  std::uint64_t total = 0;
+  for (const auto& [sample, n] : runs) {
+    for (std::uint64_t i = 0; i < n; ++i) single.record(sample);
+    batch.record(sample, n);
+    total += n;
+  }
+  batch.flush();
+  expect_same_histogram(single, batched);
+  EXPECT_EQ(batched.count(), total);
+  EXPECT_EQ(batched.min(), -3);
+  EXPECT_EQ(batched.max(), huge);
 }
 
 TEST(ObsMetricsTest, EmptyOrTwiceFlushedBatchChangesNothing) {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -275,6 +276,93 @@ TEST(VerdictServerTest, HitsShareTheirChunksTimeMissesKeepTheirOwn) {
     EXPECT_EQ(latency.count(), count_before) << w;
     EXPECT_EQ(latency.sum(), sum_before) << w;
 #endif
+  }
+}
+
+// Serves `frames` and checks serve.request_latency_ns against a twin fed
+// the responses' server_ns one at a time: every bucket, the count, the
+// sum, and (the histogram is reset first) min and max.  With obs
+// compiled out the histogram stays still.
+void expect_latency_matches_one_record_per_response(
+    VerdictServer& server, Connection& conn,
+    std::span<const std::uint8_t> frames, const std::string& label) {
+  obs::Histogram& latency =
+      obs::metrics().histogram("serve.request_latency_ns");
+  latency.reset();
+  const ServeStats stats = server.serve(conn, frames);
+  obs::Histogram twin("twin", latency.bounds());
+  for (const wire::Response& r : decode_all(conn.responses())) {
+    twin.record(r.server_ns);
+  }
+  ASSERT_EQ(twin.count(), stats.accepted) << label;
+#if LEXFOR_OBS
+  ASSERT_EQ(latency.num_buckets(), twin.num_buckets());
+  for (std::size_t i = 0; i < twin.num_buckets(); ++i) {
+    EXPECT_EQ(latency.bucket_count(i), twin.bucket_count(i))
+        << label << " bucket " << i;
+  }
+  EXPECT_EQ(latency.count(), twin.count()) << label;
+  EXPECT_EQ(latency.sum(), twin.sum()) << label;
+  EXPECT_EQ(latency.min(), twin.min()) << label;
+  EXPECT_EQ(latency.max(), twin.max()) << label;
+#else
+  EXPECT_EQ(latency.count(), 0u) << label;
+  EXPECT_EQ(latency.sum(), 0) << label;
+#endif
+}
+
+// A chunk's hits reach the latency histogram as two counted samples, and
+// the histogram still ends as one sample per response would leave it:
+// on chunks of all misses, of hits then misses, and of all hits (the
+// waves of HitsShareTheirChunksTimeMissesKeepTheirOwn), and on a fleet
+// wave, cold and then warm, at 1 and 4 workers.
+TEST(VerdictServerTest, LatencyHistogramMatchesOneRecordPerResponse) {
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kChunk = 8;
+  std::uint32_t next_key = 0;
+  const auto fresh = [&next_key] {
+    legal::Scenario s;
+    legal::set_flag_word(next_key++, s);
+    return s;
+  };
+  std::vector<legal::Scenario> misses;
+  for (std::size_t i = 0; i < kBatch; ++i) misses.push_back(fresh());
+  std::vector<legal::Scenario> mixed;
+  for (std::size_t c = 0; c < kBatch / kChunk; ++c) {
+    for (std::size_t j = 0; j < kChunk; ++j) {
+      mixed.push_back(j < c ? misses[c * kChunk + j] : fresh());
+    }
+  }
+  {
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.batch.use_shared_cache = false;
+    VerdictServer server(opts);
+    Connection conn = server.connect();
+    expect_latency_matches_one_record_per_response(
+        server, conn, frames_for(misses), "all misses");
+    expect_latency_matches_one_record_per_response(
+        server, conn, frames_for(mixed), "hits then misses");
+    expect_latency_matches_one_record_per_response(
+        server, conn, frames_for(misses), "all hits");
+  }
+
+  FleetOptions fopts;
+  fopts.fleet_size = 2048;
+  const SyntheticFleet fleet(fopts);
+  std::vector<std::uint8_t> wave;
+  fleet.generate_wave(4, wave);
+  for (const unsigned workers : {1u, 4u}) {
+    ServerOptions opts;
+    opts.workers = workers;
+    opts.batch.use_shared_cache = false;
+    VerdictServer server(opts);
+    Connection conn = server.connect();
+    const std::string label = "fleet, " + std::to_string(workers) + " workers";
+    expect_latency_matches_one_record_per_response(server, conn, wave,
+                                                   label + ", cold");
+    expect_latency_matches_one_record_per_response(server, conn, wave,
+                                                   label + ", warm");
   }
 }
 

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -149,6 +151,110 @@ TEST(VerdictTableTest, PastTheCapacityAnInsertEvictsWithinItsSet) {
   }
   EXPECT_EQ(table.size(), table.capacity());
   EXPECT_EQ(evictions, keys.size() - table.capacity());
+}
+
+// VerdictTable(4) is one set of four ways, so every key shares it and
+// an insert takes the first empty way: the put order decides which way
+// holds which key.
+constexpr legal::FactKey kOneSetKeys[VerdictTable::kWays] = {
+    {0x0123456789}, {0x0FEDCBA986}, {kKeyMask}, {0}};
+
+[[nodiscard]] bool holds(const VerdictTable& table, legal::FactKey key,
+                         CompactVerdict v) {
+  const auto hit = table.get(key);
+  return hit.has_value() && same(*hit, v);
+}
+
+TEST(VerdictTableTest, OneSetAnswersEveryKeyFromEveryWay) {
+  ASSERT_EQ(VerdictTable(4).allocated(), VerdictTable::kWays);
+  std::vector<std::size_t> order = {0, 1, 2, 3};
+  std::set<std::pair<std::size_t, std::size_t>> key_way;
+  do {
+    VerdictTable table(4);
+    for (const std::size_t k : order) {
+      table.put(kOneSetKeys[k], verdict_of(kOneSetKeys[k]));
+    }
+    ASSERT_EQ(table.size(), VerdictTable::kWays);
+    for (std::size_t way = 0; way < order.size(); ++way) {
+      const legal::FactKey key = kOneSetKeys[order[way]];
+      EXPECT_TRUE(holds(table, key, verdict_of(key)))
+          << "key " << order[way] << " in way " << way;
+      key_way.emplace(order[way], way);
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(key_way.size(), VerdictTable::kWays * VerdictTable::kWays);
+}
+
+// A key misses unless every key bit matches: a fifth key, a stored key
+// with bit 0 or the top key bit flipped, and a stored key with a bit
+// set that the word cannot hold (at or above bit 56).
+TEST(VerdictTableTest, OneSetMissesEveryKeyItDoesNotHold) {
+  VerdictTable table(4);
+  for (const legal::FactKey key : kOneSetKeys) {
+    table.put(key, verdict_of(key));
+  }
+  EXPECT_FALSE(table.get(legal::FactKey{0x0123456780}).has_value());
+  constexpr std::uint64_t kTopKeyBit = std::uint64_t{1}
+                                       << (legal::kFactKeyBits - 1);
+  for (const legal::FactKey key : kOneSetKeys) {
+    for (const std::uint64_t flip :
+         {std::uint64_t{1}, kTopKeyBit, std::uint64_t{1} << 56,
+          std::uint64_t{1} << 63}) {
+      EXPECT_FALSE(table.get(legal::FactKey{key.bits ^ flip}).has_value())
+          << std::hex << key.bits << " ^ " << flip;
+    }
+    EXPECT_TRUE(holds(table, key, verdict_of(key))) << std::hex << key.bits;
+  }
+}
+
+// An overwrite changes only its key's answer; past the capacity an
+// insert evicts way 0, then way 1, and every key still answers right.
+TEST(VerdictTableTest, OneSetAnswersRightAfterAnOverwriteAndAnEviction) {
+  VerdictTable table(4);
+  for (const legal::FactKey key : kOneSetKeys) {
+    table.put(key, verdict_of(key));
+  }
+  const CompactVerdict overwritten{1, 4, 4};
+  table.put(kOneSetKeys[2], overwritten);
+  EXPECT_EQ(table.size(), VerdictTable::kWays);
+  EXPECT_TRUE(holds(table, kOneSetKeys[0], verdict_of(kOneSetKeys[0])));
+  EXPECT_TRUE(holds(table, kOneSetKeys[1], verdict_of(kOneSetKeys[1])));
+  EXPECT_TRUE(holds(table, kOneSetKeys[2], overwritten));
+  EXPECT_TRUE(holds(table, kOneSetKeys[3], verdict_of(kOneSetKeys[3])));
+
+  const legal::FactKey fifth{0xABCDE};
+  const legal::FactKey sixth{0xABCDF};
+  table.put(fifth, verdict_of(fifth));
+  EXPECT_FALSE(table.get(kOneSetKeys[0]).has_value());
+  EXPECT_TRUE(holds(table, fifth, verdict_of(fifth)));
+  EXPECT_TRUE(holds(table, kOneSetKeys[1], verdict_of(kOneSetKeys[1])));
+  table.put(sixth, verdict_of(sixth));
+  EXPECT_FALSE(table.get(kOneSetKeys[1]).has_value());
+  EXPECT_TRUE(holds(table, fifth, verdict_of(fifth)));
+  EXPECT_TRUE(holds(table, sixth, verdict_of(sixth)));
+  EXPECT_TRUE(holds(table, kOneSetKeys[2], overwritten));
+  EXPECT_TRUE(holds(table, kOneSetKeys[3], verdict_of(kOneSetKeys[3])));
+  EXPECT_EQ(table.size(), VerdictTable::kWays);
+}
+
+// CompactVerdict{1, 7, 7} sets every verdict bit of its word; none of
+// them may take part in the key compare, in any way position.
+TEST(VerdictTableTest, AnAllOnesVerdictStaysOutOfTheKeyCompare) {
+  const CompactVerdict ones{1, 7, 7};
+  for (std::size_t way = 0; way < VerdictTable::kWays; ++way) {
+    VerdictTable table(4);
+    for (std::size_t k = 0; k < VerdictTable::kWays; ++k) {
+      table.put(kOneSetKeys[k], k == way ? ones : CompactVerdict{});
+    }
+    const legal::FactKey key = kOneSetKeys[way];
+    EXPECT_TRUE(holds(table, key, ones)) << way;
+    for (const std::uint64_t near :
+         {key.bits ^ 1, key.bits | 0xFF, (key.bits << 8) | 0xFF}) {
+      if (near == key.bits) continue;
+      EXPECT_FALSE(table.get(legal::FactKey{near}).has_value())
+          << way << " " << std::hex << near;
+    }
+  }
 }
 
 TEST(VerdictTableTest, CapacityZeroActsAsOne) {
